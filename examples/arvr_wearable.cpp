@@ -91,7 +91,7 @@ main(int argc, char** argv)
         EngineConfig ecfg;
         ecfg.recordEvents = true;
         SchedulerEngine engine(ecfg);
-        EngineResult result = engine.run(reqs, *sched);
+        SimResult result = engine.run(reqs, *sched);
 
         int hand_viol = 0;
         int hand_n = 0;

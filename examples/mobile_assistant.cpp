@@ -60,7 +60,7 @@ main(int argc, char** argv)
         std::vector<Request> reqs =
             generateWorkload(wl, ctx->registry);
         SchedulerEngine engine;
-        EngineResult result = engine.run(reqs, *sched);
+        SimResult result = engine.run(reqs, *sched);
 
         // Per-application responsiveness.
         std::map<std::string, std::vector<double>> turnaround;

@@ -524,10 +524,25 @@ validateScenario(const ScenarioSpec& spec)
         registry.requireDispatcher(disp);
     if (!spec.admissionEstimator.empty())
         registry.requireEstimator(spec.admissionEstimator);
-    for (const std::string& fleet : spec.fleets)
-        fleetFromSpec(fleet); // validates classes and counts
-    if (!spec.events.empty())
-        nodeEventsFromSpec(spec.events);
+    // Scripted events must name a node of every fleet on the axis;
+    // the run itself would only die after the Phase-1 profile.
+    std::vector<NodeEvent> events = nodeEventsFromSpec(spec.events);
+    for (const std::string& fleet : spec.fleets) {
+        // fleetFromSpec validates classes and counts.
+        size_t size = fleetFromSpec(fleet).size();
+        for (const NodeEvent& ev : events) {
+            if (static_cast<size_t>(ev.node) < size)
+                continue;
+            std::ostringstream name;
+            name << (ev.kind == NodeEventKind::Drain  ? "drain"
+                     : ev.kind == NodeEventKind::Fail ? "fail"
+                                                      : "recover")
+                 << '@' << ev.time << ':' << ev.node;
+            fatal(where + "event '" + name.str() + "' targets node " +
+                  std::to_string(ev.node) + ", but fleet '" + fleet +
+                  "' has " + std::to_string(size) + " nodes");
+        }
+    }
     for (const std::string& chaos : spec.chaos)
         if (chaos != "none")
             registry.makeFailureProcess(chaos); // validates params

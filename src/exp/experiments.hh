@@ -16,7 +16,7 @@
 #include "accel/sanger.hh"
 #include "core/dysta.hh"
 #include "sched/engine.hh"
-#include "serve/cluster_engine.hh"
+#include "serve/dispatcher.hh"
 #include "workload/workload.hh"
 
 namespace dysta {
@@ -93,8 +93,8 @@ makeSchedulerByName(const std::string& spec, const BenchContext& ctx,
                     WorkloadKind kind = WorkloadKind::MultiAttNN);
 
 /** Run one generated workload under one policy. */
-EngineResult runOne(const BenchContext& ctx,
-                    const WorkloadConfig& workload, Scheduler& policy);
+SimResult runOne(const BenchContext& ctx, const WorkloadConfig& workload,
+                 Scheduler& policy);
 
 /**
  * Run `num_seeds` workloads (seeds workload.seed, +1, ...) and return
@@ -116,7 +116,10 @@ std::unique_ptr<Dispatcher>
 makeDispatcherByName(const std::string& spec, const BenchContext& ctx,
                      WorkStealingConfig steal_cfg = {});
 
-/** Cluster-run knobs layered on top of a workload. */
+/**
+ * Cluster-run spec layered on top of a workload: fleet, policy names
+ * and spec strings. `runSweepCell` resolves it into one SimConfig.
+ */
 struct ClusterRunConfig
 {
     /** Homogeneous fleet size (ignored when `nodes` is non-empty). */
@@ -131,8 +134,8 @@ struct ClusterRunConfig
     AdmissionConfig admission;
     /**
      * Admission-estimator spec override, e.g. "lut" or
-     * "dysta:alpha=0.9" (PolicyRegistry); "" keeps the engine
-     * default.
+     * "dysta:alpha=0.9" (PolicyRegistry); "" keeps the core's
+     * default (a LutEstimator over the context's LUT).
      */
     std::string admissionEstimator;
     /** Scheduled drain/fail/recover transitions. */
@@ -141,19 +144,6 @@ struct ClusterRunConfig
     RestartPolicy onFailure = RestartPolicy::Restart;
     /** Thresholds for the work-stealing dispatcher. */
     WorkStealingConfig stealing;
-    /** Optional telemetry sink (not owned; see SimConfig). */
-    Telemetry* telemetry = nullptr;
-    /**
-     * Generate requests lazily through a WorkloadArrivalSource
-     * instead of materializing the whole workload vector: memory
-     * stays bounded by the in-flight set, the schedule stays
-     * bit-identical for the same seed.
-     */
-    bool streaming = false;
-    /** Calendar implementation (see SimConfig::calendar). */
-    CalendarKind calendar = CalendarKind::Heap;
-    /** Streaming-mode metrics accumulation (see SimConfig). */
-    MetricsKind metricsKind = MetricsKind::Exact;
 
     // --- chaos engine (src/chaos/) -----------------------------------
     /**
@@ -181,11 +171,6 @@ struct ClusterRunConfig
      */
     std::string batcher;
 };
-
-/** Generate one workload and serve it on a simulated cluster. */
-ClusterResult runCluster(const BenchContext& ctx,
-                         const WorkloadConfig& workload,
-                         const ClusterRunConfig& cluster);
 
 } // namespace dysta
 

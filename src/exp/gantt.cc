@@ -10,7 +10,7 @@
 namespace dysta {
 
 std::string
-renderGantt(const std::vector<ScheduleEvent>& events,
+renderGantt(const std::vector<ClusterEvent>& events,
             const std::vector<Request>& requests, GanttConfig config)
 {
     if (events.empty())

@@ -5,9 +5,10 @@
  * Two views share one bucketing scheme (fixed-width columns over a
  * time window):
  *
- *  - `renderGantt`: the legacy per-request view over single-engine
- *    `ScheduleEvent`s — one row per request, '#' where it holds the
- *    accelerator. Makes preemption behaviour visible in examples.
+ *  - `renderGantt`: the per-request view over a run's recorded
+ *    `ClusterEvent`s (`SimConfig::recordEvents`) — one row per
+ *    request, '#' where it holds an accelerator. Makes preemption
+ *    behaviour visible in examples.
  *  - `renderTelemetryGantt`: the cluster view over a recorded
  *    telemetry event stream — one lane per *node*, each execution
  *    slice drawn with a character identifying the request
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "obs/telemetry.hh"
-#include "sched/engine.hh"
+#include "sim/core.hh"
 
 namespace dysta {
 
@@ -42,10 +43,10 @@ struct GanttConfig
 
 /**
  * Render schedule events as an ASCII Gantt chart.
- * @param events   engine events (EngineConfig::recordEvents)
+ * @param events   recorded execution slots (SimResult::events)
  * @param requests the requests the events refer to (for labels)
  */
-std::string renderGantt(const std::vector<ScheduleEvent>& events,
+std::string renderGantt(const std::vector<ClusterEvent>& events,
                         const std::vector<Request>& requests,
                         GanttConfig config = {});
 

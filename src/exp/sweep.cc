@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "api/registry.hh"
+#include "chaos/failure.hh"
 #include "obs/phase_timer.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
@@ -36,6 +37,7 @@ makeProbeSink(const BenchContext& ctx,
 SweepCellResult
 runSweepCell(const BenchContext& ctx, const SweepCell& cell)
 {
+    const PolicyRegistry& registry = PolicyRegistry::global();
     std::unique_ptr<Telemetry> probe_sink;
     Telemetry* sink = cell.telemetry;
     if (sink == nullptr && !cell.probes.empty()) {
@@ -43,7 +45,15 @@ runSweepCell(const BenchContext& ctx, const SweepCell& cell)
         sink = probe_sink.get();
     }
 
-    SweepCellResult out;
+    // Everything the run borrows lives here, so it outlives the
+    // runSimulation call below.
+    SimConfig sim;
+    std::unique_ptr<Dispatcher> dispatcher;
+    std::unique_ptr<Scheduler> single_policy;
+    std::unique_ptr<FailureProcess> chaos_proc;
+    std::unique_ptr<LatencyEstimator> admission_est;
+    PolicyFactory factory;
+
     if (cell.clusterMode) {
         // Cluster cells configure node policies by name and block
         // granularity per NodeProfile; reject the single-accelerator
@@ -54,45 +64,79 @@ runSweepCell(const BenchContext& ctx, const SweepCell& cell)
         panicIf(cell.layerBlockSize != 1,
                 "runSweepCell: set block granularity on the cluster "
                 "NodeProfiles, not SweepCell::layerBlockSize");
-        ClusterRunConfig cluster = cell.cluster;
-        cluster.telemetry = sink;
-        cluster.streaming = cell.streaming;
-        cluster.calendar = cell.calendar;
-        cluster.metricsKind = cell.metricsKind;
-        ClusterResult r = runCluster(ctx, cell.workload, cluster);
-        out.metrics = r.metrics;
-        out.decisions = r.decisions;
-        out.preemptions = r.preemptions;
-        out.eventsProcessed = r.eventsProcessed;
-        return out;
+        const ClusterRunConfig& cluster = cell.cluster;
+        if (!cluster.nodes.empty()) {
+            sim.nodes = cluster.nodes;
+        } else {
+            fatalIf(cluster.numNodes == 0,
+                    "runSweepCell: need at least one node");
+            sim = homogeneousCluster(cluster.numNodes);
+        }
+        sim.admission = cluster.admission;
+        sim.lut = &ctx.lut;
+        sim.nodeEvents = cluster.nodeEvents;
+        sim.onFailure = cluster.onFailure;
+
+        // The failure process is constructed per run and seeded from
+        // the workload seed, so seed replicas see different fault
+        // timelines but reruns are bit-identical.
+        if (!cluster.chaos.empty()) {
+            chaos_proc = registry.makeFailureProcess(cluster.chaos);
+            sim.chaos = chaos_proc.get();
+        }
+        sim.chaosSeed = cell.workload.seed;
+        sim.retry = retryConfigFromSpec(cluster.retry);
+        sim.hedge = hedgeConfigFromSpec(cluster.hedge);
+        sim.brownout = brownoutConfigFromSpec(cluster.brownout);
+        sim.tierWeights = tierWeightsFromSpec(cluster.tiers);
+        sim.batching = batchConfigFromSpec(cluster.batcher);
+        if (!cluster.admissionEstimator.empty()) {
+            admission_est =
+                registry.makeEstimator(cluster.admissionEstimator, ctx);
+            sim.admissionEstimator = admission_est.get();
+        }
+
+        dispatcher = makeDispatcherByName(cluster.dispatcher, ctx,
+                                          cluster.stealing);
+        // A per-node scheduler suffix in the fleet spec
+        // ("sanger:2=sjf") overrides the cluster-wide policy for
+        // those nodes.
+        WorkloadKind kind = cell.workload.kind;
+        factory = [&ctx, &cluster, kind](const NodeProfile& profile,
+                                         int) {
+            const std::string& spec = profile.scheduler.empty()
+                                          ? cluster.nodeScheduler
+                                          : profile.scheduler;
+            return makeSchedulerByName(spec, ctx, kind);
+        };
+    } else {
+        single_policy = cell.makePolicy
+            ? cell.makePolicy(ctx)
+            : makeSchedulerByName(cell.scheduler, ctx,
+                                  cell.workload.kind);
+        panicIf(single_policy == nullptr,
+                "runSweepCell: cell policy factory returned null");
+        single_policy->reset();
+        EngineConfig ecfg;
+        ecfg.layerBlockSize = cell.layerBlockSize;
+        sim = singleNodeSimConfig(ecfg);
+        dispatcher = std::make_unique<SingleNodeDispatcher>();
+        Scheduler& policy = *single_policy;
+        factory = [&policy](const NodeProfile&, int) {
+            return std::make_unique<ForwardingScheduler>(policy);
+        };
     }
+    sim.telemetry = sink;
+    sim.calendar = cell.calendar;
+    sim.metricsKind = cell.metricsKind;
 
-    std::unique_ptr<Scheduler> policy = cell.makePolicy
-        ? cell.makePolicy(ctx)
-        : makeSchedulerByName(cell.scheduler, ctx, cell.workload.kind);
-    panicIf(policy == nullptr,
-            "runSweepCell: cell policy factory returned null");
-
-    EngineConfig ecfg;
-    ecfg.layerBlockSize = cell.layerBlockSize;
-    ecfg.telemetry = sink;
-    ecfg.calendar = cell.calendar;
-    ecfg.metricsKind = cell.metricsKind;
-    SchedulerEngine engine(ecfg);
-    EngineResult r;
     if (cell.streaming) {
         WorkloadArrivalSource source(cell.workload, ctx.registry);
-        r = engine.run(source, *policy);
-    } else {
-        std::vector<Request> requests =
-            generateWorkload(cell.workload, ctx.registry);
-        r = engine.run(requests, *policy);
+        return runSimulation(sim, source, *dispatcher, factory);
     }
-    out.metrics = r.metrics;
-    out.decisions = r.decisions;
-    out.preemptions = r.preemptions;
-    out.eventsProcessed = r.eventsProcessed;
-    return out;
+    std::vector<Request> requests =
+        generateWorkload(cell.workload, ctx.registry);
+    return runSimulation(sim, requests, *dispatcher, factory);
 }
 
 std::vector<SweepCell>

@@ -9,8 +9,8 @@
  * slot, so the output is identical to a serial run regardless of
  * completion order. Cells share only the const BenchContext (trace
  * pools, LUT, model descriptors); all mutable state — the workload
- * RNG, the requests, the policy and its estimator, the engine — is
- * constructed per cell.
+ * RNG, the requests, the policy and its estimator, the dispatcher —
+ * is constructed per cell.
  */
 
 #ifndef DYSTA_EXP_SWEEP_HH
@@ -71,22 +71,19 @@ struct SweepCell
     MetricsKind metricsKind = MetricsKind::Exact;
 };
 
-/** One cell's outcome. */
-struct SweepCellResult
-{
-    Metrics metrics;
-    /** Scheduler invocations across the run (all nodes). */
-    size_t decisions = 0;
-    /** Preemptions across the run (all nodes). */
-    size_t preemptions = 0;
-    /** Calendar events processed (events/sec denominators). */
-    size_t eventsProcessed = 0;
-};
+/**
+ * One cell's outcome: the simulation core's result (metrics,
+ * decision/preemption/event counts, per-node completions).
+ */
+using SweepCellResult = SimResult;
 
 /**
- * Run one cell, self-contained: generates the workload, constructs
- * the policy (and dispatcher for cluster cells) and simulates.
- * Thread-safe for concurrent calls sharing one const BenchContext.
+ * Run one cell, self-contained. This is the one place a cell's spec
+ * strings become runtime objects: it resolves the cell into one
+ * SimConfig, one dispatcher and one PolicyFactory, generates the
+ * workload (materialized or streaming) and makes one runSimulation
+ * call. Thread-safe for concurrent calls sharing one const
+ * BenchContext.
  */
 SweepCellResult runSweepCell(const BenchContext& ctx,
                              const SweepCell& cell);

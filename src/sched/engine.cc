@@ -1,24 +1,9 @@
-// Compatibility shim: the layer-granular execution loop that used to
-// live here is now implemented exactly once in the unified simulation
-// core (src/sim/core.cc). A single-accelerator run delegates to
-// runSimulation with one node and a SingleNodeDispatcher — it IS a
-// 1-node cluster.
-
 #include "sched/engine.hh"
-
-#include "sim/core.hh"
 
 namespace dysta {
 
-SchedulerEngine::SchedulerEngine(EngineConfig config)
-    : cfg(config)
-{
-}
-
-namespace {
-
 SimConfig
-toSimConfig(const EngineConfig& cfg)
+singleNodeSimConfig(const EngineConfig& cfg)
 {
     SimConfig sim;
     NodeProfile profile = referenceNodeProfile("accelerator");
@@ -26,56 +11,44 @@ toSimConfig(const EngineConfig& cfg)
     profile.layerBlockSize = cfg.layerBlockSize;
     sim.nodes.push_back(profile);
     sim.recordEvents = cfg.recordEvents;
-    sim.telemetry = cfg.telemetry;
-    sim.calendar = cfg.calendar;
-    sim.metricsKind = cfg.metricsKind;
     return sim;
 }
 
-EngineResult
-toEngineResult(SimResult&& sr)
+namespace {
+
+/** Both run overloads: `input` is a request vector or a source. */
+template <typename Input>
+SimResult
+runOnOneNode(const EngineConfig& cfg, Input& input, Scheduler& policy)
 {
-    EngineResult result;
-    result.metrics = std::move(sr.metrics);
-    result.preemptions = sr.preemptions;
-    result.decisions = sr.decisions;
-    result.eventsProcessed = sr.eventsProcessed;
-    result.events.reserve(sr.events.size());
-    for (const ClusterEvent& ev : sr.events)
-        result.events.push_back(
-            {ev.requestId, ev.layer, ev.start, ev.end});
-    return result;
+    policy.reset();
+
+    SingleNodeDispatcher dispatcher;
+    PolicyFactory factory = [&policy](const NodeProfile&, int) {
+        return std::make_unique<ForwardingScheduler>(policy);
+    };
+    return runSimulation(singleNodeSimConfig(cfg), input, dispatcher,
+                         factory);
 }
 
 } // namespace
 
-EngineResult
+SchedulerEngine::SchedulerEngine(EngineConfig config)
+    : cfg(config)
+{
+}
+
+SimResult
 SchedulerEngine::run(std::vector<Request>& requests,
                      Scheduler& policy) const
 {
-    policy.reset();
-
-    SimConfig sim = toSimConfig(cfg);
-    SingleNodeDispatcher dispatcher;
-    PolicyFactory factory = [&policy](const NodeProfile&, int) {
-        return std::make_unique<ForwardingScheduler>(policy);
-    };
-    return toEngineResult(
-        runSimulation(sim, requests, dispatcher, factory));
+    return runOnOneNode(cfg, requests, policy);
 }
 
-EngineResult
+SimResult
 SchedulerEngine::run(ArrivalSource& source, Scheduler& policy) const
 {
-    policy.reset();
-
-    SimConfig sim = toSimConfig(cfg);
-    SingleNodeDispatcher dispatcher;
-    PolicyFactory factory = [&policy](const NodeProfile&, int) {
-        return std::make_unique<ForwardingScheduler>(policy);
-    };
-    return toEngineResult(
-        runSimulation(sim, source, dispatcher, factory));
+    return runOnOneNode(cfg, source, policy);
 }
 
 } // namespace dysta

@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-driven scheduling engine (Phase 2, Fig. 7 right half).
+ * Single-accelerator scheduling helper (Phase 2, Fig. 7 right half).
  *
  * Replays a set of requests (each bound to a Phase-1 trace) against a
  * scheduling policy on a single time-shared accelerator. Execution is
@@ -8,10 +8,10 @@
  * layer boundary, so preemption happens exactly at the granularity the
  * paper assumes.
  *
- * This is a thin facade: the run delegates to the unified simulation
- * core in src/sim/ (one node, SingleNodeDispatcher), so single- and
- * multi-accelerator runs share one event calendar, one execution
- * loop and one set of counting rules.
+ * The run is `runSimulation` (src/sim/core.hh) with one node and a
+ * `SingleNodeDispatcher`, configured through `singleNodeSimConfig` —
+ * the same function `runSweepCell` uses for its single-accelerator
+ * cells — so this helper and the scenario cells cannot drift apart.
  */
 
 #ifndef DYSTA_SCHED_ENGINE_HH
@@ -19,26 +19,13 @@
 
 #include <vector>
 
-#include "sched/metrics.hh"
 #include "sched/request.hh"
 #include "sched/scheduler.hh"
-#include "sim/event_queue.hh"
-#include "sim/source.hh"
+#include "sim/core.hh"
 
 namespace dysta {
 
-class Telemetry;
-
-/** One scheduled execution slot (optional Gantt record). */
-struct ScheduleEvent
-{
-    int requestId = -1;
-    size_t layer = 0;
-    double start = 0.0;
-    double end = 0.0;
-};
-
-/** Engine knobs. */
+/** Knobs of the single-accelerator node. */
 struct EngineConfig
 {
     /**
@@ -56,32 +43,10 @@ struct EngineConfig
      * dispatch decision at block boundaries.
      */
     size_t layerBlockSize = 1;
-    /**
-     * Optional telemetry sink (not owned; see src/obs/telemetry.hh
-     * and SimConfig::telemetry). nullptr disables all emission.
-     */
-    Telemetry* telemetry = nullptr;
-    /** Calendar implementation (see SimConfig::calendar). */
-    CalendarKind calendar = CalendarKind::Heap;
-    /**
-     * Metrics accumulation of the streaming run overload (see
-     * SimConfig::metricsKind); ignored by the vector overload.
-     */
-    MetricsKind metricsKind = MetricsKind::Exact;
 };
 
-/** Result of one engine run. */
-struct EngineResult
-{
-    Metrics metrics;
-    std::vector<ScheduleEvent> events;
-    /** Number of preemptions (running request switched mid-model). */
-    size_t preemptions = 0;
-    /** Number of scheduler invocations. */
-    size_t decisions = 0;
-    /** Calendar events processed (events/sec denominators). */
-    size_t eventsProcessed = 0;
-};
+/** The one-node SimConfig an EngineConfig describes. */
+SimConfig singleNodeSimConfig(const EngineConfig& cfg);
 
 /** Single-accelerator, layer-granular scheduling simulator. */
 class SchedulerEngine
@@ -94,8 +59,8 @@ class SchedulerEngine
      * Requests are mutated in place (progress, finish times).
      * @pre every request has a trace with at least one layer.
      */
-    EngineResult run(std::vector<Request>& requests,
-                     Scheduler& policy) const;
+    SimResult run(std::vector<Request>& requests,
+                  Scheduler& policy) const;
 
     /**
      * Streaming overload: requests are pulled lazily from `source`
@@ -103,7 +68,7 @@ class SchedulerEngine
      * by the in-flight set. Bit-identical schedule to the vector
      * overload for the same workload seed.
      */
-    EngineResult run(ArrivalSource& source, Scheduler& policy) const;
+    SimResult run(ArrivalSource& source, Scheduler& policy) const;
 
   private:
     EngineConfig cfg;

@@ -3,9 +3,12 @@
  * Cluster front-end placement policies.
  *
  * The abstract `Dispatcher` interface lives in the simulation core
- * (src/sim/dispatcher.hh); this file provides the concrete cluster
- * policies. Started requests never move (their activations live on
- * the node), but queued-but-not-started work may be migrated by the
+ * (src/sim/dispatcher.hh) and sees the fleet as the core's
+ * `SimNode`s; this file provides the concrete cluster policies.
+ * Scenario cells build one by name (PolicyRegistry) in
+ * `runSweepCell`; tests pass one straight to `runSimulation`.
+ * Started requests never move (their activations live on the node),
+ * but queued-but-not-started work may be migrated by the
  * work-stealing policy. All policies skip unavailable (draining or
  * failed) nodes and break ties by lowest node id. Five policies:
  *
@@ -39,7 +42,6 @@
 
 #include "core/estimator.hh"
 #include "core/model_info.hh"
-#include "serve/node.hh"
 #include "sim/dispatcher.hh"
 
 namespace dysta {
@@ -53,7 +55,7 @@ class RoundRobinDispatcher : public Dispatcher
 
     size_t selectNode(
         const Request& req,
-        const std::vector<std::unique_ptr<ServeNode>>& nodes,
+        const std::vector<std::unique_ptr<SimNode>>& nodes,
         double now) override;
 
   private:
@@ -77,7 +79,7 @@ class LeastOutstandingDispatcher : public Dispatcher
 
     size_t selectNode(
         const Request& req,
-        const std::vector<std::unique_ptr<ServeNode>>& nodes,
+        const std::vector<std::unique_ptr<SimNode>>& nodes,
         double now) override;
 };
 
@@ -94,11 +96,11 @@ class EstimatorDispatcher : public Dispatcher
   public:
     void reset() override;
 
-    void onLayerComplete(const ServeNode& node, const Request& req,
+    void onLayerComplete(const SimNode& node, const Request& req,
                          double now,
                          double monitored_sparsity) override;
 
-    void onComplete(const ServeNode& node, const Request& req,
+    void onComplete(const SimNode& node, const Request& req,
                     double now) override;
 
     void onShed(const Request& req, double now) override;
@@ -136,14 +138,14 @@ class LeastBacklogDispatcher : public EstimatorDispatcher
 
     size_t selectNode(
         const Request& req,
-        const std::vector<std::unique_ptr<ServeNode>>& nodes,
+        const std::vector<std::unique_ptr<SimNode>>& nodes,
         double now) override;
 
     /**
      * Estimated seconds of estimator-refined work queued on `node`,
      * normalized by its speed factor.
      */
-    double backlogEstimate(const ServeNode& node) const;
+    double backlogEstimate(const SimNode& node) const;
 
     /** Refined remaining-latency estimate for one in-flight request. */
     double estRemaining(const Request& req) const;
@@ -173,20 +175,20 @@ class CapabilityAwareDispatcher : public EstimatorDispatcher
 
     size_t selectNode(
         const Request& req,
-        const std::vector<std::unique_ptr<ServeNode>>& nodes,
+        const std::vector<std::unique_ptr<SimNode>>& nodes,
         double now) override;
 
     /** The view of the base estimator for one node capability. */
     const ScaledEstimator& viewFor(const NodeCapability& cap);
 
     /** Shorthand: the view for this node's own capability. */
-    const ScaledEstimator& nodeView(const ServeNode& node);
+    const ScaledEstimator& nodeView(const SimNode& node);
 
     /**
      * Estimated node-local seconds of work queued on `node`
      * (including its running request's remainder).
      */
-    double backlogOn(const ServeNode& node);
+    double backlogOn(const SimNode& node);
 
   private:
     /** One ScaledEstimator per distinct speed factor (hw class). */
@@ -232,7 +234,7 @@ class WorkStealingDispatcher : public CapabilityAwareDispatcher
     bool wantsRebalance() const override { return true; }
 
     std::vector<Migration> rebalance(
-        const std::vector<std::unique_ptr<ServeNode>>& nodes,
+        const std::vector<std::unique_ptr<SimNode>>& nodes,
         double now) override;
 
     const WorkStealingConfig& stealConfig() const { return cfg; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <string>
 
 #include "chaos/failure.hh"
 #include "obs/telemetry.hh"
@@ -121,7 +122,9 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     for (const NodeEvent& nev : cfg.nodeEvents) {
         fatalIf(nev.node < 0 ||
                     static_cast<size_t>(nev.node) >= nodes.size(),
-                "runSimulation: node event for an unknown node");
+                "runSimulation: node event for unknown node " +
+                    std::to_string(nev.node) + " (fleet has " +
+                    std::to_string(nodes.size()) + " nodes)");
         fatalIf(nev.time < 0.0,
                 "runSimulation: node event before time zero");
         SimEvent ev;
@@ -830,7 +833,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     }
 
     if (batch_on) {
-        BatchStats& bs = result.batching;
+        BatchStats& bs = result.metrics.batching;
         bs.active = true;
         size_t formed = 0, joins = 0, steps = 0, member_steps = 0;
         size_t fill_count = 0;
@@ -859,7 +862,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     }
 
     if (resilience_on) {
-        ResilienceStats& rs = result.resilience;
+        ResilienceStats& rs = result.metrics.resilience;
         rs.active = true;
         // Down spells still open when the last request retired count
         // against availability but not as closed repairs.
@@ -894,8 +897,8 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             rs.tiers[t].completed = tier_completed[t];
             rs.tiers[t].violations = tier_violations[t];
             rs.tiers[t].shed = tier_shed[t];
-            // goodput needs the makespan: the overloads fill it in
-            // after their metrics aggregation.
+            // goodput needs the makespan: finalizeMetrics fills it
+            // in after the overload's metrics aggregation.
         }
     }
 
@@ -905,37 +908,37 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
 }
 
 /**
- * Mirror the loop's resilience stats into the freshly-computed
- * metrics (which the overloads overwrite wholesale) and derive the
+ * Install an overload's aggregated `metrics` in `result`, keeping the
+ * resilience and batching stats the loop wrote there (the aggregation
+ * knows neither), the telemetry probes' accuracy, and the
  * makespan-dependent per-tier goodput.
  */
 void
-finalizeResilience(SimResult& result)
+finalizeMetrics(SimResult& result, Metrics metrics, const SimConfig& cfg)
 {
-    if (!result.resilience.active)
-        return;
-    double makespan = result.metrics.makespan;
-    for (TierStats& t : result.resilience.tiers) {
-        t.goodput = makespan > 0.0
-                        ? (t.completed - t.violations) / makespan
+    metrics.resilience = std::move(result.metrics.resilience);
+    metrics.batching = result.metrics.batching;
+    if (cfg.telemetry)
+        metrics.estimators = cfg.telemetry->accuracy();
+    for (TierStats& t : metrics.resilience.tiers) {
+        t.goodput = metrics.makespan > 0.0
+                        ? (t.completed - t.violations) / metrics.makespan
                         : 0.0;
     }
-    result.metrics.resilience = result.resilience;
-}
-
-/**
- * Mirror the loop's batching stats into the freshly-computed metrics
- * (which the overloads overwrite wholesale).
- */
-void
-finalizeBatch(SimResult& result)
-{
-    if (!result.batching.active)
-        return;
-    result.metrics.batching = result.batching;
+    result.metrics = std::move(metrics);
 }
 
 } // namespace
+
+SimConfig
+homogeneousCluster(size_t n)
+{
+    SimConfig cfg;
+    for (size_t i = 0; i < n; ++i)
+        cfg.nodes.push_back(
+            referenceNodeProfile("node" + std::to_string(i)));
+    return cfg;
+}
 
 SimResult
 runSimulation(const SimConfig& cfg, std::vector<Request>& requests,
@@ -964,11 +967,7 @@ runSimulation(const SimConfig& cfg, std::vector<Request>& requests,
                                          make_policy, nullptr);
     // The vector survives the run, so metrics come from the same
     // full-vector aggregation as always (bit-identical to the seed).
-    result.metrics = computeMetricsCompleted(requests);
-    if (cfg.telemetry)
-        result.metrics.estimators = cfg.telemetry->accuracy();
-    finalizeResilience(result);
-    finalizeBatch(result);
+    finalizeMetrics(result, computeMetricsCompleted(requests), cfg);
     return result;
 }
 
@@ -979,11 +978,7 @@ runSimulation(const SimConfig& cfg, ArrivalSource& source,
     StreamingMetrics sink(cfg.metricsKind);
     SimResult result = runSimulationLoop(cfg, source, dispatcher,
                                          make_policy, &sink);
-    result.metrics = sink.finalize();
-    if (cfg.telemetry)
-        result.metrics.estimators = cfg.telemetry->accuracy();
-    finalizeResilience(result);
-    finalizeBatch(result);
+    finalizeMetrics(result, sink.finalize(), cfg);
     return result;
 }
 

@@ -10,12 +10,12 @@
  * node, optionally behind SLO-aware admission control whose
  * estimates flow through the `LatencyEstimator` layer.
  *
- * Both public engines are thin shims over this function:
- * `SchedulerEngine` (src/sched/engine.cc) runs it with one node and
- * a `SingleNodeDispatcher`; `ClusterEngine` (src/serve/) passes its
- * fleet straight through. Preemption and decision counting are
- * therefore defined once, in `SimNode`, and reported identically by
- * every engine.
+ * `SimConfig` is the only runtime configuration. Scenario cells
+ * resolve their spec strings into one in `runSweepCell`
+ * (src/exp/sweep.cc); `SchedulerEngine` (src/sched/engine.hh) is
+ * the one-accelerator helper that runs this function with one node
+ * and a `SingleNodeDispatcher`. Preemption and decision counting
+ * are therefore defined once, in `SimNode`, whatever the fleet.
  */
 
 #ifndef DYSTA_SIM_CORE_HH
@@ -187,10 +187,16 @@ struct SimConfig
     BatchConfig batching;
 };
 
+/** Homogeneous fleet of `n` reference-speed nodes ("node0", ...). */
+SimConfig homogeneousCluster(size_t n);
+
 /** Result of one simulation run. */
 struct SimResult
 {
-    /** Metrics over completed requests; shed requests in `shed`. */
+    /**
+     * Metrics over completed requests; shed requests in `shed`,
+     * resilience and batching stats when those are active.
+     */
     Metrics metrics;
     /** Preemptions summed over nodes. */
     size_t preemptions = 0;
@@ -201,17 +207,6 @@ struct SimResult
     std::vector<ClusterEvent> events;
     /** Calendar events processed (events/sec denominators). */
     size_t eventsProcessed = 0;
-    /**
-     * Chaos-engine resilience metrics (also mirrored into
-     * `metrics.resilience`); inactive unless a resilience mechanism
-     * was configured.
-     */
-    ResilienceStats resilience;
-    /**
-     * Dynamic-batching metrics (also mirrored into
-     * `metrics.batching`); inactive unless batching was enabled.
-     */
-    BatchStats batching;
 };
 
 /**
@@ -223,9 +218,10 @@ using PolicyFactory = std::function<std::unique_ptr<Scheduler>(
 
 /**
  * Non-owning adapter presenting a caller-owned policy as a
- * `unique_ptr`-owned one, so engines that take a `Scheduler&`
- * (SchedulerEngine) can feed it to a `PolicyFactory`. Forwards
- * every callback, including the heap-backed `pickNext` fast path.
+ * `unique_ptr`-owned one, so a one-node run over a `Scheduler&`
+ * (SchedulerEngine, runSweepCell's single-accelerator cells) can
+ * feed it to a `PolicyFactory`. Forwards every callback, including
+ * the heap-backed `pickNext` fast path.
  */
 class ForwardingScheduler : public Scheduler
 {

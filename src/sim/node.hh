@@ -5,10 +5,10 @@
  * A `SimNode` owns a local ready queue and a per-node scheduling
  * policy (any `Scheduler`: FCFS ... Dysta) and executes requests
  * with layer-granular, non-preemptible-block semantics — the
- * paper's Fig. 7 loop, implemented exactly once for every engine in
- * the repository. The single-accelerator `SchedulerEngine` is a
- * 1-node instance of this machinery; `ClusterEngine` drives N of
- * them off one event calendar.
+ * paper's Fig. 7 loop, implemented exactly once in the repository.
+ * `runSimulation` (src/sim/core.hh) drives N of them off one event
+ * calendar; the single-accelerator `SchedulerEngine` is the 1-node
+ * instance of that run.
  *
  * Heterogeneity is first-class: every node carries a `NodeHw`
  * accelerator configuration (hardware class, PE count, clock) from
@@ -23,8 +23,8 @@
  * node finishes its queue but accepts no new work, a failed node
  * drops its queue back to the dispatcher for re-placement.
  *
- * Counting semantics (identical for every engine built on this
- * node, by construction):
+ * Counting semantics (identical for every fleet size, by
+ * construction):
  *  - a *decision* is one policy invocation at a block boundary
  *    (`pickNext`), including the trivial single-candidate case;
  *  - a *preemption* is a decision that switches away from a request

@@ -261,12 +261,19 @@ main(int argc, char** argv)
         spec = builtinScenario(source);
     }
 
-    if (args.getInt("--requests") > 0)
-        spec.requests = args.getInt("--requests");
-    if (args.getInt("--seeds") > 0)
-        spec.seeds = args.getInt("--seeds");
-    if (args.getInt("--samples") > 0)
-        spec.samples = args.getInt("--samples");
+    // 0 keeps the scenario's own count; a negative one is an error,
+    // never a silent "keep".
+    auto overrideCount = [&args](const std::string& flag, int& field) {
+        int value = args.getInt(flag);
+        fatalIf(value < 0, "sdysta: " + flag +
+                               " must not be negative, got " +
+                               std::to_string(value));
+        if (value > 0)
+            field = value;
+    };
+    overrideCount("--requests", spec.requests);
+    overrideCount("--seeds", spec.seeds);
+    overrideCount("--samples", spec.samples);
     const std::string streaming = args.getString("--streaming");
     if (!streaming.empty()) {
         bool on = false;

@@ -194,8 +194,8 @@ TEST(PolicyRegistry, RegistryMatchesHandConstructionBitExactly)
         PolicyRegistry::global().makeScheduler("SJF", ctx, wl.kind);
     SjfScheduler by_hand(ctx.lut);
 
-    EngineResult a = runOne(ctx, wl, *from_registry);
-    EngineResult b = runOne(ctx, wl, by_hand);
+    SimResult a = runOne(ctx, wl, *from_registry);
+    SimResult b = runOne(ctx, wl, by_hand);
     EXPECT_TRUE(identicalMetrics(a.metrics, b.metrics));
     EXPECT_EQ(a.decisions, b.decisions);
     EXPECT_EQ(a.preemptions, b.preemptions);
@@ -206,8 +206,8 @@ TEST(PolicyRegistry, RegistryMatchesHandConstructionBitExactly)
     DystaScheduler dysta_hand(ctx.lut, cfg);
     auto dysta_reg = PolicyRegistry::global().makeScheduler(
         "dysta:eta=0.125", ctx, wl.kind);
-    EngineResult c = runOne(ctx, wl, *dysta_reg);
-    EngineResult d = runOne(ctx, wl, dysta_hand);
+    SimResult c = runOne(ctx, wl, *dysta_reg);
+    SimResult d = runOne(ctx, wl, dysta_hand);
     EXPECT_TRUE(identicalMetrics(c.metrics, d.metrics));
     EXPECT_EQ(c.decisions, d.decisions);
 }
@@ -567,6 +567,14 @@ TEST(Scenario, MarginAndStealAxesAreValidated)
     bad.stealRatios = {0.5};
     EXPECT_EXIT(validateScenario(bad), ::testing::ExitedWithCode(1),
                 "steal ratios must be > 1");
+
+    // A scripted event past the end of the fleet is caught before
+    // the Phase-1 profile, naming the event, the node and the size.
+    bad = spec;
+    bad.events = "fail@1.0:5";
+    EXPECT_EXIT(validateScenario(bad), ::testing::ExitedWithCode(1),
+                "event 'fail@1:5' targets node 5, but fleet "
+                "'sanger:2' has 2 nodes");
 
     // Single-accelerator scenarios have no dispatcher to steal for
     // and no admission front door to sweep.

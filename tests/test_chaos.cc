@@ -19,8 +19,8 @@
 #include "exp/sweep.hh"
 #include "obs/telemetry.hh"
 #include "sched/fcfs.hh"
-#include "serve/cluster_engine.hh"
 #include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "test_helpers.hh"
 #include "workload/cluster_spec.hh"
 
@@ -336,7 +336,7 @@ TEST(RetryPolicy, TimedOutAttemptRetriesAndMeetsDeadline)
     // the 5s deadline that the un-retried schedule (finish 4.0)
     // would also have met, but exercising the full cancel/re-dispatch
     // path deterministically.
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.retry.enabled = true;
     cfg.retry.maxRetries = 2;
     cfg.retry.backoff = 2.0;
@@ -344,8 +344,7 @@ TEST(RetryPolicy, TimedOutAttemptRetriesAndMeetsDeadline)
     cfg.retry.budget = 1.0;
     std::vector<Request> reqs = requestsAt({0.0, 0.0}, 2.5);
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     EXPECT_EQ(r.metrics.completed, 2u);
     EXPECT_EQ(r.metrics.shed, 0u);
@@ -363,7 +362,7 @@ TEST(RetryPolicy, ExhaustedAttemptsShedTheRequest)
     // A 1s deadline on a 2s model can never complete: the first
     // attempt times out at 1.0, the single allowed retry at
     // 1.0 + 1.0 * 1.5 = 2.5, and the request is shed.
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.retry.enabled = true;
     cfg.retry.maxRetries = 1;
     cfg.retry.backoff = 1.5;
@@ -371,8 +370,7 @@ TEST(RetryPolicy, ExhaustedAttemptsShedTheRequest)
     cfg.retry.budget = 1.0;
     std::vector<Request> reqs = requestsAt({0.0}, 0.5);
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     EXPECT_EQ(r.metrics.completed, 0u);
     EXPECT_EQ(r.metrics.shed, 1u);
@@ -387,15 +385,14 @@ TEST(RetryPolicy, ZeroBudgetBlocksRetryStorms)
     // Same timed-out schedule as the rescue test, but the fleet-wide
     // retry budget is zero: the first timeout sheds instead of
     // re-dispatching.
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.retry.enabled = true;
     cfg.retry.maxRetries = 2;
     cfg.retry.timeoutFactor = 0.5;
     cfg.retry.budget = 0.0;
     std::vector<Request> reqs = requestsAt({0.0, 0.0}, 2.5);
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     EXPECT_EQ(r.metrics.completed, 1u);
     EXPECT_EQ(r.metrics.shed, 1u);
@@ -418,14 +415,14 @@ TEST(HedgePolicy, CloneOnFasterNodeWinsAndCancelsPrimary)
     std::vector<NodeProfile> profiles = {
         referenceNodeProfile("slow"), referenceNodeProfile("fast")};
     profiles[1].speedFactor = 2.0;
-    ClusterConfig cfg = clusterFromProfiles(profiles);
+    SimConfig cfg;
+    cfg.nodes = profiles;
     cfg.hedge.enabled = true;
     cfg.hedge.factor = 0.25;
     cfg.hedge.minSamples = 1;
     std::vector<Request> reqs = requestsAt({0.0, 2.1});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     EXPECT_EQ(r.metrics.completed, 2u);
     EXPECT_EQ(r.metrics.shed, 0u);
@@ -443,14 +440,13 @@ TEST(HedgePolicy, SingleNodeFleetNeverHedges)
 {
     // No second node to duplicate onto: the hedge event fires and
     // finds no target, so the run degenerates to the plain schedule.
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.hedge.enabled = true;
     cfg.hedge.factor = 0.25;
     cfg.hedge.minSamples = 1;
     std::vector<Request> reqs = requestsAt({0.0, 2.1});
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     EXPECT_EQ(r.metrics.completed, 2u);
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 4.1);
@@ -466,7 +462,7 @@ TEST(Brownout, LowestTierShedsFirstUnderEscalatedMargins)
     // effective margin 101x — hopeless against a 20s window on a 2s
     // model — while tier 0 keeps margin 1 and is always admitted on
     // the lightly-loaded single node.
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.lut = &world().lut;
     cfg.admission.enabled = true;
     cfg.admission.margin = 1.0;
@@ -476,8 +472,7 @@ TEST(Brownout, LowestTierShedsFirstUnderEscalatedMargins)
     std::vector<Request> reqs =
         requestsAt({0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7});
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     // The engine's tier split must match the pure hash.
     double tier1 = 0.0;
@@ -504,12 +499,11 @@ TEST(Brownout, LowestTierShedsFirstUnderEscalatedMargins)
 
 TEST(Brownout, RequiresAdmissionControl)
 {
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.brownout.enabled = true;
     std::vector<Request> reqs = requestsAt({0.0});
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    EXPECT_DEATH(engine.run(reqs, disp, fcfsNodes()),
+    EXPECT_DEATH(runSimulation(cfg, reqs, disp, fcfsNodes()),
                  "requires admission");
 }
 
@@ -521,14 +515,13 @@ TEST(Availability, ScriptedDownSpellGivesExactMttr)
     // completion (t=4.0): availability = 1 - 1.0 / (2 * 4.0). A
     // single implicit tier activates resilience accounting without
     // perturbing the schedule.
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     cfg.nodeEvents = {{0.5, 1, NodeEventKind::Fail},
                       {1.5, 1, NodeEventKind::Recover}};
     cfg.tierWeights = {1.0};
     std::vector<Request> reqs = requestsAt({0.0, 0.0});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
 
     EXPECT_EQ(r.metrics.completed, 2u);
     const ResilienceStats& rs = r.metrics.resilience;

@@ -36,7 +36,7 @@ TEST(Engine, SingleRequestFinishesAtArrivalPlusIsolated)
     std::vector<Request> reqs = {w.request(0, "long", 0.5)};
     FcfsScheduler fcfs;
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, fcfs);
+    SimResult r = engine.run(reqs, fcfs);
 
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 4.5);
     EXPECT_TRUE(reqs[0].done());
@@ -65,7 +65,7 @@ TEST(Engine, FcfsDoesNotPreempt)
                                  w.request(1, "short", 0.5)};
     FcfsScheduler fcfs;
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, fcfs);
+    SimResult r = engine.run(reqs, fcfs);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 4.0);
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 4.2);
     EXPECT_EQ(r.preemptions, 0u);
@@ -78,7 +78,7 @@ TEST(Engine, SjfPreemptsAtLayerBoundary)
                                  w.request(1, "short", 0.5)};
     SjfScheduler sjf(w.lut);
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, sjf);
+    SimResult r = engine.run(reqs, sjf);
     // The short job preempts after the long job's first layer ends
     // at t=1, runs 1.0..1.2; the long job resumes and ends at 4.2.
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 1.2);
@@ -114,7 +114,7 @@ TEST(Engine, DecisionOverheadAddsTime)
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.2 + 2 * 0.05);
 }
 
-TEST(Engine, RecordsScheduleEvents)
+TEST(Engine, RecordsExecutionSlots)
 {
     World w = twoModelWorld();
     std::vector<Request> reqs = {w.request(0, "short", 0.0)};
@@ -122,7 +122,7 @@ TEST(Engine, RecordsScheduleEvents)
     EngineConfig cfg;
     cfg.recordEvents = true;
     SchedulerEngine engine(cfg);
-    EngineResult r = engine.run(reqs, fcfs);
+    SimResult r = engine.run(reqs, fcfs);
     ASSERT_EQ(r.events.size(), 2u);
     EXPECT_EQ(r.events[0].requestId, 0);
     EXPECT_EQ(r.events[0].layer, 0u);
@@ -138,7 +138,7 @@ TEST(Engine, DecisionCountMatchesLayerTotal)
                                  w.request(1, "short", 0.0)};
     FcfsScheduler fcfs;
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, fcfs);
+    SimResult r = engine.run(reqs, fcfs);
     // One decision per executed layer.
     EXPECT_EQ(r.decisions, 6u);
 }
@@ -150,8 +150,8 @@ TEST(Engine, RerunAfterResetIsIdentical)
                                  w.request(1, "short", 0.3)};
     SjfScheduler sjf(w.lut);
     SchedulerEngine engine;
-    EngineResult r1 = engine.run(reqs, sjf);
-    EngineResult r2 = engine.run(reqs, sjf);
+    SimResult r1 = engine.run(reqs, sjf);
+    SimResult r2 = engine.run(reqs, sjf);
     EXPECT_DOUBLE_EQ(r1.metrics.antt, r2.metrics.antt);
     EXPECT_EQ(r1.preemptions, r2.preemptions);
 }
@@ -175,7 +175,7 @@ TEST(Engine, BlockGranularityDefersPreemption)
     EngineConfig cfg;
     cfg.layerBlockSize = 4; // whole model in one block
     SchedulerEngine engine(cfg);
-    EngineResult r = engine.run(reqs, sjf);
+    SimResult r = engine.run(reqs, sjf);
     // The long job runs all four layers non-preemptibly; the short
     // one cannot jump in at t=1 as it does with per-layer blocks.
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 4.0);
@@ -192,7 +192,7 @@ TEST(Engine, BlockGranularityReducesDecisions)
     EngineConfig cfg;
     cfg.layerBlockSize = 2;
     SchedulerEngine engine(cfg);
-    EngineResult r = engine.run(reqs, fcfs);
+    SimResult r = engine.run(reqs, fcfs);
     // 8 layers in blocks of 2 -> 4 decisions.
     EXPECT_EQ(r.decisions, 4u);
     EXPECT_EQ(r.metrics.completed, 2u);
@@ -206,7 +206,7 @@ TEST(Engine, BlockLargerThanModelIsHarmless)
     EngineConfig cfg;
     cfg.layerBlockSize = 100;
     SchedulerEngine engine(cfg);
-    EngineResult r = engine.run(reqs, fcfs);
+    SimResult r = engine.run(reqs, fcfs);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.2);
     EXPECT_EQ(r.decisions, 1u);
 }
@@ -225,7 +225,7 @@ TEST(Engine, EventsAreGaplessWhileWorkIsQueued)
     EngineConfig cfg;
     cfg.recordEvents = true;
     SchedulerEngine engine(cfg);
-    EngineResult r = engine.run(reqs, sjf);
+    SimResult r = engine.run(reqs, sjf);
     ASSERT_FALSE(r.events.empty());
     EXPECT_DOUBLE_EQ(r.events.front().start, 0.0);
     for (size_t e = 1; e < r.events.size(); ++e) {
@@ -242,7 +242,7 @@ TEST(Engine, EventsCoverEveryLayerExactlyOnce)
     EngineConfig cfg;
     cfg.recordEvents = true;
     SchedulerEngine engine(cfg);
-    EngineResult r = engine.run(reqs, sjf);
+    SimResult r = engine.run(reqs, sjf);
     std::map<int, std::vector<size_t>> layers_seen;
     for (const auto& ev : r.events)
         layers_seen[ev.requestId].push_back(ev.layer);

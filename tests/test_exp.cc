@@ -88,10 +88,10 @@ TEST(Harness, RunAveragedIsMeanOfSeeds)
 
     // Average of two single-seed runs must equal the two-seed run.
     auto policy_a = makeSchedulerByName("SJF", smallCtx(), wl.kind);
-    EngineResult r1 = runOne(smallCtx(), wl, *policy_a);
+    SimResult r1 = runOne(smallCtx(), wl, *policy_a);
     WorkloadConfig wl2 = wl;
     wl2.seed = 78;
-    EngineResult r2 = runOne(smallCtx(), wl2, *policy_a);
+    SimResult r2 = runOne(smallCtx(), wl2, *policy_a);
 
     Metrics avg = runAveraged(smallCtx(), wl, "SJF", 2);
     EXPECT_NEAR(avg.antt, (r1.metrics.antt + r2.metrics.antt) / 2.0,

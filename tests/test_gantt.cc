@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/gantt.hh"
+#include "sched/engine.hh"
 #include "sched/fcfs.hh"
 #include "sched/sjf.hh"
 #include "test_helpers.hh"
@@ -19,7 +20,7 @@ struct GanttFixture
 {
     World world;
     std::vector<Request> reqs;
-    EngineResult result;
+    SimResult result;
 
     GanttFixture()
     {
@@ -87,7 +88,7 @@ TEST(Gantt, MaxRowsKeepsBusiestRequests)
 
 TEST(Gantt, EmptyEventsHandled)
 {
-    std::vector<ScheduleEvent> none;
+    std::vector<ClusterEvent> none;
     std::vector<Request> reqs;
     EXPECT_NE(renderGantt(none, reqs).find("no schedule events"),
               std::string::npos);

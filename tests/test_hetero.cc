@@ -13,8 +13,8 @@
 
 #include "exp/sweep.hh"
 #include "sched/fcfs.hh"
-#include "serve/cluster_engine.hh"
 #include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "test_helpers.hh"
 #include "workload/cluster_spec.hh"
 
@@ -184,12 +184,11 @@ TEST(NodeCapabilityTest, ViewTracksStateSpeedAndQueueDepth)
 TEST(HeteroCluster, SpeedFactorScalesExecution)
 {
     // One fast node (2x): the 2-second trace finishes in 1 second.
-    ClusterConfig cfg =
-        clusterFromProfiles({scaledNodeProfile("fast", 2.0)});
+    SimConfig cfg;
+    cfg.nodes = {scaledNodeProfile("fast", 2.0)};
     std::vector<Request> reqs = requestsAt({0.0});
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     EXPECT_EQ(r.metrics.completed, 1u);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 1.0);
 }
@@ -199,13 +198,12 @@ TEST(HeteroCluster, CapabilityAwarePrefersFasterNode)
     // Empty fleet, one arrival: the capability-aware policy charges
     // the request its node-local isolated latency, so the fast node
     // wins even though both are idle.
-    ClusterConfig cfg =
-        clusterFromProfiles({scaledNodeProfile("slow", 0.5),
-                             scaledNodeProfile("fast", 1.0)});
+    SimConfig cfg;
+    cfg.nodes = {scaledNodeProfile("slow", 0.5),
+                 scaledNodeProfile("fast", 1.0)};
     std::vector<Request> reqs = requestsAt({0.0});
     CapabilityAwareDispatcher disp(world().lut);
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     ASSERT_EQ(r.perNodeCompleted.size(), 2u);
     EXPECT_EQ(r.perNodeCompleted[0], 0u);
     EXPECT_EQ(r.perNodeCompleted[1], 1u);
@@ -215,14 +213,13 @@ TEST(HeteroCluster, CapabilityAwarePrefersFasterNode)
 
 TEST(NodeEvents, DrainedNodeAcceptsNoNewWorkButFinishesQueue)
 {
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     // Node 1 drains at t=0.25 with one request in flight; later
     // arrivals must all land on node 0.
     cfg.nodeEvents = {{0.25, 1, NodeEventKind::Drain}};
     std::vector<Request> reqs = requestsAt({0.0, 0.1, 0.5, 0.6});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     EXPECT_EQ(r.metrics.completed, 4u);
     EXPECT_EQ(r.metrics.shed, 0u);
     // The draining node finished exactly the one request it held.
@@ -232,7 +229,7 @@ TEST(NodeEvents, DrainedNodeAcceptsNoNewWorkButFinishesQueue)
 
 TEST(NodeEvents, FailedNodeRedispatchesQueuedWork)
 {
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     // r0 -> node 0, r1 -> node 1 (least-outstanding, ties by id).
     // Node 1 fails at t=0.5 with r1 mid-first-layer; under Restart
     // it re-runs from layer 0 on node 0 after r0 (FCFS), finishing
@@ -240,8 +237,7 @@ TEST(NodeEvents, FailedNodeRedispatchesQueuedWork)
     cfg.nodeEvents = {{0.5, 1, NodeEventKind::Fail}};
     std::vector<Request> reqs = requestsAt({0.0, 0.0});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     EXPECT_EQ(r.metrics.completed, 2u);
     EXPECT_EQ(r.metrics.shed, 0u);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 2.0);
@@ -252,13 +248,12 @@ TEST(NodeEvents, FailedNodeRedispatchesQueuedWork)
 
 TEST(NodeEvents, ShedPolicyDropsStartedWorkOnFailure)
 {
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     cfg.nodeEvents = {{0.5, 1, NodeEventKind::Fail}};
     cfg.onFailure = RestartPolicy::Shed;
     std::vector<Request> reqs = requestsAt({0.0, 0.0});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     EXPECT_EQ(r.metrics.completed, 1u);
     EXPECT_EQ(r.metrics.shed, 1u);
     EXPECT_TRUE(reqs[1].shed);
@@ -276,13 +271,12 @@ TEST(NodeEvents, QueuedNotStartedWorkAlwaysRedispatches)
     // request when it fails). r1 runs on node 1, r3 queues behind
     // it; at the failure r3 has executed nothing, so it re-
     // dispatches even under the Shed policy.
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     cfg.nodeEvents = {{0.5, 1, NodeEventKind::Fail}};
     cfg.onFailure = RestartPolicy::Shed;
     std::vector<Request> reqs = requestsAt({0.0, 0.0, 0.0, 0.0});
     RoundRobinDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     // r1 was in flight on node 1 -> shed; r3 was queued -> rescued.
     EXPECT_EQ(r.metrics.shed, 1u);
     EXPECT_TRUE(reqs[1].shed);
@@ -293,12 +287,11 @@ TEST(NodeEvents, QueuedNotStartedWorkAlwaysRedispatches)
 
 TEST(NodeEvents, WholeFleetDownShedsArrivals)
 {
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.nodeEvents = {{0.5, 0, NodeEventKind::Fail}};
     std::vector<Request> reqs = requestsAt({0.0, 1.0, 1.5});
     SingleNodeDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     // r0 restarts nowhere (no node available) and later arrivals
     // find the front door closed: everything is shed.
     EXPECT_EQ(r.metrics.completed, 0u);
@@ -306,9 +299,20 @@ TEST(NodeEvents, WholeFleetDownShedsArrivals)
     EXPECT_DOUBLE_EQ(r.metrics.sloMissRate, 1.0);
 }
 
+TEST(NodeEvents, UnknownNodeIsFatal)
+{
+    SimConfig cfg = homogeneousCluster(2);
+    cfg.nodeEvents = {{1.0, 5, NodeEventKind::Fail}};
+    std::vector<Request> reqs = requestsAt({0.0});
+    RoundRobinDispatcher disp;
+    EXPECT_EXIT(runSimulation(cfg, reqs, disp, fcfsNodes()),
+                ::testing::ExitedWithCode(1),
+                "unknown node 5 \\(fleet has 2 nodes\\)");
+}
+
 TEST(NodeEvents, RecoveredNodeServesAgain)
 {
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     cfg.nodeEvents = {{0.0, 1, NodeEventKind::Fail},
                       {1.0, 1, NodeEventKind::Recover}};
     // Arrivals before recovery go to node 0 (node 1 is down: the
@@ -316,8 +320,7 @@ TEST(NodeEvents, RecoveredNodeServesAgain)
     // these); the post-recovery arrival lands on idle node 1.
     std::vector<Request> reqs = requestsAt({0.1, 0.2, 1.5});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     EXPECT_EQ(r.metrics.completed, 3u);
     EXPECT_EQ(r.metrics.shed, 0u);
     EXPECT_EQ(r.perNodeCompleted[1], 1u);
@@ -329,13 +332,12 @@ TEST(NodeEvents, FailWhileDrainingDisplacesTheHeldRequest)
     // drain empties: the in-flight request is displaced like any
     // other failure victim and restarts on node 0, and the
     // drained-then-failed node never serves again.
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     cfg.nodeEvents = {{0.25, 1, NodeEventKind::Drain},
                       {0.5, 1, NodeEventKind::Fail}};
     std::vector<Request> reqs = requestsAt({0.0, 0.0});
     LeastOutstandingDispatcher disp;
-    ClusterEngine engine(cfg);
-    ClusterResult r = engine.run(reqs, disp, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
     EXPECT_EQ(r.metrics.completed, 2u);
     EXPECT_EQ(r.metrics.shed, 0u);
     // r1 restarted from layer 0 behind r0 on node 0.
@@ -349,22 +351,21 @@ TEST(NodeEvents, RecoverOnHealthyNodeIsANoOp)
     // A recover with no preceding fail (and one on a merely draining
     // node) must not perturb the schedule or invent repair spells.
     auto run = [&](std::vector<NodeEvent> events) {
-        ClusterConfig cfg = homogeneousCluster(2);
+        SimConfig cfg = homogeneousCluster(2);
         cfg.nodeEvents = std::move(events);
         std::vector<Request> reqs =
             requestsAt({0.0, 0.0, 0.3, 0.4});
         LeastOutstandingDispatcher disp;
-        ClusterEngine engine(cfg);
-        return engine.run(reqs, disp, fcfsNodes());
+        return runSimulation(cfg, reqs, disp, fcfsNodes());
     };
-    ClusterResult base = run({});
-    ClusterResult up = run({{0.5, 1, NodeEventKind::Recover}});
+    SimResult base = run({});
+    SimResult up = run({{0.5, 1, NodeEventKind::Recover}});
     EXPECT_TRUE(sameMetrics(base.metrics, up.metrics));
     EXPECT_EQ(base.perNodeCompleted, up.perNodeCompleted);
     // Recovering a draining node un-drains it: node 1 takes the
     // r3 arrival it would have refused while draining (r2 broke the
     // tie to node 0, so node 0 is deeper when r3 arrives).
-    ClusterResult drained =
+    SimResult drained =
         run({{0.1, 1, NodeEventKind::Drain},
              {0.2, 1, NodeEventKind::Recover}});
     EXPECT_EQ(drained.metrics.completed, 4u);
@@ -377,21 +378,20 @@ TEST(NodeEvents, BackToBackFailsActLikeASingleFailure)
     // scripted event) opens no new down spell and displaces nothing:
     // metrics match the single-failure run exactly.
     auto run = [&](std::vector<NodeEvent> events) {
-        ClusterConfig cfg = homogeneousCluster(2);
+        SimConfig cfg = homogeneousCluster(2);
         cfg.nodeEvents = std::move(events);
         // A tier activates resilience accounting so the fail/repair
         // counters are observable; the schedule is untouched.
         cfg.tierWeights = {1.0};
         std::vector<Request> reqs = requestsAt({0.0, 0.0});
         LeastOutstandingDispatcher disp;
-        ClusterEngine engine(cfg);
-        return engine.run(reqs, disp, fcfsNodes());
+        return runSimulation(cfg, reqs, disp, fcfsNodes());
     };
-    ClusterResult once = run({{0.5, 1, NodeEventKind::Fail},
-                              {1.5, 1, NodeEventKind::Recover}});
-    ClusterResult twice = run({{0.5, 1, NodeEventKind::Fail},
-                               {0.7, 1, NodeEventKind::Fail},
-                               {1.5, 1, NodeEventKind::Recover}});
+    SimResult once = run({{0.5, 1, NodeEventKind::Fail},
+                          {1.5, 1, NodeEventKind::Recover}});
+    SimResult twice = run({{0.5, 1, NodeEventKind::Fail},
+                           {0.7, 1, NodeEventKind::Fail},
+                           {1.5, 1, NodeEventKind::Recover}});
     EXPECT_TRUE(sameMetrics(once.metrics, twice.metrics));
     EXPECT_EQ(once.perNodeCompleted, twice.perNodeCompleted);
     EXPECT_DOUBLE_EQ(once.metrics.resilience.failures, 1.0);
@@ -410,24 +410,23 @@ TEST(WorkStealing, MigratesQueuedWorkToRecoveredNode)
     // move queued-not-started requests onto it. Round-robin leaves
     // the recovered node idle (no arrivals after recovery).
     auto run = [&](Dispatcher& disp) {
-        ClusterConfig cfg = homogeneousCluster(2);
+        SimConfig cfg = homogeneousCluster(2);
         cfg.nodeEvents = {{0.0, 1, NodeEventKind::Fail},
                           {0.3, 1, NodeEventKind::Recover}};
         std::vector<Request> reqs =
             requestsAt({0.05, 0.1, 0.15, 0.2});
-        ClusterEngine engine(cfg);
-        return engine.run(reqs, disp, fcfsNodes());
+        return runSimulation(cfg, reqs, disp, fcfsNodes());
     };
 
     WorkStealingConfig scfg;
     scfg.imbalanceRatio = 1.5;
     WorkStealingDispatcher stealing(world().lut, scfg);
-    ClusterResult ws = run(stealing);
+    SimResult ws = run(stealing);
     EXPECT_EQ(ws.metrics.completed, 4u);
     EXPECT_GT(ws.perNodeCompleted[1], 0u);
 
     RoundRobinDispatcher rr;
-    ClusterResult base = run(rr);
+    SimResult base = run(rr);
     EXPECT_EQ(base.metrics.completed, 4u);
     EXPECT_EQ(base.perNodeCompleted[1], 0u);
     // Spreading the backlog over both nodes finishes sooner.

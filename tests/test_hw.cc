@@ -223,8 +223,8 @@ TEST(HwScheduler, MetricsTrackSoftwareDysta)
 
     auto sw = makeSchedulerByName("Dysta", *f.ctx, wl.kind);
     auto hw = makeSchedulerByName("Dysta-HW", *f.ctx, wl.kind);
-    EngineResult sw_result = runOne(*f.ctx, wl, *sw);
-    EngineResult hw_result = runOne(*f.ctx, wl, *hw);
+    SimResult sw_result = runOne(*f.ctx, wl, *sw);
+    SimResult hw_result = runOne(*f.ctx, wl, *hw);
 
     // FP16 rounding may flip near-tie decisions; aggregate metrics
     // must stay close.
@@ -270,8 +270,8 @@ TEST(HwScheduler, Fp32DatapathMatchesSoftwareExactly)
     cfg.eta = tunedDystaConfig(false).eta;
     DystaHwScheduler hw(f.ctx->lut, f.ctx->models, cfg);
 
-    EngineResult sw_result = runOne(*f.ctx, wl, *sw);
-    EngineResult hw_result = runOne(*f.ctx, wl, hw);
+    SimResult sw_result = runOne(*f.ctx, wl, *sw);
+    SimResult hw_result = runOne(*f.ctx, wl, hw);
     EXPECT_DOUBLE_EQ(hw_result.metrics.antt, sw_result.metrics.antt);
     EXPECT_DOUBLE_EQ(hw_result.metrics.violationRate,
                      sw_result.metrics.violationRate);
@@ -289,7 +289,7 @@ TEST(HwScheduler, TinyFifoStillCompletesEverything)
     HwSchedulerConfig cfg;
     cfg.fifoDepth = 2; // overflow exercises the host-side queue
     DystaHwScheduler hw(f.ctx->lut, f.ctx->models, cfg);
-    EngineResult r = runOne(*f.ctx, wl, hw);
+    SimResult r = runOne(*f.ctx, wl, hw);
     EXPECT_EQ(r.metrics.completed, 120u);
     EXPECT_LE(hw.fifoPeakOccupancy(), 2u);
 }

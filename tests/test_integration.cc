@@ -154,7 +154,7 @@ TEST_P(PipelineSweep, MetricsWellFormed)
     const SweepPoint& p = GetParam();
     WorkloadConfig wl = config(p.kind, p.rate, 250);
     auto policy = makeSchedulerByName(p.scheduler, ctx(), p.kind);
-    EngineResult r = runOne(ctx(), wl, *policy);
+    SimResult r = runOne(ctx(), wl, *policy);
 
     EXPECT_EQ(r.metrics.completed, 250u);
     EXPECT_GE(r.metrics.antt, 1.0);

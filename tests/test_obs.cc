@@ -12,8 +12,8 @@
 
 #include "api/diff.hh"
 #include "api/scenario.hh"
-#include "exp/experiments.hh"
 #include "exp/gantt.hh"
+#include "exp/sweep.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/telemetry.hh"
 #include "test_helpers.hh"
@@ -47,27 +47,22 @@ identicalMetrics(const Metrics& a, const Metrics& b)
            a.makespan == b.makespan;
 }
 
-/** A cluster run with mid-run failure + recovery on node 0. */
-ClusterRunConfig
-failoverCluster()
+/** A cluster cell with mid-run failure + recovery on node 0. */
+SweepCell
+failoverCell()
 {
-    ClusterRunConfig cluster;
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 100.0;
+    cell.workload.numRequests = 120;
+    cell.workload.seed = 11;
+    cell.clusterMode = true;
+    ClusterRunConfig& cluster = cell.cluster;
     cluster.nodes = fleetFromSpec("sanger:2,eyeriss-xl:2");
     cluster.dispatcher = "round-robin";
     cluster.nodeScheduler = "Dysta";
     cluster.nodeEvents = nodeEventsFromSpec("fail@0.1:0,recover@0.5:0");
-    return cluster;
-}
-
-WorkloadConfig
-failoverWorkload()
-{
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 100.0;
-    wl.numRequests = 120;
-    wl.seed = 11;
-    return wl;
+    return cell;
 }
 
 Telemetry
@@ -177,12 +172,11 @@ TEST(TelemetryProbes, OracleProbeHasZeroResiduals)
 TEST(TelemetryConservation, ClusterRunWithFailuresBalances)
 {
     const BenchContext& ctx = smallCtx();
-    ClusterRunConfig cluster = failoverCluster();
+    SweepCell cell = failoverCell();
     Telemetry telemetry = makeRecordingSink(ctx);
-    cluster.telemetry = &telemetry;
+    cell.telemetry = &telemetry;
 
-    ClusterResult result =
-        runCluster(ctx, failoverWorkload(), cluster);
+    SimResult result = runSweepCell(ctx, cell);
 
     // Every layer started either completed or was lost to a failure.
     EXPECT_EQ(telemetry.execStarts(),
@@ -235,15 +229,13 @@ TEST(TelemetryConservation, ClusterRunWithFailuresBalances)
 TEST(TelemetryIdentity, AttachedSinkDoesNotPerturbTheRun)
 {
     const BenchContext& ctx = smallCtx();
-    WorkloadConfig wl = failoverWorkload();
+    SweepCell plain = failoverCell();
+    SimResult base = runSweepCell(ctx, plain);
 
-    ClusterRunConfig plain = failoverCluster();
-    ClusterResult base = runCluster(ctx, wl, plain);
-
-    ClusterRunConfig traced = failoverCluster();
+    SweepCell traced = failoverCell();
     Telemetry telemetry = makeRecordingSink(ctx);
     traced.telemetry = &telemetry;
-    ClusterResult observed = runCluster(ctx, wl, traced);
+    SimResult observed = runSweepCell(ctx, traced);
 
     EXPECT_TRUE(
         identicalMetrics(base.metrics, observed.metrics));
@@ -259,15 +251,14 @@ TEST(TelemetryIdentity, AttachedSinkDoesNotPerturbTheRun)
 TEST(TelemetryExports, ChromeTraceIsDeterministicAndValidJson)
 {
     const BenchContext& ctx = smallCtx();
-    WorkloadConfig wl = failoverWorkload();
     std::vector<std::string> names = {"sanger0", "sanger1",
                                       "eyeriss-xl0", "eyeriss-xl1"};
 
     auto traceOnce = [&] {
-        ClusterRunConfig cluster = failoverCluster();
+        SweepCell cell = failoverCell();
         Telemetry telemetry = makeRecordingSink(ctx);
-        cluster.telemetry = &telemetry;
-        runCluster(ctx, wl, cluster);
+        cell.telemetry = &telemetry;
+        runSweepCell(ctx, cell);
         return chromeTraceJson(telemetry, names);
     };
     std::string first = traceOnce();
@@ -308,10 +299,10 @@ TEST(TelemetryExports, ChromeTraceIsDeterministicAndValidJson)
 TEST(TelemetryExports, GanttRendersEveryNodeLane)
 {
     const BenchContext& ctx = smallCtx();
-    ClusterRunConfig cluster = failoverCluster();
+    SweepCell cell = failoverCell();
     Telemetry telemetry = makeRecordingSink(ctx);
-    cluster.telemetry = &telemetry;
-    runCluster(ctx, failoverWorkload(), cluster);
+    cell.telemetry = &telemetry;
+    runSweepCell(ctx, cell);
 
     std::vector<std::string> names = {"sanger0", "sanger1",
                                       "eyeriss-xl0", "eyeriss-xl1"};

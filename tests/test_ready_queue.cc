@@ -23,8 +23,8 @@
 #include "sched/prema.hh"
 #include "sched/sdrm3.hh"
 #include "sched/sjf.hh"
-#include "serve/cluster_engine.hh"
 #include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "sim/ready_queue.hh"
 #include "test_helpers.hh"
 #include "util/rng.hh"
@@ -271,7 +271,7 @@ TEST(PickNextProperty, MatchesLinearScanOnRandomSingleNodeRuns)
             std::vector<Request> reqs = base;
             CheckedScheduler checked(makePolicy(name, w));
             SchedulerEngine engine;
-            EngineResult r = engine.run(reqs, checked);
+            SimResult r = engine.run(reqs, checked);
             EXPECT_EQ(r.metrics.completed, reqs.size())
                 << name << " seed " << seed;
         }
@@ -305,12 +305,12 @@ TEST(PickNextProperty, MatchesLinearScanOnMultiNodeClusterRuns)
         for (const char* name : kAllPolicies) {
             std::vector<Request> reqs = base;
             LeastBacklogDispatcher lb(w.lut);
-            ClusterConfig cfg;
+            SimConfig cfg;
             cfg.nodes = {scaledNodeProfile("slow", 0.7),
                          referenceNodeProfile("ref"),
                          scaledNodeProfile("fast", 1.6)};
-            ClusterResult r = ClusterEngine(cfg).run(
-                reqs, lb, [&](const NodeProfile&, int) {
+            SimResult r = runSimulation(
+                cfg, reqs, lb, [&](const NodeProfile&, int) {
                     return std::make_unique<CheckedScheduler>(
                         makePolicy(name, w));
                 });
@@ -331,7 +331,7 @@ TEST(PickNextProperty, SjfWithDystaEstimatorRekeysOnSparsity)
         CheckedScheduler checked(std::make_unique<SjfScheduler>(
             std::make_unique<DystaEstimator>(w.lut)));
         SchedulerEngine engine;
-        EngineResult r = engine.run(reqs, checked);
+        SimResult r = engine.run(reqs, checked);
         EXPECT_EQ(r.metrics.completed, reqs.size()) << seed;
     }
 }

@@ -271,7 +271,7 @@ TEST_P(SchedulerInvariants, AllRequestsComplete)
     auto policy = make();
     auto reqs = randomWorkload(60, 1);
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, *policy);
+    SimResult r = engine.run(reqs, *policy);
     EXPECT_EQ(r.metrics.completed, reqs.size());
     for (const auto& req : reqs) {
         EXPECT_TRUE(req.done());
@@ -284,7 +284,7 @@ TEST_P(SchedulerInvariants, AnttAtLeastOne)
     auto policy = make();
     auto reqs = randomWorkload(60, 2);
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, *policy);
+    SimResult r = engine.run(reqs, *policy);
     EXPECT_GE(r.metrics.antt, 1.0);
 }
 
@@ -293,7 +293,7 @@ TEST_P(SchedulerInvariants, ViolationRateInUnitInterval)
     auto policy = make();
     auto reqs = randomWorkload(60, 3);
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, *policy);
+    SimResult r = engine.run(reqs, *policy);
     EXPECT_GE(r.metrics.violationRate, 0.0);
     EXPECT_LE(r.metrics.violationRate, 1.0);
 }
@@ -328,7 +328,7 @@ TEST_P(SchedulerInvariants, BusyWorkConservation)
         isolated_sum += req.isolated();
     }
     SchedulerEngine engine;
-    EngineResult r = engine.run(reqs, *policy);
+    SimResult r = engine.run(reqs, *policy);
     EXPECT_NEAR(r.metrics.makespan, isolated_sum, 1e-9);
 }
 

@@ -10,12 +10,12 @@
 
 #include <memory>
 
-#include "exp/experiments.hh"
+#include "exp/sweep.hh"
 #include "sched/engine.hh"
 #include "sched/fcfs.hh"
 #include "sched/sjf.hh"
-#include "serve/cluster_engine.hh"
 #include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "test_helpers.hh"
 
 using namespace dysta;
@@ -43,6 +43,17 @@ ctx()
     return *instance;
 }
 
+/** Serve `wl` on the fleet `cluster` describes, as a scenario cell. */
+SimResult
+serve(const WorkloadConfig& wl, const ClusterRunConfig& cluster)
+{
+    SweepCell cell;
+    cell.workload = wl;
+    cell.clusterMode = true;
+    cell.cluster = cluster;
+    return runSweepCell(ctx(), cell);
+}
+
 bool
 sameMetrics(const Metrics& a, const Metrics& b)
 {
@@ -55,7 +66,7 @@ sameMetrics(const Metrics& a, const Metrics& b)
 
 // --- node/engine semantics -------------------------------------------------
 
-TEST(ServeNode, SingleNodeClusterMatchesSchedulerEngine)
+TEST(ServingNode, SingleNodeClusterMatchesSchedulerEngine)
 {
     test::World world;
     world.addModel("a", {0.2, 0.3}, {0.5, 0.5});
@@ -69,11 +80,11 @@ TEST(ServeNode, SingleNodeClusterMatchesSchedulerEngine)
     std::vector<Request> cluster_reqs = engine_reqs;
 
     FcfsScheduler fcfs;
-    EngineResult er = SchedulerEngine().run(engine_reqs, fcfs);
+    SimResult er = SchedulerEngine().run(engine_reqs, fcfs);
 
     RoundRobinDispatcher rr;
-    ClusterEngine cluster(homogeneousCluster(1));
-    ClusterResult cr = cluster.run(cluster_reqs, rr, fcfsNodes());
+    SimResult cr = runSimulation(homogeneousCluster(1), cluster_reqs, rr,
+                                 fcfsNodes());
 
     ASSERT_EQ(engine_reqs.size(), cluster_reqs.size());
     for (size_t i = 0; i < engine_reqs.size(); ++i) {
@@ -85,7 +96,7 @@ TEST(ServeNode, SingleNodeClusterMatchesSchedulerEngine)
     EXPECT_EQ(er.preemptions, cr.preemptions);
 }
 
-TEST(ServeNode, SimultaneousArrivalsMatchSchedulerEngine)
+TEST(ServingNode, SimultaneousArrivalsMatchSchedulerEngine)
 {
     // All requests arrive at t=0: the node's policy must see the
     // whole cohort before its first dispatch decision, exactly like
@@ -103,15 +114,14 @@ TEST(ServeNode, SimultaneousArrivalsMatchSchedulerEngine)
     std::vector<Request> cluster_reqs = engine_reqs;
 
     SjfScheduler sjf(world.lut);
-    EngineResult er = SchedulerEngine().run(engine_reqs, sjf);
+    SimResult er = SchedulerEngine().run(engine_reqs, sjf);
 
     RoundRobinDispatcher rr;
-    ClusterResult cr = ClusterEngine(homogeneousCluster(1))
-                           .run(cluster_reqs, rr,
-                                [&](const NodeProfile&, int) {
-                                    return std::make_unique<
-                                        SjfScheduler>(world.lut);
-                                });
+    SimResult cr = runSimulation(homogeneousCluster(1), cluster_reqs, rr,
+                                 [&](const NodeProfile&, int) {
+                                     return std::make_unique<
+                                         SjfScheduler>(world.lut);
+                                 });
 
     // Shorts overtake the long request in both engines.
     EXPECT_DOUBLE_EQ(cluster_reqs[1].finishTime, 0.1);
@@ -123,21 +133,21 @@ TEST(ServeNode, SimultaneousArrivalsMatchSchedulerEngine)
     EXPECT_DOUBLE_EQ(er.metrics.antt, cr.metrics.antt);
 }
 
-TEST(ServeNode, SpeedFactorScalesExecution)
+TEST(ServingNode, SpeedFactorScalesExecution)
 {
     test::World world;
     world.addModel("a", {1.0}, {0.5});
     std::vector<Request> reqs = {world.request(0, "a", 0.0)};
 
-    ClusterConfig cfg;
+    SimConfig cfg;
     cfg.nodes = {scaledNodeProfile("fast", 4.0)};
     RoundRobinDispatcher rr;
-    ClusterResult r = ClusterEngine(cfg).run(reqs, rr, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, rr, fcfsNodes());
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.25);
     EXPECT_EQ(r.metrics.completed, 1u);
 }
 
-TEST(ServeNode, EventsCoverAllLayersOnAllNodes)
+TEST(ServingNode, EventsCoverAllLayersOnAllNodes)
 {
     test::World world;
     world.addModel("a", {0.1, 0.1}, {0.5, 0.5});
@@ -145,10 +155,10 @@ TEST(ServeNode, EventsCoverAllLayersOnAllNodes)
     for (int i = 0; i < 4; ++i)
         reqs.push_back(world.request(i, "a", 0.0));
 
-    ClusterConfig cfg = homogeneousCluster(2);
+    SimConfig cfg = homogeneousCluster(2);
     cfg.recordEvents = true;
     RoundRobinDispatcher rr;
-    ClusterResult r = ClusterEngine(cfg).run(reqs, rr, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, rr, fcfsNodes());
 
     EXPECT_EQ(r.events.size(), 8u); // 4 requests x 2 layers
     for (const auto& ev : r.events) {
@@ -171,8 +181,8 @@ TEST(Dispatcher, RoundRobinRotates)
         reqs.push_back(world.request(i, "a", 0.0));
 
     RoundRobinDispatcher rr;
-    ClusterResult r = ClusterEngine(homogeneousCluster(3))
-                          .run(reqs, rr, fcfsNodes());
+    SimResult r =
+        runSimulation(homogeneousCluster(3), reqs, rr, fcfsNodes());
     for (size_t n = 0; n < 3; ++n)
         EXPECT_EQ(r.perNodeCompleted[n], 2u);
 }
@@ -191,8 +201,8 @@ TEST(Dispatcher, LeastOutstandingAvoidsBusyNode)
         reqs.push_back(world.request(i, "short", 0.05 + 0.2 * (i - 1)));
 
     LeastOutstandingDispatcher lo;
-    ClusterResult r = ClusterEngine(homogeneousCluster(2))
-                          .run(reqs, lo, fcfsNodes());
+    SimResult r =
+        runSimulation(homogeneousCluster(2), reqs, lo, fcfsNodes());
     EXPECT_EQ(r.perNodeCompleted[0], 1u);
     EXPECT_EQ(r.perNodeCompleted[1], 4u);
 }
@@ -214,8 +224,8 @@ TEST(Dispatcher, LeastBacklogWeighsWorkNotCount)
     };
 
     LeastBacklogDispatcher lb(world.lut);
-    ClusterResult r = ClusterEngine(homogeneousCluster(2))
-                          .run(reqs, lb, fcfsNodes());
+    SimResult r =
+        runSimulation(homogeneousCluster(2), reqs, lb, fcfsNodes());
     EXPECT_EQ(r.perNodeCompleted[0], 1u);
     EXPECT_EQ(r.perNodeCompleted[1], 3u);
 }
@@ -226,11 +236,11 @@ TEST(Dispatcher, LeastBacklogPrefersFasterNode)
     world.addModel("a", {1.0}, {0.5});
     std::vector<Request> reqs = {world.request(0, "a", 0.0)};
 
-    ClusterConfig cfg;
+    SimConfig cfg;
     cfg.nodes = {scaledNodeProfile("slow", 1.0),
                  scaledNodeProfile("fast", 2.0)};
     LeastBacklogDispatcher lb(world.lut);
-    ClusterResult r = ClusterEngine(cfg).run(reqs, lb, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, lb, fcfsNodes());
     EXPECT_EQ(r.perNodeCompleted[0], 0u);
     EXPECT_EQ(r.perNodeCompleted[1], 1u);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.5);
@@ -248,11 +258,11 @@ TEST(Admission, ShedsHopelessRequestsUnderOverload)
     for (int i = 0; i < 10; ++i)
         reqs.push_back(world.request(i, "a", 0.0, /*slo=*/2.0));
 
-    ClusterConfig cfg = homogeneousCluster(1);
+    SimConfig cfg = homogeneousCluster(1);
     cfg.admission.enabled = true;
     cfg.lut = &world.lut;
     RoundRobinDispatcher rr;
-    ClusterResult r = ClusterEngine(cfg).run(reqs, rr, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, rr, fcfsNodes());
 
     EXPECT_GT(r.metrics.shed, 0u);
     EXPECT_EQ(r.metrics.completed + r.metrics.shed, 10u);
@@ -275,8 +285,8 @@ TEST(Admission, DisabledAdmitsEverything)
         reqs.push_back(world.request(i, "a", 0.0, /*slo=*/2.0));
 
     RoundRobinDispatcher rr;
-    ClusterResult r = ClusterEngine(homogeneousCluster(1))
-                          .run(reqs, rr, fcfsNodes());
+    SimResult r =
+        runSimulation(homogeneousCluster(1), reqs, rr, fcfsNodes());
     EXPECT_EQ(r.metrics.shed, 0u);
     EXPECT_EQ(r.metrics.completed, 10u);
     EXPECT_GT(r.metrics.violationRate, 0.0);
@@ -294,13 +304,13 @@ TEST(Admission, FallsBackToServableNodeBeforeShedding)
     for (int i = 0; i < 8; ++i)
         reqs.push_back(world.request(i, "a", 1.1 * i, /*slo=*/3.0));
 
-    ClusterConfig cfg;
+    SimConfig cfg;
     cfg.nodes = {scaledNodeProfile("slow", 0.25),
                  scaledNodeProfile("fast", 1.0)};
     cfg.admission.enabled = true;
     cfg.lut = &world.lut;
     RoundRobinDispatcher rr;
-    ClusterResult r = ClusterEngine(cfg).run(reqs, rr, fcfsNodes());
+    SimResult r = runSimulation(cfg, reqs, rr, fcfsNodes());
 
     // Arrivals are spaced wider than the fast node's service time,
     // so every request is servable there: nothing may be shed.
@@ -312,10 +322,14 @@ TEST(Admission, FallsBackToServableNodeBeforeShedding)
 
 TEST(Admission, RequiresLut)
 {
-    ClusterConfig cfg = homogeneousCluster(1);
+    test::World world;
+    world.addModel("a", {1.0}, {0.5});
+    std::vector<Request> reqs = {world.request(0, "a", 0.0)};
+    SimConfig cfg = homogeneousCluster(1);
     cfg.admission.enabled = true;
-    EXPECT_EXIT(ClusterEngine{cfg}, ::testing::ExitedWithCode(1),
-                "requires a ModelInfoLut");
+    RoundRobinDispatcher rr;
+    EXPECT_EXIT(runSimulation(cfg, reqs, rr, fcfsNodes()),
+                ::testing::ExitedWithCode(1), "requires a ModelInfoLut");
 }
 
 // --- scenario-level behaviour ----------------------------------------------
@@ -334,14 +348,14 @@ TEST(Cluster, DeterministicPerSeed)
     cluster.dispatcher = "least-backlog";
     cluster.nodeScheduler = "Dysta";
 
-    ClusterResult a = runCluster(ctx(), wl, cluster);
-    ClusterResult b = runCluster(ctx(), wl, cluster);
+    SimResult a = serve(wl, cluster);
+    SimResult b = serve(wl, cluster);
     EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
     EXPECT_EQ(a.perNodeCompleted, b.perNodeCompleted);
     EXPECT_EQ(a.decisions, b.decisions);
 
     wl.seed = 8;
-    ClusterResult c = runCluster(ctx(), wl, cluster);
+    SimResult c = serve(wl, cluster);
     EXPECT_FALSE(sameMetrics(a.metrics, c.metrics));
 }
 
@@ -361,7 +375,7 @@ TEST(Cluster, ThroughputScalesMonotonicallyUnderSaturation)
         cluster.numNodes = n;
         cluster.dispatcher = "least-backlog";
         cluster.nodeScheduler = "Dysta";
-        ClusterResult r = runCluster(ctx(), wl, cluster);
+        SimResult r = serve(wl, cluster);
         EXPECT_GT(r.metrics.throughput, prev)
             << "throughput did not grow at " << n << " nodes";
         prev = r.metrics.throughput;
@@ -387,7 +401,7 @@ TEST(Cluster, BacklogAwareBeatsRoundRobinOnBurstyTraffic)
         cluster.numNodes = 4;
         cluster.dispatcher = disp;
         cluster.nodeScheduler = "FCFS";
-        return runCluster(ctx(), wl, cluster).metrics.violationRate;
+        return serve(wl, cluster).metrics.violationRate;
     };
 
     EXPECT_LE(violations("least-backlog"), violations("round-robin"));

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the unified simulation core: event-calendar ordering,
- * the regression that SchedulerEngine and a 1-node ClusterEngine
- * report identical schedules AND identical preemption/decision
- * counts for every policy (the counting rules are defined once, in
- * SimNode), and the new Metrics percentile fields.
+ * the regression that SchedulerEngine and a direct 1-node
+ * runSimulation report identical schedules AND identical
+ * preemption/decision counts for every policy (the counting rules
+ * are defined once, in SimNode), and the Metrics percentile fields.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "sched/oracle.hh"
 #include "sched/prema.hh"
 #include "sched/sjf.hh"
-#include "serve/cluster_engine.hh"
 #include "serve/dispatcher.hh"
 #include "sim/core.hh"
 #include "sim/event_queue.hh"
@@ -120,9 +119,10 @@ TEST(UnifiedCounting, EngineAndOneNodeClusterReportIdentically)
 {
     // Regression for the historical divergence risk: with two loop
     // implementations, preemption/decision counting rules could (and
-    // did threaten to) drift. Both engines now delegate to SimNode,
-    // and must report identical counts for every policy on random
-    // workloads.
+    // did threaten to) drift. SchedulerEngine (a forwarded caller-
+    // owned policy) and a direct one-node runSimulation (a factory-
+    // built policy behind a real dispatcher) must report identical
+    // counts for every policy on random workloads.
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         Rng rng(seed * 31337);
         World w = countingWorld(rng);
@@ -142,16 +142,15 @@ TEST(UnifiedCounting, EngineAndOneNodeClusterReportIdentically)
             std::vector<Request> cluster_reqs = base;
 
             auto policy = policyByName(name, w);
-            EngineResult er =
+            SimResult er =
                 SchedulerEngine().run(engine_reqs, *policy);
 
             RoundRobinDispatcher rr;
-            ClusterResult cr =
-                ClusterEngine(homogeneousCluster(1))
-                    .run(cluster_reqs, rr,
-                         [&](const NodeProfile&, int) {
-                             return policyByName(name, w);
-                         });
+            SimResult cr = runSimulation(
+                homogeneousCluster(1), cluster_reqs, rr,
+                [&](const NodeProfile&, int) {
+                    return policyByName(name, w);
+                });
 
             EXPECT_EQ(er.decisions, cr.decisions)
                 << name << " seed " << seed;
@@ -183,16 +182,16 @@ TEST(UnifiedCounting, BlockGranularityAndOverheadAgreeAcrossEngines)
     ecfg.layerBlockSize = 2;
     ecfg.decisionOverheadSec = 1e-3;
     SjfScheduler sjf(w.lut);
-    EngineResult er = SchedulerEngine(ecfg).run(engine_reqs, sjf);
+    SimResult er = SchedulerEngine(ecfg).run(engine_reqs, sjf);
 
-    ClusterConfig ccfg;
+    SimConfig ccfg;
     NodeProfile profile = referenceNodeProfile("n0");
     profile.layerBlockSize = 2;
     profile.decisionOverheadSec = 1e-3;
     ccfg.nodes = {profile};
     RoundRobinDispatcher rr;
-    ClusterResult cr = ClusterEngine(ccfg).run(
-        cluster_reqs, rr, [&](const NodeProfile&, int) {
+    SimResult cr = runSimulation(
+        ccfg, cluster_reqs, rr, [&](const NodeProfile&, int) {
             return std::make_unique<SjfScheduler>(w.lut);
         });
 
@@ -204,7 +203,7 @@ TEST(UnifiedCounting, BlockGranularityAndOverheadAgreeAcrossEngines)
     }
 }
 
-TEST(RunSimulation, DirectUseMatchesClusterEngine)
+TEST(RunSimulation, ExplicitProfilesMatchHomogeneousCluster)
 {
     World w;
     w.addModel("a", {0.1, 0.2}, {0.5, 0.5});
@@ -224,10 +223,11 @@ TEST(RunSimulation, DirectUseMatchesClusterEngine)
     });
 
     RoundRobinDispatcher rr2;
-    ClusterResult cr = ClusterEngine(homogeneousCluster(2))
-                           .run(b, rr2, [](const NodeProfile&, int) {
-                               return std::make_unique<FcfsScheduler>();
-                           });
+    SimResult cr = runSimulation(homogeneousCluster(2), b, rr2,
+                                 [](const NodeProfile&, int) {
+                                     return std::make_unique<
+                                         FcfsScheduler>();
+                                 });
     EXPECT_DOUBLE_EQ(sr.metrics.antt, cr.metrics.antt);
     EXPECT_EQ(sr.decisions, cr.decisions);
     EXPECT_EQ(sr.perNodeCompleted, cr.perNodeCompleted);
@@ -270,7 +270,7 @@ TEST(MetricsPercentiles, OrderedAndWithinRangeOnSimulation)
         reqs.push_back(w.request(i, model, t, 8.0));
     }
     DystaScheduler dysta(w.lut);
-    EngineResult r = SchedulerEngine().run(reqs, dysta);
+    SimResult r = SchedulerEngine().run(reqs, dysta);
 
     const Metrics& m = r.metrics;
     EXPECT_GT(m.p50Latency, 0.0);

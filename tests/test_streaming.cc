@@ -15,11 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "exp/experiments.hh"
+#include "exp/sweep.hh"
 #include "sched/engine.hh"
 #include "sched/metrics.hh"
-#include "serve/cluster_engine.hh"
 #include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "sim/event_queue.hh"
 #include "sim/request_arena.hh"
 #include "test_helpers.hh"
@@ -82,13 +82,13 @@ TEST(StreamingMetrics, ExactModeMatchesComputeMetricsBitForBit)
     wl.numRequests = 200;
     std::vector<Request> reqs = generateWorkload(wl, ctx().registry);
 
-    ClusterConfig cluster = homogeneousCluster(2);
+    SimConfig cluster = homogeneousCluster(2);
     cluster.admission.enabled = true;
     cluster.admission.margin = 1.2;
     cluster.lut = &ctx().lut;
     LeastBacklogDispatcher dispatcher(ctx().lut);
-    ClusterResult result = ClusterEngine(cluster).run(
-        reqs, dispatcher, [&](const NodeProfile&, int) {
+    SimResult result = runSimulation(
+        cluster, reqs, dispatcher, [&](const NodeProfile&, int) {
             return makeSchedulerByName("Dysta", ctx());
         });
     EXPECT_GT(result.metrics.completed, 0u);
@@ -165,12 +165,12 @@ TEST(Streaming, SingleNodeBitIdenticalToMaterialized)
     std::vector<Request> reqs = generateWorkload(wl, ctx().registry);
     auto policy_a = makeSchedulerByName("Dysta", ctx());
     SchedulerEngine engine;
-    EngineResult materialized = engine.run(reqs, *policy_a);
+    SimResult materialized = engine.run(reqs, *policy_a);
 
     WorkloadArrivalSource source(wl, ctx().registry);
     EXPECT_EQ(source.total(), reqs.size());
     auto policy_b = makeSchedulerByName("Dysta", ctx());
-    EngineResult streaming = engine.run(source, *policy_b);
+    SimResult streaming = engine.run(source, *policy_b);
 
     expectMetricsBitEqual(streaming.metrics, materialized.metrics,
                           "single-node streaming");
@@ -194,25 +194,27 @@ TEST(Streaming, ClusterBitIdenticalAcrossCalendarsAndModes)
     wl.arrivalRate = 60.0;
     wl.numRequests = 250;
 
-    ClusterRunConfig base;
-    base.numNodes = 3;
-    base.dispatcher = "least-backlog";
-    base.nodeScheduler = "Dysta";
-    base.admission.enabled = true;
-    base.admission.margin = 1.2;
-    base.nodeEvents = {{1.0, 1, NodeEventKind::Fail},
-                       {3.0, 1, NodeEventKind::Recover}};
+    SweepCell base;
+    base.workload = wl;
+    base.clusterMode = true;
+    base.cluster.numNodes = 3;
+    base.cluster.dispatcher = "least-backlog";
+    base.cluster.nodeScheduler = "Dysta";
+    base.cluster.admission.enabled = true;
+    base.cluster.admission.margin = 1.2;
+    base.cluster.nodeEvents = {{1.0, 1, NodeEventKind::Fail},
+                               {3.0, 1, NodeEventKind::Recover}};
 
-    ClusterResult reference = runCluster(ctx(), wl, base);
+    SimResult reference = runSweepCell(ctx(), base);
     EXPECT_GT(reference.metrics.completed, 0u);
 
     for (bool streaming : {false, true}) {
         for (CalendarKind calendar :
              {CalendarKind::Heap, CalendarKind::Bucket}) {
-            ClusterRunConfig cfg = base;
-            cfg.streaming = streaming;
-            cfg.calendar = calendar;
-            ClusterResult run = runCluster(ctx(), wl, cfg);
+            SweepCell cell = base;
+            cell.streaming = streaming;
+            cell.calendar = calendar;
+            SimResult run = runSweepCell(ctx(), cell);
             std::string what =
                 std::string(streaming ? "streaming" : "materialized") +
                 " + " + toString(calendar);
@@ -241,7 +243,7 @@ TEST(Streaming, ArenaRecyclesUnderFailures)
     wl.arrivalRate = 30.0;
     wl.numRequests = 300;
 
-    ClusterConfig cluster = homogeneousCluster(2);
+    SimConfig cluster = homogeneousCluster(2);
     cluster.admission.enabled = true;
     cluster.admission.margin = 1.2;
     cluster.lut = &ctx().lut;
@@ -252,8 +254,8 @@ TEST(Streaming, ArenaRecyclesUnderFailures)
 
     WorkloadArrivalSource source(wl, ctx().registry);
     LeastBacklogDispatcher dispatcher(ctx().lut);
-    ClusterResult streamed = ClusterEngine(cluster).run(
-        source, dispatcher, [&](const NodeProfile&, int) {
+    SimResult streamed = runSimulation(
+        cluster, source, dispatcher, [&](const NodeProfile&, int) {
             return makeSchedulerByName("Dysta", ctx());
         });
 
@@ -268,8 +270,8 @@ TEST(Streaming, ArenaRecyclesUnderFailures)
     // And the schedule still matches the materialized twin.
     std::vector<Request> reqs = generateWorkload(wl, ctx().registry);
     LeastBacklogDispatcher dispatcher2(ctx().lut);
-    ClusterResult materialized = ClusterEngine(cluster).run(
-        reqs, dispatcher2, [&](const NodeProfile&, int) {
+    SimResult materialized = runSimulation(
+        cluster, reqs, dispatcher2, [&](const NodeProfile&, int) {
             return makeSchedulerByName("Dysta", ctx());
         });
     expectMetricsBitEqual(streamed.metrics, materialized.metrics,

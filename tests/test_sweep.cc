@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep engine: jobs=1 vs jobs=N determinism,
- * seed replication and group averaging, cluster-mode cells, and the
+ * seed replication and group averaging, cluster-mode cells, the
+ * single cell resolver (every spec field reaches the run), and the
  * setup-keyed Phase-1 trace cache (hit, miss, stale manifest).
  */
 
@@ -9,8 +10,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "exp/sweep.hh"
+#include "obs/telemetry.hh"
 
 using namespace dysta;
 
@@ -163,6 +166,144 @@ TEST(SweepRunner, PolicyFactoryCells)
     expectSameMetrics(results[0].metrics, results[1].metrics);
 }
 
+// --- the single resolver ---------------------------------------------------
+
+namespace {
+
+/** Everything a cell reports, compared bit for bit. */
+bool
+identicalResults(const SweepCellResult& a, const SweepCellResult& b)
+{
+    const Metrics& x = a.metrics;
+    const Metrics& y = b.metrics;
+    return x.antt == y.antt && x.violationRate == y.violationRate &&
+           x.sloMissRate == y.sloMissRate &&
+           x.throughput == y.throughput && x.goodput == y.goodput &&
+           x.stp == y.stp && x.p50Turnaround == y.p50Turnaround &&
+           x.p95Turnaround == y.p95Turnaround &&
+           x.p99Turnaround == y.p99Turnaround &&
+           x.p50Latency == y.p50Latency &&
+           x.p95Latency == y.p95Latency &&
+           x.p99Latency == y.p99Latency && x.makespan == y.makespan &&
+           x.completed == y.completed && x.shed == y.shed &&
+           x.estimators.size() == y.estimators.size() &&
+           x.resilience.active == y.resilience.active &&
+           x.batching.active == y.batching.active &&
+           a.decisions == b.decisions &&
+           a.preemptions == b.preemptions &&
+           a.eventsProcessed == b.eventsProcessed &&
+           a.perNodeCompleted == b.perNodeCompleted;
+}
+
+/** A loaded 3-node cluster cell with admission on (for brown-out). */
+SweepCell
+resolverBaseCell()
+{
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 150.0;
+    cell.workload.sloMultiplier = 5.0;
+    cell.workload.arrival.kind = ArrivalKind::Mmpp;
+    cell.workload.numRequests = 200;
+    cell.workload.seed = 5;
+    cell.clusterMode = true;
+    cell.cluster.numNodes = 3;
+    cell.cluster.dispatcher = "least-backlog";
+    cell.cluster.admission.enabled = true;
+    return cell;
+}
+
+} // namespace
+
+TEST(SweepResolver, EverySpecFieldReachesTheRun)
+{
+    // runSweepCell is the one place a cell becomes a SimConfig: each
+    // field, moved off its default alone, must change what the cell
+    // reports. A field dropped in the resolver would leave the
+    // result equal to the base. (The fields that must NOT change it,
+    // calendar and Exact streaming, are pinned by
+    // Streaming.ClusterBitIdenticalAcrossCalendarsAndModes.)
+    auto ctx = makeBenchContext(tinySetup());
+    const SweepCell base = resolverBaseCell();
+    const SweepCellResult reference = runSweepCell(*ctx, base);
+    EXPECT_EQ(reference.metrics.completed + reference.metrics.shed,
+              200u);
+
+    auto expectChanges = [&](const SweepCell& from,
+                             const SweepCellResult& from_result,
+                             const std::function<void(SweepCell&)>& set,
+                             const char* field) {
+        SweepCell cell = from;
+        set(cell);
+        EXPECT_FALSE(identicalResults(runSweepCell(*ctx, cell),
+                                      from_result))
+            << field << " did not reach the run";
+    };
+    auto fromBase = [&](const std::function<void(SweepCell&)>& set,
+                        const char* field) {
+        expectChanges(base, reference, set, field);
+    };
+
+    fromBase(
+        [](SweepCell& c) { c.cluster.chaos = "mtbf:up=exp@1,down=exp@0.2"; },
+        "chaos");
+    fromBase([](SweepCell& c) { c.cluster.retry = "retry:max=2"; },
+             "retry");
+    fromBase([](SweepCell& c) { c.cluster.hedge = "hedge:quantile=0.9"; },
+             "hedge");
+    fromBase([](SweepCell& c) { c.cluster.brownout = "brownout:step=0.5"; },
+             "brownout");
+    fromBase([](SweepCell& c) { c.cluster.tiers = "0.5,0.5"; }, "tiers");
+    fromBase(
+        [](SweepCell& c) {
+            c.cluster.batcher = "batcher:size=4,delay=2ms,compose=sparsity";
+        },
+        "batcher");
+    fromBase([](SweepCell& c) { c.cluster.admissionEstimator = "oracle"; },
+             "admissionEstimator");
+    fromBase(
+        [](SweepCell& c) {
+            c.cluster.nodeEvents = {{0.3, 1, NodeEventKind::Fail}};
+        },
+        "nodeEvents");
+
+    // onFailure only matters when a node fails under started work
+    // (without admission, which could shed the restarted requests
+    // anyway).
+    SweepCell failing = base;
+    failing.cluster.admission.enabled = false;
+    failing.cluster.nodeEvents = {{0.3, 1, NodeEventKind::Fail}};
+    expectChanges(failing, runSweepCell(*ctx, failing),
+                  [](SweepCell& c) {
+                      c.cluster.onFailure = RestartPolicy::Shed;
+                  },
+                  "onFailure");
+
+    // stealing only matters behind the work-stealing dispatcher.
+    SweepCell stealing = base;
+    stealing.cluster.dispatcher = "work-stealing";
+    expectChanges(stealing, runSweepCell(*ctx, stealing),
+                  [](SweepCell& c) {
+                      c.cluster.stealing.imbalanceRatio = 1.1;
+                  },
+                  "stealing");
+
+    // Run-mode fields of the cell itself.
+    fromBase([](SweepCell& c) { c.probes = {"lut"}; }, "probes");
+    Telemetry sink(TelemetryConfig{/*recordEvents=*/false,
+                                   /*recordSeries=*/false});
+    sink.addProbe("lut", std::make_unique<LutEstimator>(ctx->lut));
+    fromBase([&sink](SweepCell& c) { c.telemetry = &sink; },
+             "telemetry");
+    SweepCell streamed = base;
+    streamed.streaming = true;
+    expectChanges(streamed, runSweepCell(*ctx, streamed),
+                  [](SweepCell& c) {
+                      c.metricsKind = MetricsKind::Sketch;
+                  },
+                  "metricsKind");
+}
+
 TEST(SweepHelpers, SeedReplicasAndGroupAverages)
 {
     SweepCell cell;
@@ -231,8 +372,8 @@ TEST(TraceCache, ColdAndCachedContextsAreIdentical)
     wl.numRequests = 50;
     auto policy_a = makeSchedulerByName("Dysta", *cold, wl.kind);
     auto policy_b = makeSchedulerByName("Dysta", *cached, wl.kind);
-    EngineResult ra = runOne(*cold, wl, *policy_a);
-    EngineResult rb = runOne(*cached, wl, *policy_b);
+    SimResult ra = runOne(*cold, wl, *policy_a);
+    SimResult rb = runOne(*cached, wl, *policy_b);
     expectSameMetrics(ra.metrics, rb.metrics);
     EXPECT_EQ(ra.decisions, rb.decisions);
     EXPECT_EQ(ra.preemptions, rb.preemptions);

@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# Zero-drift gate for the scenario files.
+#
+# Builds `sdysta` at <base-ref> (in a temporary git worktree) and at the
+# working tree, runs every scenarios/*.scn of the working tree on both
+# binaries at the CI smoke size, and compares each pair of reports with
+# `sdysta --diff` (which ignores the wall-clock 'meta' section). Any
+# difference in any scenario fails the gate: a change that means to move
+# a result must say so and update this expectation explicitly.
+#
+# Usage:
+#   tools/ci/scenario_drift.sh <base-ref> [<build-dir>]
+#
+# <build-dir> (default: build) holds the working tree's build; it is
+# configured if needed and `sdysta` is (re)built there. The base
+# worktree, its build, trace caches and reports go to a temporary
+# directory that is removed on exit.
+set -euo pipefail
+
+repo_root="$(cd "$(dirname "$0")/../.." && pwd)"
+base_ref="${1:?usage: scenario_drift.sh <base-ref> [<build-dir>]}"
+head_build="${2:-build}"
+smoke=(--requests 40 --seeds 1 --samples 60 --jobs 2)
+
+cd "$repo_root"
+base_sha="$(git rev-parse --verify "$base_ref^{commit}")"
+work="$(mktemp -d)"
+base_tree="$work/base"
+
+cleanup() {
+    git -C "$repo_root" worktree remove --force "$base_tree" \
+        >/dev/null 2>&1 || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+build_sdysta() {
+    local src="$1" dir="$2"
+    if [ ! -f "$dir/CMakeCache.txt" ]; then
+        cmake -S "$src" -B "$dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
+    fi
+    cmake --build "$dir" -j 2 --target sdysta >/dev/null
+}
+
+echo "scenario_drift: base $base_sha"
+git worktree add --detach --force "$base_tree" "$base_sha" >/dev/null
+build_sdysta "$base_tree" "$work/base-build"
+build_sdysta "$repo_root" "$head_build"
+base_bin="$work/base-build/sdysta"
+head_bin="$head_build/sdysta"
+
+mkdir -p "$work/reports"
+drifted=()
+for scn in scenarios/*.scn; do
+    name="$(basename "$scn" .scn)"
+    for side in base head; do
+        bin="${side}_bin"
+        "${!bin}" "$scn" "${smoke[@]}" \
+            --trace-cache "$work/tc-$side" \
+            --out "$work/reports/${name}_$side.json" >/dev/null
+    done
+    if "$head_bin" --diff "$work/reports/${name}_base.json" \
+        "$work/reports/${name}_head.json"; then
+        echo "scenario_drift: $name: zero drift"
+    else
+        drifted+=("$name")
+    fi
+done
+
+if [ "${#drifted[@]}" -ne 0 ]; then
+    echo "scenario_drift: FAIL — drift against $base_ref in:" \
+         "${drifted[*]}" >&2
+    exit 1
+fi
+echo "scenario_drift: zero drift on all scenarios against $base_ref"
