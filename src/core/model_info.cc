@@ -59,9 +59,9 @@ ModelInfoLut::lookup(const std::string& model,
                      SparsityPattern pattern) const
 {
     auto it = entries.find(TraceSet::makeKey(model, pattern));
-    fatalIf(it == entries.end(),
-            "ModelInfoLut: no entry for " +
-                TraceSet::makeKey(model, pattern));
+    if (it == entries.end())
+        fatal("ModelInfoLut: no entry for " +
+              TraceSet::makeKey(model, pattern));
     return it->second;
 }
 

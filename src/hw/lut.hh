@@ -55,7 +55,8 @@ class HwLut
     idOf(const std::string& key) const
     {
         auto it = directory.find(key);
-        fatalIf(it == directory.end(), "HwLut: missing key " + key);
+        if (it == directory.end())
+            fatal("HwLut: missing key " + key);
         return it->second;
     }
 

@@ -120,11 +120,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         pushArrival(first);
 
     for (const NodeEvent& nev : cfg.nodeEvents) {
-        fatalIf(nev.node < 0 ||
-                    static_cast<size_t>(nev.node) >= nodes.size(),
-                "runSimulation: node event for unknown node " +
-                    std::to_string(nev.node) + " (fleet has " +
-                    std::to_string(nodes.size()) + " nodes)");
+        if (nev.node < 0 || static_cast<size_t>(nev.node) >= nodes.size())
+            fatal("runSimulation: node event for unknown node " +
+                  std::to_string(nev.node) + " (fleet has " +
+                  std::to_string(nodes.size()) + " nodes)");
         fatalIf(nev.time < 0.0,
                 "runSimulation: node event before time zero");
         SimEvent ev;

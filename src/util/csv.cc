@@ -68,7 +68,8 @@ CsvTable::cell(size_t row, size_t col) const
     const std::string& s = rows[row][col];
     char* end = nullptr;
     double v = std::strtod(s.c_str(), &end);
-    fatalIf(end == s.c_str(), "CsvTable: non-numeric cell '" + s + "'");
+    if (end == s.c_str())
+        fatal("CsvTable: non-numeric cell '" + s + "'");
     return v;
 }
 

@@ -55,11 +55,29 @@ void warn(const std::string& msg);
 /** Report simulation status to the user. */
 void inform(const std::string& msg);
 
+/*
+ * Message contract of panicIf/fatalIf. The condition is evaluated in
+ * every build type; no check is compiled out under NDEBUG. A
+ * string-literal message binds to the `const char*` overload and costs
+ * nothing until the check fails: the std::string is built inside
+ * panic()/fatal() only then. A composed message ("..." + key) is built
+ * by the caller before the call, pass or fail, so on a per-event,
+ * per-request or per-lookup path write `if (cond) fatal(<message>)`
+ * (or panic) instead, with the same text.
+ */
+
 /**
  * Assert a condition that must hold regardless of user input.
  * Kept active in release builds because the simulators rely on it for
  * model-consistency checks.
  */
+inline void
+panicIf(bool cond, const char* msg)
+{
+    if (cond)
+        panic(msg);
+}
+
 inline void
 panicIf(bool cond, const std::string& msg)
 {
@@ -68,6 +86,13 @@ panicIf(bool cond, const std::string& msg)
 }
 
 /** Assert a user-facing precondition (bad configuration etc.). */
+inline void
+fatalIf(bool cond, const char* msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
 inline void
 fatalIf(bool cond, const std::string& msg)
 {

@@ -122,8 +122,8 @@ TraceRegistry::saveAllBinary(const std::string& path) const
             "TraceRegistry::saveAllBinary: cannot open " + path);
 
     auto put = [&](const void* p, size_t bytes) {
-        fatalIf(std::fwrite(p, 1, bytes, out) != bytes,
-                "TraceRegistry::saveAllBinary: short write to " + path);
+        if (std::fwrite(p, 1, bytes, out) != bytes)
+            fatal("TraceRegistry::saveAllBinary: short write to " + path);
     };
     auto putU64 = [&](uint64_t v) { put(&v, sizeof(v)); };
 
