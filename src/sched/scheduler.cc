@@ -7,8 +7,8 @@ namespace dysta {
 Request*
 Scheduler::pickNext(const std::vector<Request*>& ready, double now)
 {
-    std::vector<const Request*> view(ready.begin(), ready.end());
-    size_t pick = selectNext(view, now);
+    pickView.assign(ready.begin(), ready.end());
+    size_t pick = selectNext(pickView, now);
     panicIf(pick >= ready.size(),
             "Scheduler: scheduler returned invalid index");
     return ready[pick];

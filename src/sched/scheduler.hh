@@ -16,7 +16,8 @@
  *    semantic definition of the policy and what the property tests
  *    compare against.
  *  - `pickNext(ready, now)` — what the simulation core actually
- *    calls. The default builds a view and delegates to selectNext;
+ *    calls. The default fills a per-scheduler scratch view (no
+ *    allocation once it has grown) and delegates to selectNext;
  *    built-in policies override it with heap-backed or densely
  *    cached fast paths that return the *same* request in O(log n)
  *    or O(1)-per-candidate time. Overriding subclasses must keep
@@ -133,6 +134,10 @@ class Scheduler
 
     /** Estimator owned by this policy (may be null). */
     std::unique_ptr<LatencyEstimator> est;
+
+  private:
+    /** The default pickNext's candidate view, reused across calls. */
+    std::vector<const Request*> pickView;
 };
 
 } // namespace dysta
