@@ -93,14 +93,30 @@ class SparseLatencyPredictor
     /** Forget all observations. */
     void reset();
 
-    size_t observations() const { return observedLayers.size(); }
+    size_t observations() const { return count; }
 
   private:
     const ModelInfo* info;
     PredictorConfig cfg;
 
-    std::vector<size_t> observedLayers;
-    std::vector<double> observedSparsity;
+    /*
+     * Running state instead of an observation history: each strategy
+     * folds observations, in arrival order, into just what its gamma()
+     * reads, so observe() never allocates. Clamping to
+     * [gammaMin, gammaMax] happens only in gamma(), which keeps the
+     * result bit-identical to a recompute over the whole history.
+     */
+    size_t count = 0;
+    /** Layer of the latest observation (last-one, last-N baseline). */
+    size_t lastLayer = 0;
+    /** Density of the latest observation (last-one). */
+    double lastDensity = 1.0;
+    /** Sum of the observed densities, oldest first (average-all). */
+    double densitySum = 0.0;
+    /** Unclamped EMA of the per-layer density ratios, prior 1 (ema). */
+    double ema = 1.0;
+    /** Ring of the last lastN densities (last-N only; sized once). */
+    std::vector<double> window;
 
     double clampGamma(double g) const;
 };
