@@ -298,12 +298,30 @@ main(int argc, char** argv)
 
     ScenarioRunOptions options;
     options.jobs = args.getInt("--jobs");
+    fatalIf(options.jobs < 0,
+            "sdysta: --jobs must not be negative, got " +
+                std::to_string(options.jobs));
     options.traceCache = args.getString("--trace-cache");
 
     const std::string chrome_out = args.getString("--chrome-trace");
     const std::string series_out = args.getString("--series-csv");
     bool want_trace = args.getBool("--gantt") ||
                       !chrome_out.empty() || !series_out.empty();
+
+    // The traced cell's flags are checked before the sweep runs, not
+    // after it.
+    std::vector<SweepCell> cells = scenarioCells(spec);
+    int traced = args.getInt("--cell");
+    int trace_events = args.getInt("--trace-events");
+    if (want_trace) {
+        fatalIf(traced < 0 ||
+                    static_cast<size_t>(traced) >= cells.size(),
+                "sdysta: --cell " + std::to_string(traced) +
+                    " out of range (scenario has " +
+                    std::to_string(cells.size()) + " cells)");
+        fatalIf(trace_events < 0,
+                "sdysta: --trace-events must be >= 0");
+    }
 
     // The trace exports re-run one cell after the sweep, so when any
     // is requested the Phase-1 context is built here and shared.
@@ -319,7 +337,7 @@ main(int argc, char** argv)
 
     std::printf("Running scenario '%s' (%zu grid cells) on %d "
                 "thread%s...\n",
-                spec.name.c_str(), scenarioCells(spec).size(),
+                spec.name.c_str(), cells.size(),
                 options.jobs, options.jobs == 1 ? "" : "s");
     ScenarioResult result = runScenario(spec, options);
     if (want_trace)
@@ -327,18 +345,7 @@ main(int argc, char** argv)
     printScenarioTable(result);
 
     if (want_trace) {
-        std::vector<SweepCell> cells = scenarioCells(spec);
-        int traced = args.getInt("--cell");
-        fatalIf(traced < 0 ||
-                    static_cast<size_t>(traced) >= cells.size(),
-                "sdysta: --cell " + std::to_string(traced) +
-                    " out of range (scenario has " +
-                    std::to_string(cells.size()) + " cells)");
-
         TelemetryConfig tele_cfg;
-        int trace_events = args.getInt("--trace-events");
-        fatalIf(trace_events < 0,
-                "sdysta: --trace-events must be >= 0");
         tele_cfg.maxEvents = static_cast<size_t>(trace_events);
         Telemetry telemetry(tele_cfg);
         const PolicyRegistry& registry = PolicyRegistry::global();
