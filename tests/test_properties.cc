@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "accel/eyeriss_v2.hh"
 #include "accel/sanger.hh"
@@ -18,6 +21,7 @@
 #include "exp/experiments.hh"
 #include "models/zoo.hh"
 #include "trace/profiler.hh"
+#include "util/rng.hh"
 #include "util/stats.hh"
 
 using namespace dysta;
@@ -217,6 +221,120 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+// --- Predictor running state vs a recompute over the history ---
+
+namespace {
+
+/**
+ * gamma() recomputed from the full observation history, folding in
+ * arrival order and clamping once at the end: the definition the
+ * predictor's running state must reproduce bit for bit.
+ */
+double
+historyGamma(const ModelInfo& info, const PredictorConfig& cfg,
+             const std::vector<size_t>& layers,
+             const std::vector<double>& sparsities)
+{
+    if (layers.empty())
+        return 1.0;
+    auto density = [](double s) { return std::clamp(1.0 - s, 1e-3, 1.0); };
+    auto clamp = [&](double g) {
+        return std::clamp(g, cfg.gammaMin, cfg.gammaMax);
+    };
+    double last_base = density(info.avgLayerSparsity[layers.back()]);
+    switch (cfg.strategy) {
+      case PredictorStrategy::AverageAll: {
+        double obs = 0.0;
+        for (double s : sparsities)
+            obs += density(s);
+        obs /= static_cast<double>(sparsities.size());
+        return clamp(obs / density(info.avgNetworkSparsity));
+      }
+      case PredictorStrategy::LastN: {
+        size_t n = std::min<size_t>(static_cast<size_t>(cfg.lastN),
+                                    sparsities.size());
+        double obs = 0.0;
+        for (size_t k = sparsities.size() - n; k < sparsities.size(); ++k)
+            obs += density(sparsities[k]);
+        return clamp(obs / static_cast<double>(n) / last_base);
+      }
+      case PredictorStrategy::LastOne:
+        return clamp(density(sparsities.back()) / last_base);
+      case PredictorStrategy::Ema: {
+        double g = 1.0;
+        for (size_t k = 0; k < layers.size(); ++k) {
+            double ratio = density(sparsities[k]) /
+                           density(info.avgLayerSparsity[layers[k]]);
+            g = (1.0 - cfg.emaWeight) * g + cfg.emaWeight * ratio;
+        }
+        return clamp(g);
+      }
+    }
+    return -1.0;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+} // namespace
+
+TEST(PredictorRunningState, GammaMatchesHistoryRecomputeBitForBit)
+{
+    const PredictorStrategy strategies[] = {
+        PredictorStrategy::AverageAll, PredictorStrategy::LastN,
+        PredictorStrategy::LastOne, PredictorStrategy::Ema};
+    for (PredictorStrategy strategy : strategies) {
+        for (uint64_t seed = 1; seed <= 20; ++seed) {
+            Rng rng(seed);
+            ModelInfo info;
+            info.model = "m";
+            for (int l = 0; l < 16; ++l)
+                info.avgLayerSparsity.push_back(rng.uniform(0.0, 0.999));
+            info.avgNetworkSparsity = rng.uniform(0.0, 0.999);
+            PredictorConfig cfg;
+            cfg.strategy = strategy;
+            cfg.lastN = static_cast<int>(rng.uniformInt(1, 6));
+            cfg.emaWeight = rng.uniform(0.05, 1.0);
+            // A narrow clamp range, so an EMA that strays outside it
+            // and comes back tells a clamp-on-read from a clamp-in-fold.
+            cfg.gammaMin = rng.uniform(0.3, 0.9);
+            cfg.gammaMax = rng.uniform(1.1, 3.0);
+            SparseLatencyPredictor pred(info, cfg);
+
+            // Two histories across a reset(): the second must not see
+            // the first.
+            for (int round = 0; round < 2; ++round) {
+                std::vector<size_t> layers;
+                std::vector<double> sparsities;
+                EXPECT_EQ(bitsOf(pred.gamma()), bitsOf(1.0));
+                int steps = static_cast<int>(rng.uniformInt(1, 40));
+                for (int k = 0; k < steps; ++k) {
+                    auto layer = static_cast<size_t>(rng.uniformInt(
+                        0, static_cast<int64_t>(
+                               info.avgLayerSparsity.size()) - 1));
+                    double sparsity = rng.uniform(0.0, 1.0);
+                    pred.observe(layer, sparsity);
+                    layers.push_back(layer);
+                    sparsities.push_back(sparsity);
+                    ASSERT_EQ(pred.observations(), layers.size());
+                    ASSERT_EQ(bitsOf(pred.gamma()),
+                              bitsOf(historyGamma(info, cfg, layers,
+                                                  sparsities)))
+                        << toString(strategy) << " seed " << seed
+                        << " round " << round << " step " << k;
+                }
+                pred.reset();
+                EXPECT_EQ(pred.observations(), 0u);
+            }
+        }
+    }
+}
 
 // --- Oracle dominance across seeds ---
 
