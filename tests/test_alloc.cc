@@ -70,8 +70,18 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
 
 namespace dysta {
 namespace {
