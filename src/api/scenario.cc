@@ -254,15 +254,18 @@ namespace {
 
 ScenarioSpec
 parseScenarioImpl(const std::string& text, const std::string& base_dir,
+                  ScenarioIncludeLookup lookup,
                   std::vector<std::string>& include_stack);
 
 /**
- * Resolve `include = name` against the including file's directory
- * and parse the base scenario, carrying the canonical-path stack for
- * cycle detection.
+ * Resolve `include = name` and parse the base scenario, carrying the
+ * stack of open includes for cycle detection. With a `lookup` the
+ * name is a key of that set; without one it is a file path relative
+ * to the including file's directory.
  */
 ScenarioSpec
 resolveInclude(const std::string& name, const std::string& base_dir,
+               ScenarioIncludeLookup lookup,
                std::vector<std::string>& include_stack)
 {
     fatalIf(name.empty(), "parseScenario: 'include' needs a file "
@@ -273,43 +276,53 @@ resolveInclude(const std::string& name, const std::string& base_dir,
     fatalIf(include_stack.size() >= 16,
             "parseScenario: include chain deeper than 16 files");
     std::filesystem::path path(name);
-    if (path.is_relative() && !base_dir.empty())
+    if (!lookup && path.is_relative() && !base_dir.empty())
         path = std::filesystem::path(base_dir) / path;
 
     std::error_code ec;
     std::filesystem::path canon =
-        std::filesystem::weakly_canonical(path, ec);
+        lookup ? path : std::filesystem::weakly_canonical(path, ec);
     std::string id = ec ? path.string() : canon.string();
     for (const std::string& open : include_stack)
         fatalIf(open == id, "parseScenario: include cycle through '" +
                                 id + "'");
 
-    // Refuse directories and device nodes (`include = /dev/zero`
-    // would otherwise read forever). A missing file falls through to
-    // the cannot-open error below.
-    std::error_code reg_ec;
-    std::filesystem::file_status st =
-        std::filesystem::status(path, reg_ec);
-    fatalIf(std::filesystem::exists(st) &&
-                !std::filesystem::is_regular_file(st),
-            "parseScenario: include '" + path.string() +
-                "' is not a regular file");
+    std::string text;
+    if (lookup) {
+        const char* found = lookup(name);
+        fatalIf(!found, "parseScenario: cannot open include '" + name +
+                            "'");
+        text = found;
+    } else {
+        // Refuse directories and device nodes (`include = /dev/zero`
+        // would otherwise read forever). A missing file falls through
+        // to the cannot-open error below.
+        std::error_code reg_ec;
+        std::filesystem::file_status st =
+            std::filesystem::status(path, reg_ec);
+        fatalIf(std::filesystem::exists(st) &&
+                    !std::filesystem::is_regular_file(st),
+                "parseScenario: include '" + path.string() +
+                    "' is not a regular file");
 
-    std::ifstream in(path);
-    fatalIf(!in, "parseScenario: cannot open include '" +
-                     path.string() + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
+        std::ifstream in(path);
+        fatalIf(!in, "parseScenario: cannot open include '" +
+                         path.string() + "'");
+        std::ostringstream contents;
+        contents << in.rdbuf();
+        text = contents.str();
+    }
 
     include_stack.push_back(id);
     ScenarioSpec spec = parseScenarioImpl(
-        text.str(), path.parent_path().string(), include_stack);
+        text, path.parent_path().string(), lookup, include_stack);
     include_stack.pop_back();
     return spec;
 }
 
 ScenarioSpec
 parseScenarioImpl(const std::string& text, const std::string& base_dir,
+                  ScenarioIncludeLookup lookup,
                   std::vector<std::string>& include_stack)
 {
     ScenarioSpec spec;
@@ -345,7 +358,8 @@ parseScenarioImpl(const std::string& text, const std::string& base_dir,
                     "parseScenario: 'include' must be the first key "
                     "(line " + std::to_string(lineno) + ")");
             seen.push_back(key);
-            spec = resolveInclude(value, base_dir, include_stack);
+            spec = resolveInclude(value, base_dir, lookup,
+                                  include_stack);
             continue;
         }
         seen.push_back(key);
@@ -361,7 +375,15 @@ parseScenario(const std::string& text)
 {
     // No source file: includes resolve against the working directory.
     std::vector<std::string> include_stack;
-    return parseScenarioImpl(text, "", include_stack);
+    return parseScenarioImpl(text, "", nullptr, include_stack);
+}
+
+ScenarioSpec
+parseScenario(const std::string& text, const std::string& self,
+              ScenarioIncludeLookup lookup)
+{
+    std::vector<std::string> include_stack{self};
+    return parseScenarioImpl(text, "", lookup, include_stack);
 }
 
 ScenarioSpec
@@ -379,7 +401,7 @@ parseScenarioFile(const std::string& path)
     include_stack.push_back(ec ? path : canon.string());
     return parseScenarioImpl(
         text.str(),
-        std::filesystem::path(path).parent_path().string(),
+        std::filesystem::path(path).parent_path().string(), nullptr,
         include_stack);
 }
 
@@ -734,201 +756,6 @@ runScenario(const ScenarioSpec& spec,
     panicIf(index != results.size(),
             "runScenario: grid expansion and regrouping disagree");
     return out;
-}
-
-std::vector<std::string>
-builtinScenarioNames()
-{
-    return {"fig12",           "fig14",          "fig15",
-            "tab05",           "cluster-scaling", "hetero-cluster",
-            "hetero-failover", "megascale",      "chaos",
-            "batching"};
-}
-
-ScenarioSpec
-builtinScenario(const std::string& name)
-{
-    auto panels = [](std::initializer_list<const char*> specs) {
-        std::vector<WorkloadPanel> out;
-        for (const char* spec : specs)
-            out.push_back(workloadPanelFromSpec(spec));
-        return out;
-    };
-
-    if (name == "fig12") {
-        // Fig. 12: the ANTT / SLO-violation trade-off plane.
-        ScenarioSpec spec;
-        spec.name = "fig12";
-        spec.workloads =
-            panels({"attnn@30", "attnn@40", "cnn@3", "cnn@4"});
-        spec.schedulers = table5Schedulers();
-        spec.requests = 1000;
-        spec.seeds = 5;
-        return spec;
-    }
-    if (name == "fig14") {
-        // Fig. 14: robustness across latency SLOs.
-        ScenarioSpec spec;
-        spec.name = "fig14";
-        spec.workloads =
-            panels({"attnn@30", "attnn@40", "cnn@3", "cnn@4"});
-        spec.sloMultipliers = {10, 30, 50, 70, 90, 110, 130, 150};
-        spec.schedulers = table5Schedulers();
-        spec.schedulers.push_back("Oracle");
-        spec.requests = 600;
-        spec.seeds = 3;
-        return spec;
-    }
-    if (name == "fig15") {
-        // Fig. 15: robustness across arrival rates.
-        ScenarioSpec spec;
-        spec.name = "fig15";
-        spec.workloads = panels(
-            {"attnn@10", "attnn@15", "attnn@20", "attnn@25",
-             "attnn@30", "attnn@35", "attnn@40", "cnn@2", "cnn@2.5",
-             "cnn@3", "cnn@3.5", "cnn@4", "cnn@5", "cnn@6"});
-        spec.schedulers = table5Schedulers();
-        spec.schedulers.push_back("Oracle");
-        spec.requests = 600;
-        spec.seeds = 3;
-        return spec;
-    }
-    if (name == "tab05") {
-        // Table 5: end-to-end ANTT and violation rates, plus the
-        // Oracle and the FP16 hardware Dysta for reference.
-        ScenarioSpec spec;
-        spec.name = "tab05";
-        spec.workloads = panels({"attnn@30", "cnn@3"});
-        spec.schedulers = table5Schedulers();
-        spec.schedulers.push_back("Oracle");
-        spec.schedulers.push_back("Dysta-HW");
-        spec.requests = 1000;
-        spec.seeds = 5;
-        return spec;
-    }
-    if (name == "cluster-scaling") {
-        // Fleet size x dispatcher x arrival process at saturating
-        // offered load (bench_cluster_scaling).
-        ScenarioSpec spec;
-        spec.name = "cluster-scaling";
-        spec.workloads = panels({"attnn@120"});
-        spec.arrivals = {"poisson", "mmpp", "diurnal"};
-        spec.fleets = {"sanger:1", "sanger:2", "sanger:4",
-                       "sanger:8"};
-        spec.dispatchers = {"round-robin",      "least-outstanding",
-                            "least-backlog",    "least-backlog-lut",
-                            "capability-aware", "work-stealing"};
-        spec.schedulers = {"Dysta"};
-        spec.requests = 400;
-        spec.seeds = 1;
-        return spec;
-    }
-    if (name == "hetero-cluster") {
-        // Homogeneous vs mixed fleets under bursty traffic
-        // (bench_hetero_cluster's scenario groups, no failures).
-        ScenarioSpec spec;
-        spec.name = "hetero-cluster";
-        spec.workloads = panels({"attnn@100"});
-        spec.arrivals = {"mmpp"};
-        spec.fleets = {"sanger:4", "sanger:2,eyeriss-xl:2"};
-        spec.dispatchers = {"round-robin", "least-outstanding",
-                            "least-backlog", "capability-aware",
-                            "work-stealing"};
-        spec.schedulers = {"Dysta"};
-        spec.requests = 400;
-        spec.seeds = 1;
-        return spec;
-    }
-    if (name == "megascale") {
-        // Streaming endurance run: >=10M requests through a 4-node
-        // fleet under diurnal/bursty traffic, lazy arrivals, sketch
-        // metrics and the bucket calendar — peak RSS must stay
-        // independent of the request count (bench_megascale asserts
-        // it). Derives from cluster-scaling, exactly like the
-        // scenario file's `include = cluster-scaling.scn`.
-        ScenarioSpec spec = builtinScenario("cluster-scaling");
-        spec.name = "megascale";
-        spec.workloads = panels({"attnn@90"});
-        spec.arrivals = {"diurnal:period=600", "mmpp"};
-        spec.fleets = {"sanger:4"};
-        spec.dispatchers = {"least-outstanding"};
-        spec.schedulers = {"Dysta"};
-        spec.requests = 10000000;
-        spec.seeds = 1;
-        spec.admission = true;
-        spec.admissionMargins = {1.5};
-        spec.probes = {};
-        spec.streaming = true;
-        spec.metricsKind = MetricsKind::Sketch;
-        spec.calendar = CalendarKind::Bucket;
-        return spec;
-    }
-    if (name == "chaos") {
-        // Stochastic fault injection with the full resilience stack:
-        // the chaos axis compares a healthy fleet against MTBF
-        // node-level faults and correlated domain-level faults, all
-        // under deadline retries, hedged dispatch and tiered
-        // brown-out shedding (bench_chaos asserts the resilient
-        // configuration beats no-retry on SLO-attained goodput).
-        ScenarioSpec spec;
-        spec.name = "chaos";
-        spec.workloads = panels({"attnn@80"});
-        spec.arrivals = {"mmpp"};
-        spec.fleets = {"sanger:2@rack0,sanger:2@rack1"};
-        spec.dispatchers = {"least-outstanding"};
-        spec.schedulers = {"Dysta"};
-        spec.chaos = {"none", "mtbf:up=exp@20,down=exp@2",
-                      "mtbf:up=exp@30,down=exp@3,scope=domain"};
-        spec.retry = "retry:max=2,backoff=2,timeout=1,budget=0.5";
-        spec.hedge = "hedge:quantile=0.95,factor=1,min_samples=32";
-        spec.brownout = "brownout:step=0.5";
-        spec.tiers = "0.5,0.3,0.2";
-        spec.admission = true;
-        spec.admissionMargins = {1.5};
-        spec.requests = 400;
-        spec.seeds = 2;
-        return spec;
-    }
-    if (name == "batching") {
-        // Dynamic batching: the batcher axis compares unbatched
-        // serving against FIFO, size-greedy and sparsity-aware batch
-        // composition at matched formation knobs, under bursty
-        // traffic on a saturated fleet (bench_batching asserts
-        // sparsity-aware composition beats FIFO on SLO goodput).
-        ScenarioSpec spec;
-        spec.name = "batching";
-        spec.workloads = panels({"attnn@120"});
-        spec.arrivals = {"mmpp"};
-        spec.fleets = {"sanger:2"};
-        spec.dispatchers = {"least-outstanding"};
-        spec.schedulers = {"Dysta"};
-        spec.batchers = {
-            "none",
-            "batcher:size=8,delay=2ms,compose=fifo",
-            "batcher:size=8,delay=2ms,compose=greedy",
-            "batcher:size=8,delay=2ms,compose=sparsity"};
-        spec.requests = 400;
-        spec.seeds = 2;
-        return spec;
-    }
-    if (name == "hetero-failover") {
-        // Failure injection on the mixed fleet: one sanger node
-        // fails at t=1s and recovers at t=3s.
-        ScenarioSpec spec;
-        spec.name = "hetero-failover";
-        spec.workloads = panels({"attnn@100"});
-        spec.arrivals = {"mmpp"};
-        spec.fleets = {"sanger:2,eyeriss-xl:2"};
-        spec.dispatchers = {"round-robin", "work-stealing"};
-        spec.schedulers = {"Dysta"};
-        spec.events = "fail@1.0:0,recover@3.0:0";
-        spec.requests = 400;
-        spec.seeds = 1;
-        return spec;
-    }
-
-    fatal("builtinScenario: unknown scenario '" + name +
-          "'; valid scenarios: " + joinComma(builtinScenarioNames()));
 }
 
 } // namespace dysta

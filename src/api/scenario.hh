@@ -160,6 +160,18 @@ struct ScenarioSpec
 /** Parse a scenario from file contents. fatal() on any error. */
 ScenarioSpec parseScenario(const std::string& text);
 
+/** Looks up a scenario's text by include name; nullptr if absent. */
+using ScenarioIncludeLookup = const char* (*)(const std::string& name);
+
+/**
+ * Parse scenario text whose `include =` names resolve through
+ * `lookup` instead of the disk. `self` is the text's own include
+ * name, so a cycle back to it is caught. fatal() on any error.
+ */
+ScenarioSpec parseScenario(const std::string& text,
+                           const std::string& self,
+                           ScenarioIncludeLookup lookup);
+
 /** Parse a scenario file from disk. fatal() on any error. */
 ScenarioSpec parseScenarioFile(const std::string& path);
 
@@ -249,14 +261,22 @@ struct ScenarioRunOptions
 ScenarioResult runScenario(const ScenarioSpec& spec,
                            const ScenarioRunOptions& options = {});
 
-/** Names of the scenarios shipped in the scenarios/ directory. */
+/** Names of the built-in scenarios, in `--list-scenarios` order. */
 std::vector<std::string> builtinScenarioNames();
 
 /**
- * A shipped scenario by name — the same specs the scenarios/
- * directory mirrors, so the ported bench binaries and the scenario
- * files cannot drift apart (tests/test_api.cc asserts equality).
- * fatal() on unknown names, listing the valid ones.
+ * Text of scenarios/<name>.scn as embedded at build time (the build
+ * lists the names in CMakeLists.txt). fatal() on unknown names,
+ * listing the valid ones.
+ */
+std::string builtinScenarioText(const std::string& name);
+
+/**
+ * A built-in scenario by name: its embedded scenarios/<name>.scn
+ * parsed, with `include = <other>.scn` resolving against the other
+ * embedded files. The file is the only definition, so `sdysta
+ * <name>` and the bench binaries that call this run exactly what
+ * the file says. fatal() on unknown names, listing the valid ones.
  */
 ScenarioSpec builtinScenario(const std::string& name);
 

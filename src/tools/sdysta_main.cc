@@ -81,22 +81,24 @@ builtinScenarioDescription(const std::string& name)
     return "";
 }
 
-/** First '#' comment line of a scenario file, as its description. */
+/**
+ * First comment line of a scenario file's leading comment block, as
+ * its description. Only lines that start with '#' count; the scan
+ * stops at the first key line, so a trailing `# note` after a key is
+ * never taken for the description.
+ */
 std::string
 scenarioFileSummary(const std::filesystem::path& path)
 {
     std::ifstream in(path);
     std::string line;
     while (std::getline(in, line)) {
-        size_t hash = line.find('#');
-        if (hash == std::string::npos) {
-            // Past the leading comment block: no summary.
-            size_t body = line.find_first_not_of(" \t\r");
-            if (body != std::string::npos)
-                break;
+        size_t first = line.find_first_not_of(" \t\r");
+        if (first == std::string::npos)
             continue;
-        }
-        size_t begin = line.find_first_not_of(" \t", hash + 1);
+        if (line[first] != '#')
+            break;
+        size_t begin = line.find_first_not_of(" \t", first + 1);
         if (begin != std::string::npos) {
             size_t end = line.find_last_not_of(" \t\r");
             return line.substr(begin, end - begin + 1);

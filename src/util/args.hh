@@ -12,7 +12,7 @@
  * listing the valid flags.
  *
  * Usage:
- *     ArgParser args("tab05_end_to_end", "Table 5 reproduction");
+ *     ArgParser args("bench_chaos", "chaos-engine benchmark");
  *     args.addInt("--requests", 1000, "requests per workload");
  *     args.addJobs();
  *     args.addTraceCache();

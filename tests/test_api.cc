@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 
 #include "api/registry.hh"
 #include "api/report.hh"
@@ -318,18 +319,6 @@ TEST(Scenario, ParseSerializeParseIsBitIdentical)
     EXPECT_EQ(twice.onFailure, "shed");
 }
 
-TEST(Scenario, BuiltinsRoundTrip)
-{
-    for (const std::string& name : builtinScenarioNames()) {
-        ScenarioSpec spec = builtinScenario(name);
-        std::string canonical = serializeScenario(spec);
-        EXPECT_EQ(canonical,
-                  serializeScenario(parseScenario(canonical)))
-            << "builtin scenario " << name;
-        validateScenario(spec);
-    }
-}
-
 TEST(Scenario, UnknownKeyIsRejectedNamingValidKeys)
 {
     EXPECT_EXIT(parseScenario("workloads = attnn@30\n"),
@@ -473,32 +462,69 @@ TEST(Scenario, ClusterRunsAreDeterministicAcrossJobs)
 
 // --- shipped scenario files ------------------------------------------
 
-TEST(Scenario, ShippedFilesMatchTheBuiltins)
+TEST(Scenario, BuiltinsAreTheEmbeddedScenarioFiles)
 {
-    // scenarios/<name>.scn must parse to exactly the built-in spec
-    // the ported bench binaries run, or the two drift apart.
+    // The built-ins are scenarios/<name>.scn compiled in: the same
+    // bytes, the same set of names, the same parsed spec, which
+    // round-trips through its canonical form and validates.
     namespace fs = std::filesystem;
     const std::string dir = DYSTA_SCENARIO_DIR;
     ASSERT_TRUE(fs::is_directory(dir)) << dir;
 
-    size_t checked = 0;
+    std::vector<std::string> stems;
+    for (const auto& entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".scn")
+            stems.push_back(entry.path().stem().string());
+    std::vector<std::string> names = builtinScenarioNames();
+    std::sort(stems.begin(), stems.end());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, stems);
+
     for (const std::string& name : builtinScenarioNames()) {
         std::string path = dir + "/" + name + ".scn";
-        ASSERT_TRUE(fs::exists(path)) << path;
-        ScenarioSpec from_file = parseScenarioFile(path);
-        EXPECT_EQ(serializeScenario(from_file),
-                  serializeScenario(builtinScenario(name)))
-            << path;
-        ++checked;
-    }
-    EXPECT_EQ(checked, builtinScenarioNames().size());
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in) << path;
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        EXPECT_EQ(builtinScenarioText(name), bytes.str()) << path;
 
-    // And every file in the directory must be a valid scenario.
-    for (const auto& entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() != ".scn")
-            continue;
-        validateScenario(parseScenarioFile(entry.path().string()));
+        std::string canonical = serializeScenario(builtinScenario(name));
+        EXPECT_EQ(canonical, serializeScenario(parseScenarioFile(path)))
+            << path;
+        EXPECT_EQ(canonical, serializeScenario(parseScenario(canonical)))
+            << path;
+        validateScenario(parseScenarioFile(path));
     }
+}
+
+namespace {
+
+const char*
+tinyIncludeSet(const std::string& name)
+{
+    return name == "base.scn" ? "name = base\nrequests = 7\nseeds = 3\n"
+                              : nullptr;
+}
+
+} // namespace
+
+TEST(Scenario, IncludeResolvesThroughALookup)
+{
+    ScenarioSpec spec = parseScenario(
+        "include = base.scn\nname = child\nseeds = 2\n", "child.scn",
+        tinyIncludeSet);
+    EXPECT_EQ(spec.name, "child");
+    EXPECT_EQ(spec.requests, 7);
+    EXPECT_EQ(spec.seeds, 2);
+
+    EXPECT_EXIT(parseScenario("include = missing.scn\n", "child.scn",
+                              tinyIncludeSet),
+                ::testing::ExitedWithCode(1),
+                "cannot open include 'missing.scn'");
+    EXPECT_EXIT(parseScenario("include = base.scn\n", "base.scn",
+                              tinyIncludeSet),
+                ::testing::ExitedWithCode(1),
+                "include cycle through 'base.scn'");
 }
 
 // --- sweep axes: admission margin and steal ratio --------------------

@@ -4,9 +4,11 @@
 # Builds `sdysta` at <base-ref> (in a temporary git worktree) and at the
 # working tree, runs every scenarios/*.scn of the working tree on both
 # binaries at the CI smoke size, and compares each pair of reports with
-# `sdysta --diff` (which ignores the wall-clock 'meta' section). Any
-# difference in any scenario fails the gate: a change that means to move
-# a result must say so and update this expectation explicitly.
+# `sdysta --diff` (which ignores the wall-clock 'meta' section). It also
+# compares, byte for byte, `sdysta <name> --print-spec` for every built-in
+# name and `sdysta --list-scenarios` stdout. Any difference fails the
+# gate: a change that means to move a result must say so and update this
+# expectation explicitly.
 #
 # Usage:
 #   tools/ci/scenario_drift.sh <base-ref> [<build-dir>]
@@ -66,6 +68,28 @@ for scn in scenarios/*.scn; do
         drifted+=("$name")
     fi
 done
+
+# The built-in names must resolve to the same specs and list the same.
+for name in $("$base_bin" --list-scenarios |
+              awk '/^== Built-in/ {on = 1; next}
+                   /^==/ {on = 0}
+                   on && /^\| / && $2 != "name" {print $2}'); do
+    spec="$work/reports/$name.spec"
+    "$base_bin" "$name" --print-spec >"$spec.base"
+    if "$head_bin" "$name" --print-spec >"$spec.head" &&
+        cmp -s "$spec.base" "$spec.head"; then
+        echo "scenario_drift: builtin $name: same spec"
+    else
+        drifted+=("builtin:$name")
+    fi
+done
+"$base_bin" --list-scenarios >"$work/reports/list_base.txt"
+"$head_bin" --list-scenarios >"$work/reports/list_head.txt"
+if cmp -s "$work/reports/list_base.txt" "$work/reports/list_head.txt"; then
+    echo "scenario_drift: --list-scenarios: same output"
+else
+    drifted+=("--list-scenarios")
+fi
 
 if [ "${#drifted[@]}" -ne 0 ]; then
     echo "scenario_drift: FAIL — drift against $base_ref in:" \
