@@ -30,7 +30,7 @@ DystaScheduler::reset()
 {
     Scheduler::reset();
     order.clear();
-    slot.clear();
+    position.clear();
     staticQueue.clear();
     nextSeq = 0;
 }
@@ -39,7 +39,7 @@ void
 DystaScheduler::onArrival(const Request& req, double now)
 {
     Scheduler::onArrival(req, now);
-    panicIf(slot.count(req.id) > 0, "Dysta: duplicate request id");
+    panicIf(position.contains(req), "Dysta: duplicate request id");
 
     // Alg. 1: Lat from the LUT; slack against the request's SLO;
     // initial score balances ANTT (latency term) and violations
@@ -55,7 +55,7 @@ DystaScheduler::onArrival(const Request& req, double now)
     e.remaining = est->remaining(req);
     e.isol = std::max(lat, 1e-12);
     e.seq = nextSeq++;
-    slot[req.id] = order.size();
+    position.emplace(req, order.size());
     order.push_back(e);
 
     if (!cfg.dynamicLevel)
@@ -71,8 +71,8 @@ DystaScheduler::onLayerComplete(const Request& req, double now,
     // monitor captured the layer.
     Scheduler::onLayerComplete(req, now, monitored_sparsity);
 
-    auto it = slot.find(req.id);
-    if (it == slot.end()) {
+    const size_t* idx = position.find(req);
+    if (idx == nullptr) {
         panicIf(cfg.dynamicLevel && cfg.sparsityAware &&
                     monitored_sparsity >= 0.0,
                 "Dysta: unknown request");
@@ -80,25 +80,26 @@ DystaScheduler::onLayerComplete(const Request& req, double now,
     }
     // Lazy re-key: progress (and possibly a sparsity observation)
     // changed only this request's remainder.
-    order[it->second].remaining = est->remaining(req);
+    order[*idx].remaining = est->remaining(req);
 }
 
 void
 DystaScheduler::onComplete(const Request& req, double now)
 {
     Scheduler::onComplete(req, now);
-    auto it = slot.find(req.id);
-    if (it == slot.end())
+    const size_t* found = position.find(req);
+    if (found == nullptr)
         return;
-    size_t idx = it->second;
-    slot.erase(it);
+    size_t idx = *found;
+    position.erase(req);
     if (idx != order.size() - 1) {
         order[idx] = order.back();
-        slot[order[idx].req->id] = idx;
+        if (size_t* moved = position.find(*order[idx].req))
+            *moved = idx;
     }
     order.pop_back();
-    if (staticQueue.contains(req.id))
-        staticQueue.erase(req.id);
+    if (staticQueue.contains(req))
+        staticQueue.erase(req);
 }
 
 double
@@ -119,12 +120,12 @@ double
 DystaScheduler::dynamicScore(const Request& req, double now,
                              size_t queue_size) const
 {
-    auto it = slot.find(req.id);
-    panicIf(it == slot.end(), "Dysta: unknown request");
+    const size_t* idx = position.find(req);
+    panicIf(idx == nullptr, "Dysta: unknown request");
 
     // Fresh estimates (not the cache): the reference path must be
     // exact even for direct calls outside the engine.
-    Entry e = order[it->second];
+    Entry e = order[*idx];
     e.remaining = est->remaining(req);
     e.isol = std::max(est->isolated(req), 1e-12);
     return scoreFrom(e, now, static_cast<double>(queue_size));
@@ -141,9 +142,9 @@ DystaScheduler::selectNext(const std::vector<const Request*>& ready,
         if (cfg.dynamicLevel) {
             score = dynamicScore(*ready[i], now, ready.size());
         } else {
-            auto it = slot.find(ready[i]->id);
-            panicIf(it == slot.end(), "Dysta: unknown request");
-            score = order[it->second].staticScore;
+            const size_t* idx = position.find(*ready[i]);
+            panicIf(idx == nullptr, "Dysta: unknown request");
+            score = order[*idx].staticScore;
         }
         if (i == 0 || score < best_score) {
             best = i;

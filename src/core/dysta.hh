@@ -33,12 +33,12 @@
 #ifndef DYSTA_CORE_DYSTA_HH
 #define DYSTA_CORE_DYSTA_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/estimator.hh"
 #include "core/latency_predictor.hh"
 #include "sched/scheduler.hh"
+#include "sched/slot_table.hh"
 #include "sim/ready_queue.hh"
 
 namespace dysta {
@@ -132,9 +132,9 @@ class DystaScheduler : public Scheduler
     };
 
     DystaConfig cfg;
-    std::vector<Entry> order;             ///< dense cache (unordered)
-    std::unordered_map<int, size_t> slot; ///< request id -> index
-    IndexedMinHeap staticQueue; ///< static-level heap (dynamic off)
+    std::vector<Entry> order;    ///< dense cache (unordered)
+    SlotTable<size_t> position;  ///< request -> index in order
+    IndexedMinHeap staticQueue;  ///< static-level heap (dynamic off)
     int64_t nextSeq = 0;
 
     double scoreFrom(const Entry& e, double now,

@@ -9,23 +9,22 @@ namespace dysta {
 const ModelInfo&
 LutEstimator::info(const Request& req) const
 {
-    auto it = tracked.find(req.id);
-    if (it != tracked.end())
-        return *it->second;
+    if (const ModelInfo* const* cached = tracked.find(req))
+        return **cached;
     return lut->lookup(req.modelName, req.pattern);
 }
 
 void
 LutEstimator::admit(const Request& req)
 {
-    tracked.try_emplace(req.id,
-                        &lut->lookup(req.modelName, req.pattern));
+    if (!tracked.contains(req))
+        tracked.emplace(req, &lut->lookup(req.modelName, req.pattern));
 }
 
 void
 LutEstimator::release(const Request& req)
 {
-    tracked.erase(req.id);
+    tracked.erase(req);
 }
 
 double
@@ -58,8 +57,9 @@ DystaEstimator::reset()
 void
 DystaEstimator::admit(const Request& req)
 {
-    const ModelInfo& info = lut->lookup(req.modelName, req.pattern);
-    predictors.try_emplace(req.id, SparseLatencyPredictor(info, pcfg));
+    if (!predictors.contains(req))
+        predictors.emplace(req, lut->lookup(req.modelName, req.pattern),
+                           pcfg);
 }
 
 void
@@ -68,23 +68,22 @@ DystaEstimator::observe(const Request& req, double monitored_sparsity)
     // Alg. 3 line 3: refine only when the monitor captured the layer.
     if (!refineEnabled || monitored_sparsity < 0.0)
         return;
-    auto it = predictors.find(req.id);
-    if (it != predictors.end() && req.nextLayer > 0)
-        it->second.observe(req.nextLayer - 1, monitored_sparsity);
+    SparseLatencyPredictor* predictor = predictors.find(req);
+    if (predictor != nullptr && req.nextLayer > 0)
+        predictor->observe(req.nextLayer - 1, monitored_sparsity);
 }
 
 void
 DystaEstimator::release(const Request& req)
 {
-    predictors.erase(req.id);
+    predictors.erase(req);
 }
 
 double
 DystaEstimator::remaining(const Request& req) const
 {
-    auto it = predictors.find(req.id);
-    if (it != predictors.end())
-        return it->second.predictRemaining(req.nextLayer);
+    if (const SparseLatencyPredictor* predictor = predictors.find(req))
+        return predictor->predictRemaining(req.nextLayer);
     return lut->lookup(req.modelName, req.pattern)
         .estRemaining(req.nextLayer);
 }
@@ -95,14 +94,16 @@ DystaEstimator::isolated(const Request& req) const
     // SLOs are published against the profiled average, so the
     // isolated reference stays the LUT value even for refined
     // requests.
+    if (const SparseLatencyPredictor* predictor = predictors.find(req))
+        return predictor->modelInfo().avgLatency;
     return lut->lookup(req.modelName, req.pattern).avgLatency;
 }
 
 double
-DystaEstimator::gamma(int request_id) const
+DystaEstimator::gamma(const Request& req) const
 {
-    auto it = predictors.find(request_id);
-    return it != predictors.end() ? it->second.gamma() : 1.0;
+    const SparseLatencyPredictor* predictor = predictors.find(req);
+    return predictor != nullptr ? predictor->gamma() : 1.0;
 }
 
 ScaledEstimator::ScaledEstimator(const LatencyEstimator& base,

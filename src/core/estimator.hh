@@ -26,11 +26,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "core/latency_predictor.hh"
 #include "core/model_info.hh"
 #include "sched/request.hh"
+#include "sched/slot_table.hh"
 
 namespace dysta {
 
@@ -91,8 +91,8 @@ class LatencyEstimator
 /**
  * Static LUT estimator: the profiled average latency of the layers
  * still ahead (Sec. 4.1). Stateless apart from a per-request cache
- * of the LUT entry, which avoids re-hashing the (model, pattern)
- * string key on every query.
+ * of the LUT entry, indexed by the request's run slot, which avoids
+ * re-hashing the (model, pattern) string key on every query.
  */
 class LutEstimator : public LatencyEstimator
 {
@@ -110,7 +110,7 @@ class LutEstimator : public LatencyEstimator
 
   private:
     const ModelInfoLut* lut;
-    std::unordered_map<int, const ModelInfo*> tracked;
+    SlotTable<const ModelInfo*> tracked;
 
     const ModelInfo& info(const Request& req) const;
 };
@@ -144,19 +144,19 @@ class DystaEstimator : public LatencyEstimator
     double isolated(const Request& req) const override;
 
     /** Current sparsity coefficient of a request; 1 if untracked. */
-    double gamma(int request_id) const;
+    double gamma(const Request& req) const;
 
     /** Whether a request currently has a tracked predictor. */
-    bool tracks(int request_id) const
+    bool tracks(const Request& req) const
     {
-        return predictors.count(request_id) > 0;
+        return predictors.contains(req);
     }
 
   private:
     const ModelInfoLut* lut;
     PredictorConfig pcfg;
     bool refineEnabled;
-    std::unordered_map<int, SparseLatencyPredictor> predictors;
+    SlotTable<SparseLatencyPredictor> predictors;
 };
 
 /**

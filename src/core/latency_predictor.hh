@@ -95,6 +95,9 @@ class SparseLatencyPredictor
 
     size_t observations() const { return count; }
 
+    /** LUT entry of the request's model-pattern pair. */
+    const ModelInfo& modelInfo() const { return *info; }
+
   private:
     const ModelInfo* info;
     PredictorConfig cfg;

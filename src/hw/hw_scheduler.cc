@@ -49,7 +49,6 @@ void
 DystaHwScheduler::reset()
 {
     state.clear();
-    resident.clear();
     hostQueue.clear();
     tagFifo.clear();
     cu.resetCounters();
@@ -67,11 +66,12 @@ void
 DystaHwScheduler::backfill()
 {
     while (!hostQueue.empty() && !tagFifo.full()) {
-        int id = hostQueue.front();
+        const Request* req = hostQueue.front();
         hostQueue.erase(hostQueue.begin());
-        bool ok = tagFifo.push(id);
+        bool ok = tagFifo.push(req->id);
         panicIf(!ok, "DystaHwScheduler: FIFO push failed on backfill");
-        resident.insert(id);
+        if (HwRequestState* rs = state.find(*req))
+            rs->resident = true;
     }
 }
 
@@ -90,12 +90,10 @@ DystaHwScheduler::onArrival(const Request& req, double now)
     rs.staticScore =
         info.avgLatency + cfg.beta * (slo_rel - info.avgLatency);
 
-    state[req.id] = rs;
-    if (tagFifo.push(req.id)) {
-        resident.insert(req.id);
-    } else {
-        hostQueue.push_back(req.id);
-    }
+    rs.resident = tagFifo.push(req.id);
+    state.emplace(req, rs);
+    if (!rs.resident)
+        hostQueue.push_back(&req);
 }
 
 void
@@ -105,10 +103,10 @@ DystaHwScheduler::onLayerComplete(const Request& req, double now,
     (void)now;
     if (monitored_sparsity < 0.0)
         return; // the monitor captured nothing for this layer
-    auto it = state.find(req.id);
-    panicIf(it == state.end(), "DystaHwScheduler: unknown request");
+    HwRequestState* rs = state.find(req);
+    panicIf(rs == nullptr, "DystaHwScheduler: unknown request");
 
-    const LutEntry& entry = modelLut.read(it->second.lutId);
+    const LutEntry& entry = modelLut.read(rs->lutId);
     size_t layer = req.nextLayer - 1;
     panicIf(layer >= entry.shape.size(),
             "DystaHwScheduler: layer index out of range");
@@ -122,7 +120,7 @@ DystaHwScheduler::onLayerComplete(const Request& req, double now,
     CuResult coeff = cu.sparsityCoeff(zeros, shape,
                                       entry.recipAvgDensity[layer]);
     // Clamp exactly as the software predictor does.
-    it->second.gamma = std::clamp(coeff.value, 0.25, 4.0);
+    rs->gamma = std::clamp(coeff.value, 0.25, 4.0);
     schedCycles += coeff.cycles;
 }
 
@@ -130,8 +128,10 @@ void
 DystaHwScheduler::onComplete(const Request& req, double now)
 {
     (void)now;
-    state.erase(req.id);
-    if (resident.erase(req.id) > 0) {
+    const HwRequestState* rs = state.find(req);
+    bool was_resident = rs != nullptr && rs->resident;
+    state.erase(req);
+    if (was_resident) {
         for (size_t i = 0; i < tagFifo.size(); ++i) {
             if (tagFifo.at(i) == req.id) {
                 tagFifo.erase(i);
@@ -139,7 +139,7 @@ DystaHwScheduler::onComplete(const Request& req, double now)
             }
         }
     } else {
-        auto it = std::find(hostQueue.begin(), hostQueue.end(), req.id);
+        auto it = std::find(hostQueue.begin(), hostQueue.end(), &req);
         if (it != hostQueue.end())
             hostQueue.erase(it);
     }
@@ -160,12 +160,10 @@ DystaHwScheduler::selectNext(const std::vector<const Request*>& ready,
 
     for (size_t i = 0; i < ready.size(); ++i) {
         const Request& req = *ready[i];
-        if (!resident.count(req.id))
+        const HwRequestState* rs = state.find(req);
+        if (rs == nullptr || !rs->resident)
             continue; // still in the host-side overflow queue
-        auto it = state.find(req.id);
-        panicIf(it == state.end(), "DystaHwScheduler: unknown request");
-        const HwRequestState& rs = it->second;
-        const LutEntry& entry = modelLut.read(rs.lutId);
+        const LutEntry& entry = modelLut.read(rs->lutId);
 
         // Time differences are formed on the controller's integer
         // cycle counter (exact) and only the small deltas enter the
@@ -177,7 +175,7 @@ DystaHwScheduler::selectNext(const std::vector<const Request*>& ready,
 
         double slack_cap =
             cfg.slackCapFactor * entry.info->avgLatency;
-        CuResult sc = cu.score(rs.gamma, avg_remaining, ddl_minus_now,
+        CuResult sc = cu.score(rs->gamma, avg_remaining, ddl_minus_now,
                                wait, entry.recipIsolation, recip_queue,
                                cfg.eta, cfg.slackFloor, slack_cap,
                                cfg.penaltyCap);

@@ -18,13 +18,11 @@
 #ifndef DYSTA_HW_HW_SCHEDULER_HH
 #define DYSTA_HW_HW_SCHEDULER_HH
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "hw/compute_unit.hh"
 #include "hw/fifo.hh"
 #include "hw/lut.hh"
 #include "sched/scheduler.hh"
+#include "sched/slot_table.hh"
 
 namespace dysta {
 
@@ -103,6 +101,8 @@ class DystaHwScheduler : public Scheduler
         size_t lutId = 0;
         double gamma = 1.0;
         double staticScore = 0.0;
+        /** In the request FIFO (false: host-side overflow queue). */
+        bool resident = false;
     };
 
     HwSchedulerConfig cfg;
@@ -110,9 +110,8 @@ class DystaHwScheduler : public Scheduler
     ComputeUnit cu;
     HwLut<LutEntry> modelLut;
     Fifo<int> tagFifo;
-    std::unordered_map<int, HwRequestState> state;
-    std::unordered_set<int> resident;
-    std::vector<int> hostQueue; ///< arrival-ordered overflow
+    SlotTable<HwRequestState> state;
+    std::vector<const Request*> hostQueue; ///< arrival-ordered overflow
 
     uint64_t schedCycles = 0;
     uint64_t decisionCount = 0;

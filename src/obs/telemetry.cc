@@ -223,17 +223,19 @@ Telemetry::layerComplete(const Request& req, int node, size_t layer,
     record({end, TeleKind::LayerComplete, node, req.id,
             static_cast<int>(layer), start, sparsity, -1});
     sample(node, end);
-    // A hedge clone shares its primary's id: feeding its execution
-    // into the probes would corrupt the primary's prediction state,
-    // so clones only count in the node-level channels above.
-    if (req.isHedgeClone)
+    // A hedge clone shares its primary's id and run slot: feeding its
+    // execution into the probes would corrupt the primary's
+    // prediction state, so clones only count in the node-level
+    // channels above.
+    if (req.isHedgeClone || probes.empty())
         return;
+    // Ground truth once per layer, shared by every probe.
+    const double truth = req.done() ? 0.0 : req.trueRemaining();
     for (Probe& probe : probes) {
         probe.est->observe(req, sparsity);
         if (req.done())
             continue;
-        double residual =
-            probe.est->remaining(req) - req.trueRemaining();
+        double residual = probe.est->remaining(req) - truth;
         ++probe.n;
         probe.sum += residual;
         probe.sum2 += residual * residual;
@@ -311,8 +313,9 @@ void
 Telemetry::hedgeCancel(const Request& req, int node, double now)
 {
     ++numHedgeCancels;
-    // No probe release: the copies share an id, and the winning
-    // copy's complete()/the primary's lifecycle owns that state.
+    // No probe release: the copies share an id and run slot, and the
+    // winning copy's complete()/the primary's lifecycle owns that
+    // state.
     record({now, TeleKind::HedgeCancel, node, req.id, -1, 0.0, 0.0,
             -1});
 }

@@ -22,8 +22,8 @@ void
 FcfsScheduler::onComplete(const Request& req, double now)
 {
     Scheduler::onComplete(req, now);
-    if (queue.contains(req.id))
-        queue.erase(req.id);
+    if (queue.contains(req))
+        queue.erase(req);
 }
 
 size_t

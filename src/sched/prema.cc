@@ -11,16 +11,16 @@ PremaScheduler::reset()
 {
     Scheduler::reset();
     order.clear();
-    slot.clear();
+    position.clear();
     nextSeq = 0;
 }
 
 PremaScheduler::Entry&
 PremaScheduler::entryOf(const Request& req)
 {
-    auto it = slot.find(req.id);
-    panicIf(it == slot.end(), "PREMA: unknown request");
-    return order[it->second];
+    size_t* idx = position.find(req);
+    panicIf(idx == nullptr, "PREMA: unknown request");
+    return order[*idx];
 }
 
 double
@@ -38,13 +38,13 @@ void
 PremaScheduler::onArrival(const Request& req, double now)
 {
     Scheduler::onArrival(req, now);
-    panicIf(slot.count(req.id) > 0, "PREMA: duplicate request id");
+    panicIf(position.contains(req), "PREMA: duplicate request id");
     Entry e;
     e.req = &req;
     e.isol = std::max(est->isolated(req), 1e-12);
     e.remaining = est->remaining(req);
     e.seq = nextSeq++;
-    slot[req.id] = order.size();
+    position.emplace(req, order.size());
     order.push_back(e);
 }
 
@@ -54,23 +54,23 @@ PremaScheduler::onLayerComplete(const Request& req, double now,
 {
     Scheduler::onLayerComplete(req, now, monitored_sparsity);
     // Lazy re-key: only the progressed request's remainder changed.
-    auto it = slot.find(req.id);
-    if (it != slot.end())
-        order[it->second].remaining = est->remaining(req);
+    if (const size_t* idx = position.find(req))
+        order[*idx].remaining = est->remaining(req);
 }
 
 void
 PremaScheduler::onComplete(const Request& req, double now)
 {
     Scheduler::onComplete(req, now);
-    auto it = slot.find(req.id);
-    if (it == slot.end())
+    const size_t* found = position.find(req);
+    if (found == nullptr)
         return;
-    size_t idx = it->second;
-    slot.erase(it);
+    size_t idx = *found;
+    position.erase(req);
     if (idx != order.size() - 1) {
         order[idx] = order.back();
-        slot[order[idx].req->id] = idx;
+        if (size_t* moved = position.find(*order[idx].req))
+            *moved = idx;
     }
     order.pop_back();
 }

@@ -22,9 +22,8 @@
 #ifndef DYSTA_SCHED_PREMA_HH
 #define DYSTA_SCHED_PREMA_HH
 
-#include <unordered_map>
-
 #include "sched/scheduler.hh"
+#include "sched/slot_table.hh"
 
 namespace dysta {
 
@@ -73,8 +72,8 @@ class PremaScheduler : public Scheduler
         int64_t seq = 0;
     };
 
-    std::vector<Entry> order;             ///< dense cache (unordered)
-    std::unordered_map<int, size_t> slot; ///< request id -> index
+    std::vector<Entry> order;   ///< dense cache (unordered)
+    SlotTable<size_t> position; ///< request -> index in order
     int64_t nextSeq = 0;
 
     Entry& entryOf(const Request& req);

@@ -37,6 +37,7 @@ makeRequest(int id, const std::string& model_name,
 {
     Request req;
     req.id = id;
+    req.slot = id;
     req.modelName = model_name;
     req.pattern = pattern;
     req.trace = &trace;

@@ -20,6 +20,15 @@ namespace dysta {
 struct Request
 {
     int id = -1;
+    /**
+     * Dense run-local index of this request's scheduler and
+     * estimator state (see sched/slot_table.hh). runSimulation hands
+     * slots out from a free list while the request is live;
+     * makeRequest seeds it with the id, so requests used outside a
+     * run still index distinct state. A hedge clone shares its
+     * primary's slot.
+     */
+    int slot = -1;
     std::string modelName;
     SparsityPattern pattern = SparsityPattern::Dense;
 

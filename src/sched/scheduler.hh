@@ -94,9 +94,9 @@ class Scheduler
      * forget it exactly as if it had completed (estimator release,
      * queue/cache erase); the default delegates to onComplete, which
      * performs precisely that cleanup for every built-in policy
-     * (their onComplete handlers tolerate ids they no longer track).
-     * Override only if completion has policy side effects a dequeue
-     * must not trigger.
+     * (their onComplete handlers tolerate requests they no longer
+     * track). Override only if completion has policy side effects a
+     * dequeue must not trigger.
      */
     virtual void
     onDequeue(const Request& req, double now)

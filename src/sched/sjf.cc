@@ -26,16 +26,16 @@ SjfScheduler::onLayerComplete(const Request& req, double now,
     Scheduler::onLayerComplete(req, now, monitored_sparsity);
     // Lazy re-key: only this request's estimate can have changed
     // (progress, and possibly a sparsity refinement).
-    if (queue.contains(req.id))
-        queue.updatePrimary(req.id, est->remaining(req));
+    if (queue.contains(req))
+        queue.updatePrimary(req, est->remaining(req));
 }
 
 void
 SjfScheduler::onComplete(const Request& req, double now)
 {
     Scheduler::onComplete(req, now);
-    if (queue.contains(req.id))
-        queue.erase(req.id);
+    if (queue.contains(req))
+        queue.erase(req);
 }
 
 size_t

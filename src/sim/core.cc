@@ -105,11 +105,28 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
 
     std::unique_ptr<Calendar> calendar = makeCalendar(cfg.calendar);
 
+    // Dense run slots (Request::slot) index every scheduler's and
+    // estimator's per-request state. A request holds one from the
+    // moment its arrival is pumped until just before the source
+    // retires it; the LIFO free list keeps the slot range as small
+    // as the peak number of live requests.
+    std::vector<int> free_slots;
+    int slots_made = 0;
+    auto releaseSlot = [&](const Request* req) {
+        free_slots.push_back(req->slot);
+    };
+
     // Prime the lazy arrival pump: the first arrival enters the
     // calendar now, each later one when its predecessor pops.
     auto pushArrival = [&](Request* req) {
         panicIf(req->trace == nullptr || req->trace->layers.empty(),
                 "runSimulation: request without a trace");
+        if (free_slots.empty()) {
+            req->slot = slots_made++;
+        } else {
+            req->slot = free_slots.back();
+            free_slots.pop_back();
+        }
         SimEvent ev;
         ev.time = req->arrival;
         ev.kind = SimEventKind::Arrival;
@@ -309,6 +326,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             tele->shed(*req, now);
         if (sink)
             sink->recordShed(*req);
+        releaseSlot(req);
         source.retire(req, now);
     };
 
@@ -435,9 +453,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     };
 
     // Retire one completed logical request: resolve any hedge pair,
-    // account it, give rebalancers a look, and hand the slot back to
-    // the source. Shared verbatim by the scalar and batch completion
-    // paths so batching cannot drift the retirement semantics.
+    // account it, give rebalancers a look, and hand the request back
+    // to the source. Shared verbatim by the scalar and batch
+    // completion paths so batching cannot drift the retirement
+    // semantics.
     auto retireCompleted = [&](SimNode& node, Request* done,
                                double now) {
         // First completion of a hedged pair wins; the loser is
@@ -452,9 +471,8 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             if (tele)
                 tele->hedgeCancel(*prim, prim->lastNode, now);
             cancelCopy(prim, now);
-            // The estimator layer keys per-request state by id
-            // (shared by both copies), so completing the clone
-            // retires the primary's entry too.
+            // Both copies share one id and run slot, so completing
+            // the clone retires the primary's estimator state too.
             dispatcher.onComplete(node, *done, now);
             prim->finishTime = done->finishTime;
             prim->executedTime = done->executedTime;
@@ -484,9 +502,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             pushDecision(now);
         if (sink)
             sink->recordCompleted(*logical);
-        // All callbacks are past; the source may recycle the slot
-        // (no node holds a reference: completion cleared
-        // running/lastRun and the ready queue).
+        // All callbacks are past; the source may recycle the request
+        // and the loop its run slot (no node holds a reference:
+        // completion cleared running/lastRun and the ready queue).
+        releaseSlot(logical);
         source.retire(logical, now);
     };
 
@@ -676,7 +695,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                                                  m->nextLayer,
                                                  now - lat, now});
                 }
-                std::vector<Request*> completed =
+                const std::vector<Request*>& completed =
                     node.completeBatchStep();
                 // The anchor drives the sparsity feedback, exactly
                 // as in the scalar path.

@@ -335,7 +335,10 @@ SimNode::batchShouldHold(double now, double* release_at) const
  * Fill the batch from the ready queue up to maxSize, ordered by the
  * composition policy. Candidate ranking consults the scheduler's own
  * estimator (sparsity-refined under Dysta); estimator-less policies
- * (FCFS) fall back to queue order for every composition.
+ * (FCFS) fall back to queue order for every composition. Each
+ * candidate's rank key is computed once, and a stable insertion sort
+ * on it gives exactly the order of a stable comparator sort over the
+ * same expression, without allocating.
  */
 void
 SimNode::composeBatch(double now, bool at_join)
@@ -343,13 +346,13 @@ SimNode::composeBatch(double now, bool at_join)
     size_t cap = static_cast<size_t>(batchCfg.maxSize);
     if (batch.size() >= cap)
         return;
-    std::vector<Request*> cand;
-    cand.reserve(ready.size());
+
+    ranked.clear();
     for (Request* r : ready) {
         if (std::find(batch.begin(), batch.end(), r) == batch.end())
-            cand.push_back(r);
+            ranked.push_back({0.0, r});
     }
-    if (cand.empty())
+    if (ranked.empty())
         return;
 
     const LatencyEstimator* est = sched->estimator();
@@ -359,27 +362,30 @@ SimNode::composeBatch(double now, bool at_join)
                static_cast<double>(left == 0 ? 1 : left);
     };
     if (est != nullptr && batchCfg.compose == BatchCompose::Greedy) {
-        std::stable_sort(cand.begin(), cand.end(),
-                         [&](const Request* a, const Request* b) {
-                             return est->remaining(*a) <
-                                    est->remaining(*b);
-                         });
+        for (RankedCandidate& c : ranked)
+            c.key = est->remaining(*c.req);
     } else if (est != nullptr &&
                batchCfg.compose == BatchCompose::Sparsity) {
         // Group members of similar predicted density: per-layer
         // estimated time closest to the anchor's, so the step's max
         // tracks its mean instead of one dense straggler.
         double pivot = perLayer(blockOwner);
-        std::stable_sort(cand.begin(), cand.end(),
-                         [&](const Request* a, const Request* b) {
-                             return std::abs(perLayer(a) - pivot) <
-                                    std::abs(perLayer(b) - pivot);
-                         });
+        for (RankedCandidate& c : ranked)
+            c.key = std::abs(perLayer(c.req) - pivot);
+    }
+    // Stable: equal keys (all of them under fifo) keep queue order.
+    for (size_t i = 1; i < ranked.size(); ++i) {
+        RankedCandidate moving = ranked[i];
+        size_t j = i;
+        for (; j > 0 && moving.key < ranked[j - 1].key; --j)
+            ranked[j] = ranked[j - 1];
+        ranked[j] = moving;
     }
 
-    for (Request* r : cand) {
+    for (const RankedCandidate& c : ranked) {
         if (batch.size() >= cap)
             break;
+        Request* r = c.req;
         batch.push_back(r);
         if (r->nextLayer == 0) {
             bstats.fillWaitSec += now - r->nodeEnqueueTime;
@@ -448,7 +454,7 @@ SimNode::beginBatch(double now)
     return startBatchStep(now + prof.decisionOverheadSec);
 }
 
-std::vector<Request*>
+const std::vector<Request*>&
 SimNode::completeBatchStep()
 {
     panicIf(!busy(), "SimNode::completeBatchStep on idle node");
@@ -457,7 +463,7 @@ SimNode::completeBatchStep()
     ++bstats.steps;
     bstats.memberSteps += batch.size();
 
-    std::vector<Request*> completed;
+    completed.clear();
     for (Request* m : batch) {
         size_t layer_idx = m->nextLayer;
         const LayerTrace& layer = m->trace->layers[layer_idx];

@@ -299,8 +299,9 @@ class SimNode
      * Finish the in-flight batch step at its completion time: every
      * member advances one layer; finished members retire.
      * @return the members that just completed, in batch order
+     *         (valid until the next completeBatchStep)
      */
-    std::vector<Request*> completeBatchStep();
+    const std::vector<Request*>& completeBatchStep();
 
     /**
      * Admit new members at a layer boundary (continuous batching),
@@ -370,6 +371,15 @@ class SimNode
     double batchStepBase = 0.0;      ///< max member latency of the step
     double batchStepLat = 0.0;       ///< step wall time (with overhead)
     BatchCounters bstats;
+
+    /** A composition candidate with its rank key, computed once. */
+    struct RankedCandidate
+    {
+        double key;
+        Request* req;
+    };
+    std::vector<RankedCandidate> ranked; ///< composeBatch scratch
+    std::vector<Request*> completed;     ///< completeBatchStep result
 
     double startLayer(double now);
     void composeBatch(double now, bool at_join);

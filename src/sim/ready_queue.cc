@@ -12,16 +12,19 @@ IndexedMinHeap::clear()
 }
 
 void
-IndexedMinHeap::place(size_t i, Slot slot)
+IndexedMinHeap::place(size_t i, Item item)
 {
-    heap[i] = slot;
-    pos[slot.req->id] = i;
+    heap[i] = item;
+    // A leaked tenant whose slot was since reused has no position
+    // left to maintain.
+    if (size_t* at = pos.find(*item.req))
+        *at = i;
 }
 
-void
+size_t
 IndexedMinHeap::siftUp(size_t i)
 {
-    Slot moving = heap[i];
+    Item moving = heap[i];
     while (i > 0) {
         size_t parent = (i - 1) / 2;
         if (!(moving.key < heap[parent].key))
@@ -30,12 +33,13 @@ IndexedMinHeap::siftUp(size_t i)
         i = parent;
     }
     place(i, moving);
+    return i;
 }
 
-void
+size_t
 IndexedMinHeap::siftDown(size_t i)
 {
-    Slot moving = heap[i];
+    Item moving = heap[i];
     size_t n = heap.size();
     while (true) {
         size_t child = 2 * i + 1;
@@ -49,46 +53,43 @@ IndexedMinHeap::siftDown(size_t i)
         i = child;
     }
     place(i, moving);
+    return i;
 }
 
 void
 IndexedMinHeap::push(const Request* req, ReadyKey key)
 {
     panicIf(req == nullptr, "IndexedMinHeap: null request");
-    panicIf(contains(req->id),
-            "IndexedMinHeap: duplicate request id");
+    panicIf(contains(*req), "IndexedMinHeap: duplicate request id");
     heap.push_back({req, key});
-    pos[req->id] = heap.size() - 1;
+    pos.emplace(*req, heap.size() - 1);
     siftUp(heap.size() - 1);
 }
 
 void
-IndexedMinHeap::erase(int request_id)
+IndexedMinHeap::erase(const Request& req)
 {
-    auto it = pos.find(request_id);
-    panicIf(it == pos.end(), "IndexedMinHeap: erase of absent request");
-    size_t i = it->second;
-    pos.erase(it);
-    Slot last = heap.back();
+    const size_t* at = pos.find(req);
+    panicIf(at == nullptr, "IndexedMinHeap: erase of absent request");
+    size_t i = *at;
+    pos.erase(req);
+    Item last = heap.back();
     heap.pop_back();
     if (i == heap.size())
         return;
     place(i, last);
-    // The displaced slot may need to move either way.
-    siftUp(i);
-    siftDown(pos[last.req->id]);
+    // The displaced item may need to move either way.
+    siftDown(siftUp(i));
 }
 
 void
-IndexedMinHeap::updatePrimary(int request_id, double primary)
+IndexedMinHeap::updatePrimary(const Request& req, double primary)
 {
-    auto it = pos.find(request_id);
-    panicIf(it == pos.end(),
-            "IndexedMinHeap: update of absent request");
-    size_t i = it->second;
+    const size_t* at = pos.find(req);
+    panicIf(at == nullptr, "IndexedMinHeap: update of absent request");
+    size_t i = *at;
     heap[i].key.primary = primary;
-    siftUp(i);
-    siftDown(pos[request_id]);
+    siftDown(siftUp(i));
 }
 
 const Request*

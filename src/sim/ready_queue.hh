@@ -2,12 +2,13 @@
  * @file
  * Heap-backed ready queues for scheduling policies.
  *
- * `IndexedMinHeap` is an indexed binary min-heap over requests: the
- * position map keyed by request id gives O(log n) push / erase /
- * re-key and O(1) access to the minimum. Policies whose ordering is
- * time-invariant between engine callbacks (FCFS's arrival order,
- * SJF's estimated remainder, Dysta's frozen static score) keep one
- * as their ready queue and answer `pickNext` from the heap top —
+ * `IndexedMinHeap` is an indexed binary min-heap over requests: a
+ * position table indexed by the request's run slot (see
+ * sched/slot_table.hh) gives O(log n) push / erase / re-key and O(1)
+ * access to the minimum. Policies whose ordering is time-invariant
+ * between engine callbacks (FCFS's arrival order, SJF's estimated
+ * remainder, Dysta's frozen static score) keep one as their ready
+ * queue and answer `pickNext` from the heap top —
  * re-keying lazily when an estimate actually changes (a layer
  * completed, a sparsity observation refined the remainder) instead
  * of rescoring the whole queue at every decision.
@@ -26,10 +27,10 @@
 #define DYSTA_SIM_READY_QUEUE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/request.hh"
+#include "sched/slot_table.hh"
 
 namespace dysta {
 
@@ -53,7 +54,7 @@ operator<(const ReadyKey& a, const ReadyKey& b)
     return a.tiebreak < b.tiebreak;
 }
 
-/** Indexed binary min-heap of requests keyed by request id. */
+/** Indexed binary min-heap of requests, indexed by run slot. */
 class IndexedMinHeap
 {
   public:
@@ -61,22 +62,19 @@ class IndexedMinHeap
     bool empty() const { return heap.empty(); }
     void clear();
 
-    bool contains(int request_id) const
-    {
-        return pos.count(request_id) > 0;
-    }
+    bool contains(const Request& req) const { return pos.contains(req); }
 
-    /** Insert a request. panic() if its id is already present. */
+    /** Insert a request. panic() if it is already present. */
     void push(const Request* req, ReadyKey key);
 
     /** Remove a request. panic() if absent. */
-    void erase(int request_id);
+    void erase(const Request& req);
 
     /**
      * Re-key a request's primary score, keeping its tie-break.
      * panic() if absent.
      */
-    void updatePrimary(int request_id, double primary);
+    void updatePrimary(const Request& req, double primary);
 
     /** Minimum-key request. @pre !empty() */
     const Request* top() const;
@@ -85,18 +83,19 @@ class IndexedMinHeap
     const ReadyKey& topKey() const;
 
   private:
-    struct Slot
+    struct Item
     {
         const Request* req;
         ReadyKey key;
     };
 
-    std::vector<Slot> heap;
-    std::unordered_map<int, size_t> pos; ///< request id -> heap slot
+    std::vector<Item> heap;
+    SlotTable<size_t> pos; ///< request -> index in heap
 
-    void siftUp(size_t i);
-    void siftDown(size_t i);
-    void place(size_t i, Slot slot);
+    /** Restore heap order around index i; returns its final index. */
+    size_t siftUp(size_t i);
+    size_t siftDown(size_t i);
+    void place(size_t i, Item item);
 };
 
 } // namespace dysta

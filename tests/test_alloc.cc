@@ -141,7 +141,7 @@ TEST(AllocationBudget, MegascaleCellAllocatesAlmostNothingPerRequest)
         ASSERT_EQ(cell.cluster.nodes.size(), 4u);
         ASSERT_EQ(cell.scheduler, "Dysta");
         double per_request = marginalAllocationsPerRequest(*ctx, cell);
-        EXPECT_LE(per_request, 3.0)
+        EXPECT_LE(per_request, 0.5)
             << "arrival " << toString(cell.workload.arrival.kind);
     }
 }
@@ -163,8 +163,29 @@ TEST(AllocationBudget, Tab05CellsStayWithinBudgetOnAverage)
         breakdown += "\n  " + toString(cell.workload.kind) + " " +
                      cell.scheduler + ": " + std::to_string(per_request);
     }
-    EXPECT_LE(total / static_cast<double>(cells.size()), 8.0)
+    EXPECT_LE(total / static_cast<double>(cells.size()), 2.0)
         << "allocations per request by cell:" << breakdown;
+}
+
+TEST(AllocationBudget, BatchingCellsAllocateAlmostNothingPerRequest)
+{
+    ScenarioSpec spec = scenario("batching");
+    std::unique_ptr<BenchContext> ctx =
+        makeBenchContext(scenarioSetup(spec));
+    std::vector<SweepCell> cells = scenarioCells(spec);
+    // Unbatched plus the fifo, greedy and sparsity compositions on a
+    // saturated two-node Dysta fleet: ready sets run deep, and every
+    // batch step composes from them and retires its members.
+    ASSERT_EQ(cells.size(), 4u);
+    for (const SweepCell& cell : cells) {
+        ASSERT_TRUE(cell.clusterMode);
+        ASSERT_EQ(cell.scheduler, "Dysta");
+        double per_request = marginalAllocationsPerRequest(*ctx, cell);
+        EXPECT_LE(per_request, 0.5)
+            << "batcher "
+            << (cell.cluster.batcher.empty() ? "none"
+                                             : cell.cluster.batcher);
+    }
 }
 
 } // namespace

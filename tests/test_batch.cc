@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "sched/sjf.hh"
 #include "sim/node.hh"
 #include "test_helpers.hh"
+#include "util/rng.hh"
 #include "workload/cluster_spec.hh"
 
 using namespace dysta;
@@ -335,6 +338,183 @@ TEST(BatchFormation, EstimatorLessPoliciesFallBackToQueueOrder)
     EXPECT_EQ(node.activeBatch()[0]->modelName, "d");
     EXPECT_EQ(node.activeBatch()[1]->modelName, "c");
     EXPECT_EQ(node.activeBatch()[2]->modelName, "b");
+}
+
+namespace {
+
+/**
+ * Estimator reading a fixed remaining time per request id, counting
+ * every remaining() query into `calls`.
+ */
+class CountingEstimator : public LatencyEstimator
+{
+  public:
+    CountingEstimator(std::vector<double> remaining_by_id, size_t& calls)
+        : table(std::move(remaining_by_id)), counter(&calls)
+    {
+    }
+
+    std::string name() const override { return "counting"; }
+
+    double
+    remaining(const Request& req) const override
+    {
+        ++*counter;
+        return table.at(static_cast<size_t>(req.id));
+    }
+
+    double
+    isolated(const Request& req) const override
+    {
+        return table.at(static_cast<size_t>(req.id));
+    }
+
+  private:
+    std::vector<double> table;
+    size_t* counter;
+};
+
+/** Anchors every batch on the queue head; exposes its estimator. */
+class HeadOfQueueScheduler : public Scheduler
+{
+  public:
+    explicit HeadOfQueueScheduler(std::unique_ptr<LatencyEstimator> e)
+        : Scheduler(std::move(e))
+    {
+    }
+
+    std::string name() const override { return "head-of-queue"; }
+
+    size_t
+    selectNext(const std::vector<const Request*>& ready,
+               double now) override
+    {
+        (void)ready;
+        (void)now;
+        return 0;
+    }
+};
+
+/** A node composing with `compose` up to `size` members. */
+SimNode
+countingNode(const std::vector<double>& remaining_by_id, size_t& calls,
+             const std::string& compose, int size)
+{
+    SimNode node(0, referenceNodeProfile(),
+                 std::make_unique<HeadOfQueueScheduler>(
+                     std::make_unique<CountingEstimator>(remaining_by_id,
+                                                         calls)));
+    node.setBatching(batchConfigFromSpec(
+        "batcher:size=" + std::to_string(size) + ",compose=" + compose));
+    return node;
+}
+
+} // namespace
+
+TEST(BatchComposition, RanksEachCandidateOnce)
+{
+    // One compose over n candidates: n estimator queries, plus one
+    // for the anchor's per-layer pivot under sparsity composition —
+    // not two per comparison of the sort.
+    const size_t n = 9;
+    std::vector<double> remaining_by_id;
+    for (size_t i = 0; i <= n; ++i)
+        remaining_by_id.push_back(1.0 + static_cast<double>((i * 7) % 5));
+    for (const char* compose : {"greedy", "sparsity"}) {
+        size_t calls = 0;
+        SimNode node =
+            countingNode(remaining_by_id, calls, compose, /*size=*/4);
+        std::vector<Request> reqs;
+        reqs.reserve(n + 1);
+        for (size_t i = 0; i <= n; ++i) {
+            reqs.push_back(
+                world().request(static_cast<int>(i), "c", 0.0));
+            node.enqueue(&reqs.back(), 0.0);
+        }
+        calls = 0;
+        node.beginBatch(0.0);
+        ASSERT_EQ(node.activeBatch().size(), 4u) << compose;
+        size_t pivot = std::string(compose) == "sparsity" ? 1 : 0;
+        EXPECT_EQ(calls, n + pivot) << compose;
+    }
+}
+
+TEST(BatchComposition, OrderMatchesAStableComparatorSort)
+{
+    // Randomized ready sets over few distinct remaining times and
+    // layer counts, so rank keys tie exactly (also across models in
+    // per-layer terms): the composed order must equal a stable sort
+    // of the queue with the comparator evaluated per comparison.
+    const char* models[] = {"a", "b", "c", "d", "two"};
+    const double levels[] = {0.5, 1.0, 2.0, 4.0};
+    Rng rng(2024);
+    size_t tied_sets = 0;
+    for (int trial = 0; trial < 150; ++trial) {
+        auto count = static_cast<size_t>(rng.uniformInt(2, 40));
+        std::vector<double> remaining_by_id;
+        std::vector<const char*> model_of;
+        for (size_t i = 0; i < count; ++i) {
+            remaining_by_id.push_back(levels[rng.uniformInt(0, 3)]);
+            model_of.push_back(models[rng.uniformInt(0, 4)]);
+        }
+        auto remaining = [&](const Request* r) {
+            return remaining_by_id.at(static_cast<size_t>(r->id));
+        };
+        auto perLayer = [&](const Request* r) {
+            size_t left = r->layerCount() - r->nextLayer;
+            return remaining(r) /
+                   static_cast<double>(left == 0 ? 1 : left);
+        };
+
+        for (const char* compose : {"greedy", "sparsity"}) {
+            size_t calls = 0;
+            SimNode node = countingNode(remaining_by_id, calls, compose,
+                                        static_cast<int>(count));
+            std::vector<Request> reqs;
+            reqs.reserve(count);
+            for (size_t i = 0; i < count; ++i) {
+                reqs.push_back(world().request(static_cast<int>(i),
+                                               model_of[i], 0.0));
+                node.enqueue(&reqs.back(), 0.0);
+            }
+            node.beginBatch(0.0);
+
+            std::vector<const Request*> expect;
+            for (size_t i = 1; i < count; ++i)
+                expect.push_back(&reqs[i]);
+            std::vector<double> keys;
+            if (std::string(compose) == "greedy") {
+                std::stable_sort(expect.begin(), expect.end(),
+                                 [&](const Request* a, const Request* b) {
+                                     return remaining(a) < remaining(b);
+                                 });
+                for (const Request* r : expect)
+                    keys.push_back(remaining(r));
+            } else {
+                double pivot = perLayer(&reqs[0]);
+                auto gap = [&](const Request* r) {
+                    return std::abs(perLayer(r) - pivot);
+                };
+                std::stable_sort(expect.begin(), expect.end(),
+                                 [&](const Request* a, const Request* b) {
+                                     return gap(a) < gap(b);
+                                 });
+                for (const Request* r : expect)
+                    keys.push_back(gap(r));
+            }
+            if (std::adjacent_find(keys.begin(), keys.end()) != keys.end())
+                ++tied_sets;
+
+            const std::vector<Request*>& batch = node.activeBatch();
+            ASSERT_EQ(batch.size(), count) << compose;
+            EXPECT_EQ(batch[0], &reqs[0]) << compose;
+            for (size_t i = 1; i < count; ++i)
+                ASSERT_EQ(batch[i], expect[i - 1])
+                    << compose << " trial " << trial << " position " << i;
+        }
+    }
+    // The property is only interesting on sets with exact ties.
+    EXPECT_GT(tied_sets, 100u);
 }
 
 // --- fleet grammar ----------------------------------------------------------

@@ -144,7 +144,7 @@ TEST(DystaEstimator, RefinementBeatsLutOnDeviatingSample)
     double refined_err = std::abs(dysta.remaining(req) - truth);
     EXPECT_LT(refined_err, lut_err);
     // Denser than profile: gamma must rise above 1.
-    EXPECT_GT(dysta.gamma(req.id), 1.0);
+    EXPECT_GT(dysta.gamma(req), 1.0);
 }
 
 TEST(DystaEstimator, UnrefinedPinsGammaToOne)
@@ -159,7 +159,7 @@ TEST(DystaEstimator, UnrefinedPinsGammaToOne)
     req.nextLayer = 1;
     frozen.observe(req, ms);
 
-    EXPECT_DOUBLE_EQ(frozen.gamma(req.id), 1.0);
+    EXPECT_DOUBLE_EQ(frozen.gamma(req), 1.0);
     EXPECT_DOUBLE_EQ(frozen.remaining(req), lut.remaining(req));
 }
 
@@ -177,7 +177,7 @@ TEST(DystaEstimator, ReleaseFallsBackToLut)
     EXPECT_NE(dysta.remaining(req), lut.remaining(req));
 
     dysta.release(req);
-    EXPECT_FALSE(dysta.tracks(req.id));
+    EXPECT_FALSE(dysta.tracks(req));
     EXPECT_DOUBLE_EQ(dysta.remaining(req), lut.remaining(req));
 }
 
@@ -190,7 +190,7 @@ TEST(DystaEstimator, IgnoresUnmonitoredLayers)
     dysta.admit(req);
     req.nextLayer = 1;
     dysta.observe(req, -1.0); // monitor missed the layer
-    EXPECT_DOUBLE_EQ(dysta.gamma(req.id), 1.0);
+    EXPECT_DOUBLE_EQ(dysta.gamma(req), 1.0);
 }
 
 // --- EMA convergence -------------------------------------------------------
@@ -239,7 +239,7 @@ TEST(DystaEstimator, EmaConvergesTowardGroundTruthAsLayersComplete)
 
     // gamma approaches the true density ratio of the sample.
     double true_ratio = (1.0 - 0.5 * (1.0 - spread)) / (1.0 - 0.5);
-    EXPECT_NEAR(ema.gamma(req.id), true_ratio, 0.05);
+    EXPECT_NEAR(ema.gamma(req), true_ratio, 0.05);
 }
 
 TEST(SparseLatencyPredictor, EmaWeightValidation)

@@ -41,6 +41,7 @@ dummyRequest(int id)
 {
     Request req;
     req.id = id;
+    req.slot = id;
     return req;
 }
 
@@ -60,9 +61,9 @@ TEST(IndexedMinHeap, OrdersByPrimaryThenTiebreak)
 
     EXPECT_EQ(h.size(), 4u);
     EXPECT_EQ(h.top()->id, 2); // smallest primary, smaller tiebreak
-    h.erase(2);
+    h.erase(reqs[2]);
     EXPECT_EQ(h.top()->id, 1);
-    h.erase(1);
+    h.erase(reqs[1]);
     EXPECT_EQ(h.top()->id, 0);
 }
 
@@ -77,11 +78,11 @@ TEST(IndexedMinHeap, UpdatePrimaryRekeysBothDirections)
     h.push(&reqs[1], {2.0, 1});
     h.push(&reqs[2], {3.0, 2});
 
-    h.updatePrimary(2, 0.5); // sift up
+    h.updatePrimary(reqs[2], 0.5); // sift up
     EXPECT_EQ(h.top()->id, 2);
-    h.updatePrimary(2, 10.0); // sift down
+    h.updatePrimary(reqs[2], 10.0); // sift down
     EXPECT_EQ(h.top()->id, 0);
-    h.updatePrimary(0, 5.0);
+    h.updatePrimary(reqs[0], 5.0);
     EXPECT_EQ(h.top()->id, 1);
 }
 
@@ -105,14 +106,14 @@ TEST(IndexedMinHeap, EraseMiddleKeepsHeapConsistent)
     std::vector<std::pair<double, int>> expect;
     for (const auto& [k, id] : keys) {
         if (id % 2 == 0)
-            h.erase(id);
+            h.erase(reqs[id]);
         else
             expect.push_back({k, id});
     }
     for (const auto& [k, id] : expect) {
         EXPECT_EQ(h.top()->id, id);
         EXPECT_DOUBLE_EQ(h.topKey().primary, k);
-        h.erase(id);
+        h.erase(reqs[id]);
     }
     EXPECT_TRUE(h.empty());
 }
