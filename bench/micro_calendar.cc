@@ -13,11 +13,12 @@
  * — and it is where the heap's O(log n) per operation separates
  * from the bucket queue's amortized O(1).
  *
- * Before timing, each population is cross-checked for determinism:
- * both calendars are fed the identical push sequence and must pop
- * the identical (time, kind, node, seq) sequence — the tie-break
- * contract that makes the simulation schedule independent of the
- * calendar choice. Any divergence aborts the benchmark.
+ * Before timing, the calendars are cross-checked for determinism:
+ * both are fed the identical push sequence and must pop the
+ * identical (time, kind, node, seq) sequence as a std::multiset
+ * reference — the tie-break contract that makes the simulation
+ * schedule independent of the calendar choice. Any divergence aborts
+ * the benchmark.
  *
  * Results go to stdout as a table and to BENCH_calendar.json with
  * events/sec (one hold = one pop + one push = two events) for both
@@ -31,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,50 +81,64 @@ nextEvent(Rng& rng, double base_time)
     return ev;
 }
 
+/** fatal() unless `got` is `want` in (time, kind, node, seq). */
+void
+requireSame(const char* who, const SimEvent& got, const SimEvent& want,
+            int pop)
+{
+    if (got.time != want.time || got.kind != want.kind ||
+        got.node != want.node || got.seq != want.seq)
+        fatal("micro_calendar: " + std::string(who) +
+              " calendar diverged from the reference at pop " +
+              std::to_string(pop) + " (got t=" +
+              std::to_string(got.time) + " seq=" +
+              std::to_string(got.seq) + ", want t=" +
+              std::to_string(want.time) + " seq=" +
+              std::to_string(want.seq) + ")");
+}
+
 /**
  * Feed both calendars one identical push/pop interleaving and
- * require identical pop sequences. Uses a smaller population than
- * the timed run; the property is size-independent.
+ * require each pop to be the minimum, under operator<, of a
+ * std::multiset reference holding every pending event — an
+ * independent check, since both calendars share one EventHeap. Uses
+ * a smaller population than the timed run; the property is
+ * size-independent.
  */
 void
 crossCheck(uint64_t seed)
 {
     EventQueue heap;
     BucketCalendar bucket;
-    Rng rng(seed);
-    double now = 0.0;
-    for (int i = 0; i < 5000; ++i) {
-        SimEvent ev = nextEvent(rng, now);
+    std::multiset<SimEvent> ref;
+    uint64_t seq = 0;
+    auto push = [&](SimEvent ev) {
         heap.push(ev);
         bucket.push(ev);
+        ev.seq = seq++;
+        ref.insert(ev);
+    };
+    auto popAndCheck = [&](int i) {
+        SimEvent want = *ref.begin();
+        ref.erase(ref.begin());
+        requireSame("heap", heap.pop(), want, i);
+        requireSame("bucket", bucket.pop(), want, i);
+        return want;
+    };
+    Rng rng(seed);
+    double now = 0.0;
+    for (int i = 0; i < 5000; ++i)
+        push(nextEvent(rng, now));
+    int pops = 0;
+    for (; pops < 20000; ++pops) {
+        now = popAndCheck(pops).time;
+        push(nextEvent(rng, now));
     }
-    for (int i = 0; i < 20000; ++i) {
-        SimEvent a = heap.pop();
-        SimEvent b = bucket.pop();
-        fatalIf(a.time != b.time || a.kind != b.kind ||
-                    a.node != b.node || a.seq != b.seq,
-                "micro_calendar: heap and bucket calendars diverged "
-                "at pop " +
-                    std::to_string(i) + " (heap t=" +
-                    std::to_string(a.time) + " seq=" +
-                    std::to_string(a.seq) + ", bucket t=" +
-                    std::to_string(b.time) + " seq=" +
-                    std::to_string(b.seq) + ")");
-        now = a.time;
-        SimEvent next = nextEvent(rng, now);
-        heap.push(next);
-        bucket.push(next);
-    }
-    while (!heap.empty()) {
-        SimEvent a = heap.pop();
-        SimEvent b = bucket.pop();
-        fatalIf(a.time != b.time || a.kind != b.kind ||
-                    a.node != b.node || a.seq != b.seq,
-                "micro_calendar: calendars diverged during drain");
-    }
-    fatalIf(!bucket.empty(),
-            "micro_calendar: bucket calendar still holds events "
-            "after the heap drained");
+    while (!ref.empty())
+        popAndCheck(pops++);
+    fatalIf(!heap.empty() || !bucket.empty(),
+            "micro_calendar: a calendar still holds events after the "
+            "reference drained");
 }
 
 struct HoldResult
@@ -190,8 +206,8 @@ main(int argc, char** argv)
 
     std::printf("Cross-checking calendar determinism...\n");
     crossCheck(seed);
-    std::printf("OK: heap and bucket pop identical (time, kind, "
-                "node, seq) sequences.\n\n");
+    std::printf("OK: heap and bucket pop the reference's (time, "
+                "kind, node, seq) sequence.\n\n");
 
     std::vector<size_t> sizes;
     for (long n = 10000; n <= max_pending; n *= 10)

@@ -21,16 +21,127 @@ operator<(const SimEvent& a, const SimEvent& b)
 
 namespace {
 
-/** std::*_heap comparator for a min-heap of events. */
-struct EventAfter
+const char*
+kindName(SimEventKind kind)
 {
-    bool operator()(const SimEvent& a, const SimEvent& b) const
-    {
-        return b < a;
+    switch (kind) {
+      case SimEventKind::Arrival: return "Arrival";
+      case SimEventKind::LayerComplete: return "LayerComplete";
+      case SimEventKind::NodeChange: return "NodeChange";
+      case SimEventKind::Decision: return "Decision";
+      case SimEventKind::Timeout: return "Timeout";
+      case SimEventKind::Hedge: return "Hedge";
+      case SimEventKind::BatchRelease: return "BatchRelease";
     }
-};
+    return "unknown";
+}
+
+/**
+ * Both calendars reject an event time that is NaN or negative: a NaN
+ * breaks the total order (and is UB in BucketCalendar::windowOf's
+ * integer conversion), and nothing may be scheduled before time
+ * zero. The message is built only on failure.
+ */
+inline void
+checkEventTime(const char* who, const SimEvent& ev)
+{
+    if (!(ev.time >= 0.0))
+        panic(std::string(who) + ": event time " +
+              std::to_string(ev.time) + " of kind " +
+              kindName(ev.kind) + " is NaN or negative");
+}
 
 } // namespace
+
+// --- EventHeap -------------------------------------------------------------
+
+void
+EventHeap::clear()
+{
+    heap.clear();
+    vacant = false;
+}
+
+void
+EventHeap::siftDownFromRoot(const SimEvent& ev)
+{
+    const size_t n = heap.size();
+    size_t hole = 0;
+    for (;;) {
+        size_t child = 2 * hole + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < ev))
+            break;
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = ev;
+}
+
+void
+EventHeap::settle()
+{
+    vacant = false;
+    SimEvent last = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        siftDownFromRoot(last);
+}
+
+void
+EventHeap::push(SimEvent ev)
+{
+    if (vacant) {
+        // The hold fast path: the successor of the event just popped
+        // takes its root slot with a single sift-down.
+        vacant = false;
+        siftDownFromRoot(ev);
+        return;
+    }
+    size_t hole = heap.size();
+    heap.push_back(ev);
+    while (hole > 0) {
+        size_t parent = (hole - 1) / 2;
+        if (!(ev < heap[parent]))
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = ev;
+}
+
+const SimEvent&
+EventHeap::top()
+{
+    if (vacant)
+        settle();
+    panicIf(heap.empty(), "EventHeap: top of empty calendar");
+    return heap.front();
+}
+
+SimEvent
+EventHeap::pop()
+{
+    if (vacant)
+        settle();
+    panicIf(heap.empty(), "EventHeap: pop of empty calendar");
+    vacant = true;
+    return heap.front();
+}
+
+void
+EventHeap::drainInto(std::vector<SimEvent>& out)
+{
+    if (vacant)
+        settle();
+    out.insert(out.end(), heap.begin(), heap.end());
+    heap.clear();
+}
+
+// --- EventQueue ------------------------------------------------------------
 
 void
 EventQueue::clear()
@@ -42,33 +153,31 @@ EventQueue::clear()
 void
 EventQueue::push(SimEvent ev)
 {
+    checkEventTime("EventQueue", ev);
     ev.seq = nextSeq++;
-    heap.push_back(ev);
-    std::push_heap(heap.begin(), heap.end(), EventAfter{});
+    heap.push(ev);
 }
 
 const SimEvent&
-EventQueue::top() const
+EventQueue::top()
 {
-    panicIf(heap.empty(), "EventQueue: top of empty calendar");
-    return heap.front();
+    return heap.top();
 }
 
 SimEvent
 EventQueue::pop()
 {
-    panicIf(heap.empty(), "EventQueue: pop of empty calendar");
-    std::pop_heap(heap.begin(), heap.end(), EventAfter{});
-    SimEvent ev = heap.back();
-    heap.pop_back();
-    return ev;
+    return heap.pop();
 }
 
 // --- BucketCalendar --------------------------------------------------------
 
 namespace {
 
-/** Initial (and minimum) bucket-array size. */
+/**
+ * Initial (and minimum) bucket-array size; every size is
+ * kMinBuckets * 2^k, so windows map to buckets with a mask.
+ */
 constexpr size_t kMinBuckets = 8;
 
 } // namespace
@@ -84,14 +193,17 @@ BucketCalendar::clear()
     buckets.assign(kMinBuckets, {});
     count = 0;
     nextSeq = 0;
-    width = 1.0;
+    invWidth = 1.0;
     currentWindow = 0;
 }
 
 uint64_t
 BucketCalendar::windowOf(double time) const
 {
-    double window = time / width;
+    // A multiply by a positive constant is monotone in time, so every
+    // window holds a contiguous time range and same-time ties share a
+    // window.
+    double window = time * invWidth;
     // Defensive clamp against uint64 overflow for absurd time/width
     // ratios: clamped events all land in the last window, where the
     // full comparator still orders them correctly.
@@ -104,14 +216,12 @@ void
 BucketCalendar::insert(const SimEvent& ev)
 {
     uint64_t window = windowOf(ev.time);
-    std::vector<SimEvent>& bucket = buckets[window % buckets.size()];
     // Each bucket is a min-heap under the full event order, so its
     // front is the bucket's earliest event. windowOf is monotone in
     // time, so the front also belongs to the earliest "year" the
     // bucket holds — which is what lets pop test a whole bucket
     // against the current window in O(1).
-    bucket.push_back(ev);
-    std::push_heap(bucket.begin(), bucket.end(), EventAfter{});
+    bucketOf(window).push(ev);
     // An event behind the cursor (e.g. pushed at the current sim
     // time after the cursor advanced past sparse windows) moves the
     // cursor back so the scan lower bound stays valid.
@@ -122,8 +232,7 @@ BucketCalendar::insert(const SimEvent& ev)
 void
 BucketCalendar::push(SimEvent ev)
 {
-    panicIf(ev.time < 0.0,
-            "BucketCalendar: event before time zero");
+    checkEventTime("BucketCalendar", ev);
     ev.seq = nextSeq++;
     insert(ev);
     ++count;
@@ -146,13 +255,11 @@ BucketCalendar::pop()
     // window is both the bucket's and therefore the window's
     // minimum. A front from an earlier year is impossible — the
     // cursor never passes a pending event (insert moves it back).
-    std::vector<SimEvent>* bucket = nullptr;
+    EventHeap* bucket = nullptr;
     for (size_t step = 0; step < buckets.size(); ++step) {
         uint64_t window = currentWindow + step;
-        std::vector<SimEvent>& cand =
-            buckets[window % buckets.size()];
-        if (!cand.empty() &&
-            windowOf(cand.front().time) == window) {
+        EventHeap& cand = bucketOf(window);
+        if (!cand.empty() && windowOf(cand.top().time) == window) {
             currentWindow = window;
             bucket = &cand;
             break;
@@ -163,20 +270,17 @@ BucketCalendar::pop()
         // Sparse tail: no event within a full bucket-array sweep of
         // windows. Fall back to comparing every bucket's front for
         // the global minimum and jump the cursor to its window.
-        for (std::vector<SimEvent>& cand : buckets) {
+        for (EventHeap& cand : buckets) {
             if (cand.empty())
                 continue;
-            if (bucket == nullptr ||
-                cand.front() < bucket->front())
+            if (bucket == nullptr || cand.top() < bucket->top())
                 bucket = &cand;
         }
         panicIf(bucket == nullptr, "BucketCalendar: lost events");
-        currentWindow = windowOf(bucket->front().time);
+        currentWindow = windowOf(bucket->top().time);
     }
 
-    std::pop_heap(bucket->begin(), bucket->end(), EventAfter{});
-    SimEvent ev = bucket->back();
-    bucket->pop_back();
+    SimEvent ev = bucket->pop();
     --count;
     maybeShrink();
     return ev;
@@ -185,21 +289,18 @@ BucketCalendar::pop()
 void
 BucketCalendar::resize(size_t new_bucket_count)
 {
+    panicIf(new_bucket_count < kMinBuckets ||
+                (new_bucket_count & (new_bucket_count - 1)) != 0,
+            "BucketCalendar: bucket count is not a power of two");
     std::vector<SimEvent> all;
     all.reserve(count);
-    double lo = 0.0;
-    double hi = 0.0;
-    for (std::vector<SimEvent>& bucket : buckets) {
-        for (const SimEvent& ev : bucket) {
-            if (all.empty()) {
-                lo = hi = ev.time;
-            } else {
-                lo = std::min(lo, ev.time);
-                hi = std::max(hi, ev.time);
-            }
-            all.push_back(ev);
-        }
-        bucket.clear();
+    for (EventHeap& bucket : buckets)
+        bucket.drainInto(all);
+    double lo = all.empty() ? 0.0 : all.front().time;
+    double hi = lo;
+    for (const SimEvent& ev : all) {
+        lo = std::min(lo, ev.time);
+        hi = std::max(hi, ev.time);
     }
     buckets.assign(new_bucket_count, {});
 
@@ -232,8 +333,10 @@ BucketCalendar::resize(size_t new_bucket_count)
         if (distinct > 0) {
             double tuned = (times[m - 1] - times[0]) /
                            static_cast<double>(distinct) * 3.0;
-            if (tuned > 0.0 && std::isfinite(tuned))
-                width = tuned;
+            double inv = 1.0 / tuned;
+            if (tuned > 0.0 && std::isfinite(tuned) &&
+                std::isfinite(inv))
+                invWidth = inv;
         }
     }
 

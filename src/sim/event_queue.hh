@@ -130,6 +130,46 @@ class Calendar
     virtual SimEvent pop() = 0;
 };
 
+/**
+ * Binary min-heap of events under operator< with a deferred pop, the
+ * storage of both calendars.
+ *
+ * pop() hands out the root and leaves its slot vacant; the next
+ * push() refills the vacancy with one hole-based sift-down from the
+ * root, so the hold pattern of a discrete-event loop (pop one event,
+ * push its successor) costs one sift instead of a pop_heap plus a
+ * push_heap. Any other access — top(), a second pop(), drainInto() —
+ * first settles the vacancy (last element to the root, sift down).
+ * size() and empty() never count the vacant slot.
+ */
+class EventHeap
+{
+  public:
+    bool empty() const { return size() == 0; }
+    size_t size() const { return heap.size() - (vacant ? 1 : 0); }
+    void clear();
+
+    void push(SimEvent ev);
+
+    /** Earliest event. @pre !empty() */
+    const SimEvent& top();
+
+    /** Remove and return the earliest event. @pre !empty() */
+    SimEvent pop();
+
+    /** Append every pending event to `out` (any order) and clear. */
+    void drainInto(std::vector<SimEvent>& out);
+
+  private:
+    std::vector<SimEvent> heap;
+    /** heap[0] was handed out by pop() and awaits a refill. */
+    bool vacant = false;
+
+    void settle();
+    /** Place `ev` at the root hole and sift it down to its slot. */
+    void siftDownFromRoot(const SimEvent& ev);
+};
+
 /** Deterministic min-heap calendar. */
 class EventQueue final : public Calendar
 {
@@ -141,28 +181,31 @@ class EventQueue final : public Calendar
     void push(SimEvent ev) override;
 
     /** Earliest event. @pre !empty() */
-    const SimEvent& top() const;
+    const SimEvent& top();
 
     SimEvent pop() override;
 
   private:
-    std::vector<SimEvent> heap;
+    EventHeap heap;
     uint64_t nextSeq = 0;
 };
 
 /**
  * Bucket (calendar-queue) implementation: events hash into
- * fixed-width time buckets, each kept as a small min-heap under the
- * full event order; pop scans forward from the current bucket's
- * time window — one O(1) front probe per bucket, since the front is
- * always the bucket's earliest year — wrapping around "years" for
- * events far in the future, and the bucket array resizes itself
- * (Brown's calendar-queue scheme, with the width tuned to the
- * head-local event density) to keep ~O(1) events per bucket. Same
- * deterministic tie-break contract as the heap — pop sequences are
- * identical event for event — but with near-O(1) push/pop under the
- * hold-model access pattern of large steady-state runs, where a
- * binary heap pays O(log n) per operation.
+ * fixed-width time buckets, each an EventHeap under the full event
+ * order; pop scans forward from the current bucket's time window —
+ * one O(1) front probe per bucket, since the front is always the
+ * bucket's earliest year — wrapping around "years" for events far in
+ * the future, and the bucket array resizes itself (Brown's
+ * calendar-queue scheme, with the width tuned to the head-local
+ * event density) to keep ~O(1) events per bucket. The bucket count
+ * is always a power of two, so a window maps to its bucket with a
+ * mask, and the window of a time is one multiply by the stored
+ * reciprocal width. Same deterministic tie-break contract as the
+ * heap — pop sequences are identical event for event — but with
+ * near-O(1) push/pop under the hold-model access pattern of large
+ * steady-state runs, where a binary heap pays O(log n) per
+ * operation.
  */
 class BucketCalendar final : public Calendar
 {
@@ -180,15 +223,22 @@ class BucketCalendar final : public Calendar
     size_t bucketCount() const { return buckets.size(); }
 
   private:
-    std::vector<std::vector<SimEvent>> buckets;
+    std::vector<EventHeap> buckets;
     size_t count = 0;
     uint64_t nextSeq = 0;
-    /** Bucket time width, in seconds. */
-    double width = 1.0;
+    /**
+     * Reciprocal of the bucket time width (1/s): windowOf multiplies
+     * by it instead of dividing by the width.
+     */
+    double invWidth = 1.0;
     /** Absolute (unwrapped) index of the current time window. */
     uint64_t currentWindow = 0;
 
     uint64_t windowOf(double time) const;
+    EventHeap& bucketOf(uint64_t window)
+    {
+        return buckets[window & (buckets.size() - 1)];
+    }
     void insert(const SimEvent& ev);
     void resize(size_t new_bucket_count);
     void maybeGrow();

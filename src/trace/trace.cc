@@ -1,5 +1,8 @@
 #include "trace/trace.hh"
 
+#include <cmath>
+#include <string>
+
 #include "util/csv.hh"
 #include "util/logging.hh"
 
@@ -175,7 +178,15 @@ TraceSet::load(const std::string& path)
         s.dark = table.cell(r, 1) != 0.0;
         s.layers.resize(layers);
         for (size_t l = 0; l < layers; ++l) {
-            s.layers[l].latency = table.cell(r, 2 + 2 * l);
+            double latency = table.cell(r, 2 + 2 * l);
+            // strtod accepts "nan", "inf" and negatives; any of them
+            // would silently poison every estimate built on the set.
+            if (!std::isfinite(latency) || latency < 0.0)
+                fatal("TraceSet::load: " + path + ": sample row " +
+                      std::to_string(r) + ", layer " +
+                      std::to_string(l) + ": invalid latency '" +
+                      row[2 + 2 * l] + "'");
+            s.layers[l].latency = latency;
             s.layers[l].monitoredSparsity = table.cell(r, 3 + 2 * l);
         }
         s.finalize();

@@ -1,6 +1,7 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -218,6 +219,11 @@ TraceRegistry::loadAllBinary(const std::string& path,
             trace.dark = dark != 0;
             trace.layers.resize(layers);
             get(trace.layers.data(), layers * sizeof(LayerTrace));
+            // A non-finite or negative latency marks the blob corrupt,
+            // as TraceSet::load rejects it in a CSV.
+            for (const LayerTrace& layer : trace.layers)
+                if (!std::isfinite(layer.latency) || layer.latency < 0.0)
+                    ok = false;
             if (!ok)
                 break;
             trace.finalize();

@@ -4,14 +4,19 @@
  * replay and P² sketch), streaming-vs-materialized bit-identity on
  * single-node and cluster runs (including failures/migration, which
  * exercise arena recycling), the RequestArena free list, and the
- * BucketCalendar's event-order equivalence with the binary heap.
+ * BucketCalendar's event-order equivalence with the binary heap, and
+ * both calendars against an independent std::multiset reference,
+ * including the deferred-pop vacancy edges of their shared EventHeap.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <set>
+#include <type_traits>
 #include <string>
 #include <vector>
 
@@ -396,22 +401,40 @@ TEST(BucketCalendar, ResizesUnderLoadAndSurvivesClear)
     size_t initial_buckets = q.bucketCount();
     Rng rng(31);
     double t = 0.0;
+    // Every grow and shrink keeps the count a power of two, which the
+    // mask indexing of windows relies on.
+    size_t last_count = initial_buckets;
+    int resizes = 0;
+    auto checkResize = [&] {
+        size_t n = q.bucketCount();
+        if (n == last_count)
+            return;
+        ++resizes;
+        EXPECT_EQ(n & (n - 1), 0u) << n << " buckets";
+        last_count = n;
+    };
     for (int i = 0; i < 20000; ++i) {
         SimEvent ev;
         t += rng.exponential(50.0);
         ev.time = t;
         q.push(ev);
+        checkResize();
     }
     EXPECT_EQ(q.size(), 20000u);
     EXPECT_GT(q.bucketCount(), initial_buckets); // grew
+    int grows = resizes;
+    EXPECT_GT(grows, 0);
 
     double last = -1.0;
     for (int i = 0; i < 20000; ++i) {
         SimEvent ev = q.pop();
         EXPECT_GE(ev.time, last);
         last = ev.time;
+        checkResize();
     }
     EXPECT_TRUE(q.empty());
+    EXPECT_GT(resizes, grows); // shrank
+    EXPECT_EQ(q.bucketCount(), initial_buckets);
 
     q.clear();
     SimEvent ev;
@@ -419,6 +442,197 @@ TEST(BucketCalendar, ResizesUnderLoadAndSurvivesClear)
     q.push(ev);
     EXPECT_EQ(q.pop().seq, 0u); // clear reset the seq counter
     EXPECT_TRUE(q.empty());
+}
+
+// --- both calendars vs a std::multiset reference ----------------------------
+
+namespace {
+
+SimEvent
+makeEvent(double time, SimEventKind kind = SimEventKind::LayerComplete,
+          int node = 0)
+{
+    SimEvent ev;
+    ev.time = time;
+    ev.kind = kind;
+    ev.node = node;
+    return ev;
+}
+
+/**
+ * Drive one calendar through a causal random interleaving of push,
+ * pop, top (EventQueue only: the Calendar interface has no top) and
+ * clear, and require every pop and top to match the minimum of a
+ * std::multiset holding every pending event under operator<. Times
+ * sit on a coarse grid and kinds and nodes on small ranges, so exact
+ * (time, kind, node) ties are common and only seq separates them.
+ */
+template <typename Cal>
+void
+checkAgainstReference(uint64_t seed)
+{
+    Cal cal;
+    std::multiset<SimEvent> ref;
+    uint64_t seq = 0;
+    Rng rng(seed);
+    double now = 0.0;
+    size_t pops = 0;
+    for (int op = 0; op < 8000; ++op) {
+        double roll = rng.uniform();
+        if (ref.empty() || roll < 0.5) {
+            double when = rng.uniform();
+            double t = when < 0.3   ? now
+                       : when < 0.9 ? now + 0.25 * rng.uniformInt(0, 6)
+                                    : now + rng.uniform(50.0, 400.0);
+            SimEvent ev = makeEvent(
+                t, static_cast<SimEventKind>(rng.uniformInt(0, 6)),
+                static_cast<int>(rng.uniformInt(-1, 2)));
+            cal.push(ev);
+            ev.seq = seq++;
+            ref.insert(ev);
+        } else if (roll < 0.9) {
+            SimEvent got = cal.pop();
+            SimEvent want = *ref.begin();
+            ref.erase(ref.begin());
+            ASSERT_EQ(got.time, want.time) << "seed " << seed
+                                           << " pop " << pops;
+            ASSERT_EQ(got.kind, want.kind) << "seed " << seed
+                                           << " pop " << pops;
+            ASSERT_EQ(got.node, want.node) << "seed " << seed
+                                           << " pop " << pops;
+            ASSERT_EQ(got.seq, want.seq) << "seed " << seed
+                                         << " pop " << pops;
+            now = got.time;
+            ++pops;
+        } else if (roll < 0.995) {
+            if constexpr (std::is_same_v<Cal, EventQueue>) {
+                const SimEvent& top = cal.top();
+                ASSERT_EQ(top.seq, ref.begin()->seq)
+                    << "seed " << seed << " top after pop " << pops;
+            }
+        } else {
+            cal.clear();
+            ref.clear();
+            seq = 0;
+        }
+        ASSERT_EQ(cal.size(), ref.size()) << "seed " << seed;
+        ASSERT_EQ(cal.empty(), ref.empty()) << "seed " << seed;
+    }
+    while (!ref.empty()) {
+        ASSERT_EQ(cal.pop().seq, ref.begin()->seq) << "seed " << seed;
+        ref.erase(ref.begin());
+    }
+    EXPECT_TRUE(cal.empty());
+}
+
+/** The deferred-pop vacancy edges, the same on both calendars. */
+template <typename Cal>
+void
+checkVacancyEdges()
+{
+    Cal cal;
+    // size() and empty() never count the vacant slot.
+    cal.push(makeEvent(1.0));
+    EXPECT_EQ(cal.pop().time, 1.0);
+    EXPECT_TRUE(cal.empty());
+    EXPECT_EQ(cal.size(), 0u);
+
+    // pop -> pop settles the first vacancy before the second pop.
+    cal.push(makeEvent(3.0));
+    cal.push(makeEvent(2.0));
+    cal.push(makeEvent(4.0));
+    EXPECT_EQ(cal.pop().time, 2.0);
+    EXPECT_EQ(cal.size(), 2u);
+    EXPECT_FALSE(cal.empty());
+    EXPECT_EQ(cal.pop().time, 3.0);
+    EXPECT_EQ(cal.size(), 1u);
+
+    // pop -> push refills the vacancy; an earlier successor still
+    // pops first.
+    cal.push(makeEvent(3.5));
+    EXPECT_EQ(cal.pop().time, 3.5);
+    EXPECT_EQ(cal.pop().time, 4.0);
+    EXPECT_TRUE(cal.empty());
+
+    // pop -> clear -> push: clear drops the vacancy and the seq
+    // counter.
+    cal.push(makeEvent(5.0));
+    cal.push(makeEvent(6.0));
+    EXPECT_EQ(cal.pop().time, 5.0);
+    cal.clear();
+    EXPECT_TRUE(cal.empty());
+    cal.push(makeEvent(7.0));
+    EXPECT_EQ(cal.size(), 1u);
+    SimEvent ev = cal.pop();
+    EXPECT_EQ(ev.time, 7.0);
+    EXPECT_EQ(ev.seq, 0u);
+    EXPECT_TRUE(cal.empty());
+}
+
+} // namespace
+
+TEST(Calendars, MatchMultisetReferenceOnRandomInterleavings)
+{
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        checkAgainstReference<EventQueue>(seed * 7919);
+        checkAgainstReference<BucketCalendar>(seed * 7919);
+    }
+}
+
+TEST(Calendars, DeferredPopVacancyEdges)
+{
+    checkVacancyEdges<EventQueue>();
+    checkVacancyEdges<BucketCalendar>();
+
+    // pop -> top settles the vacancy and returns the next minimum.
+    EventQueue heap;
+    heap.push(makeEvent(2.0));
+    heap.push(makeEvent(1.0));
+    heap.push(makeEvent(3.0));
+    EXPECT_EQ(heap.pop().time, 1.0);
+    EXPECT_EQ(heap.top().time, 2.0);
+    EXPECT_EQ(heap.size(), 2u);
+    EXPECT_EQ(heap.pop().time, 2.0);
+    EXPECT_EQ(heap.top().time, 3.0);
+}
+
+TEST(Calendars, BucketResizesWhileABucketIsVacant)
+{
+    // Until the first resize the width is 1 s and there are 8
+    // buckets, so time t lands in bucket floor(t) mod 8.
+    BucketCalendar q;
+    ASSERT_EQ(q.bucketCount(), 8u);
+    for (int i = 0; i < 16; ++i)
+        q.push(makeEvent(i + 0.1)); // two events per bucket
+    EXPECT_EQ(q.pop().time, 0.1);   // bucket 0 is now vacant
+    q.push(makeEvent(3.5));         // bucket 3
+    q.push(makeEvent(5.5));         // bucket 5: 17 > 2 * 8, grow
+    EXPECT_EQ(q.bucketCount(), 16u);
+    EXPECT_EQ(q.size(), 17u);
+
+    // Every shrink runs right after a pop, so it always drains a
+    // vacant bucket too.
+    std::vector<double> want = {1.1, 2.1, 3.1, 3.5,  4.1,  5.1,
+                                5.5, 6.1, 7.1, 8.1,  9.1,  10.1,
+                                11.1, 12.1, 13.1, 14.1, 15.1};
+    for (double t : want)
+        EXPECT_EQ(q.pop().time, t);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.bucketCount(), 8u);
+}
+
+TEST(Calendars, RejectNaNOrNegativeEventTimes)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(EventQueue().push(makeEvent(nan)),
+                 "EventQueue: event time -?nan of kind LayerComplete");
+    EXPECT_DEATH(EventQueue().push(makeEvent(-1.0, SimEventKind::Hedge)),
+                 "EventQueue: event time -1.0+ of kind Hedge");
+    EXPECT_DEATH(BucketCalendar().push(makeEvent(nan)),
+                 "BucketCalendar: event time -?nan of kind LayerComplete");
+    EXPECT_DEATH(
+        BucketCalendar().push(makeEvent(-0.5, SimEventKind::Arrival)),
+        "BucketCalendar: event time -0.50+ of kind Arrival");
 }
 
 // --- parse helpers ---------------------------------------------------------

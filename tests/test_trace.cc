@@ -9,6 +9,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <string>
 
 #include "core/model_info.hh"
 #include "models/zoo.hh"
@@ -157,6 +160,42 @@ TEST(TraceSet, LoadMissingFileIsFatal)
 {
     EXPECT_EXIT(TraceSet::load("/nonexistent/file.csv"),
                 ::testing::ExitedWithCode(1), "cannot open");
+}
+
+namespace {
+
+/** A two-layer, two-sample trace CSV whose last latency is `value`. */
+void
+writeCsvWithLatency(const std::string& path, const std::string& value)
+{
+    std::ofstream out(path);
+    out << "toy,CNN," << toString(SparsityPattern::RandomPointwise)
+        << ",2\n"
+        << "0,0,0.1,0.5,0.2,0.6\n"
+        << "0,0,0.1,0.5," << value << ",0.6\n";
+}
+
+} // namespace
+
+TEST(TraceSet, LoadRejectsNonFiniteOrNegativeLatency)
+{
+    std::string path = "/tmp/dysta_bad_latency.csv";
+    writeCsvWithLatency(path, "0.2");
+    EXPECT_EQ(TraceSet::load(path).size(), 2u); // the control loads
+
+    // The message names the file, the sample row, the layer and the
+    // value as written.
+    writeCsvWithLatency(path, "nan");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "dysta_bad_latency.csv: sample row 2, layer 1: "
+                "invalid latency 'nan'");
+    writeCsvWithLatency(path, "-1");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "sample row 2, layer 1: invalid latency '-1'");
+    writeCsvWithLatency(path, "inf");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "invalid latency 'inf'");
+    std::filesystem::remove(path);
 }
 
 TEST(Profiler, CnnTraceShapeAndDeterminism)
@@ -373,5 +412,27 @@ TEST(TraceRegistry, BinaryLoadRejectsMissingAndCorrupt)
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
     EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out));
+    std::filesystem::remove(path);
+}
+
+TEST(TraceRegistry, BinaryLoadRejectsBadLatency)
+{
+    // A blob that decodes cleanly but carries a NaN or negative layer
+    // latency is corrupt: the load fails and the caller falls back
+    // to the CSVs, which reject the same value by name.
+    std::string path = "/tmp/dysta_registry_nan.bin";
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+        TraceSet set("toy", ModelFamily::CNN,
+                     SparsityPattern::RandomPointwise);
+        set.add(makeSample({0.1, 0.2}, {0.5, 0.7}));
+        set.add(makeSample({0.1, bad}, {0.5, 0.7}));
+        TraceRegistry registry;
+        registry.add(std::move(set));
+        registry.saveAllBinary(path);
+
+        TraceRegistry out;
+        EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out)) << bad;
+        EXPECT_EQ(out.size(), 0u);
+    }
     std::filesystem::remove(path);
 }
