@@ -38,7 +38,9 @@ struct MicroContext
         wl.arrivalRate = 30.0;
         wl.numRequests = 64;
         requests = generateWorkload(wl, ctx->registry);
-        for (auto& req : requests) {
+        for (size_t i = 0; i < requests.size(); ++i) {
+            Request& req = requests[i];
+            req.slot = static_cast<int>(i); // as the sim core assigns
             req.lastRunEnd = req.arrival;
             ready.push_back(&req);
         }
@@ -102,6 +104,14 @@ BM_Fp16RoundTrip(benchmark::State& state)
 }
 
 void
+BM_Fp16RoundToHalf(benchmark::State& state)
+{
+    float x = 1.2345f;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(x = roundToHalf(x) * 1.0001f);
+}
+
+void
 BM_ComputeUnitScore(benchmark::State& state)
 {
     ComputeUnit cu(HwPrecision::FP16);
@@ -127,8 +137,11 @@ BENCHMARK_CAPTURE(BM_SchedulerDecision, sdrm3, std::string("SDRM3"))
     ->Arg(8)->Arg(64);
 BENCHMARK_CAPTURE(BM_SchedulerDecision, dysta, std::string("Dysta"))
     ->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_SchedulerDecision, dysta_hw, std::string("Dysta-HW"))
+    ->Arg(8)->Arg(64);
 BENCHMARK(BM_PredictorObserve);
 BENCHMARK(BM_Fp16RoundTrip);
+BENCHMARK(BM_Fp16RoundToHalf);
 BENCHMARK(BM_ComputeUnitScore);
 
 BENCHMARK_MAIN();

@@ -14,7 +14,7 @@ double
 ComputeUnit::quantize(double v) const
 {
     if (prec == HwPrecision::FP16)
-        return static_cast<double>(Fp16(v).toFloat());
+        return static_cast<double>(roundToHalf(static_cast<float>(v)));
     return static_cast<double>(static_cast<float>(v));
 }
 

@@ -76,7 +76,13 @@ class Fifo
         items.erase(items.begin() + static_cast<ptrdiff_t>(i));
     }
 
-    void clear() { items.clear(); }
+    /** Empty the queue for a new run; the high-water mark restarts. */
+    void
+    clear()
+    {
+        items.clear();
+        peak = 0;
+    }
 
   private:
     size_t depth;

@@ -1,6 +1,5 @@
 #include "trace/trace.hh"
 
-#include <cmath>
 #include <string>
 
 #include "util/csv.hh"
@@ -178,16 +177,22 @@ TraceSet::load(const std::string& path)
         s.dark = table.cell(r, 1) != 0.0;
         s.layers.resize(layers);
         for (size_t l = 0; l < layers; ++l) {
-            double latency = table.cell(r, 2 + 2 * l);
-            // strtod accepts "nan", "inf" and negatives; any of them
-            // would silently poison every estimate built on the set.
-            if (!std::isfinite(latency) || latency < 0.0)
+            LayerTrace& layer = s.layers[l];
+            layer.latency = table.cell(r, 2 + 2 * l);
+            layer.monitoredSparsity = table.cell(r, 3 + 2 * l);
+            // strtod accepts "nan" and "inf"; either would silently
+            // poison every estimate or monitor reading built on the
+            // set, as would a negative latency or a sparsity above 1.
+            auto reject = [&](const char* what, size_t col) {
                 fatal("TraceSet::load: " + path + ": sample row " +
                       std::to_string(r) + ", layer " +
-                      std::to_string(l) + ": invalid latency '" +
-                      row[2 + 2 * l] + "'");
-            s.layers[l].latency = latency;
-            s.layers[l].monitoredSparsity = table.cell(r, 3 + 2 * l);
+                      std::to_string(l) + ": invalid " + what + " '" +
+                      row[col] + "'");
+            };
+            if (!layer.validLatency())
+                reject("latency", 2 + 2 * l);
+            if (!layer.validSparsity())
+                reject("sparsity", 3 + 2 * l);
         }
         s.finalize();
         set.add(std::move(s));

@@ -13,6 +13,7 @@
 #ifndef DYSTA_TRACE_TRACE_HH
 #define DYSTA_TRACE_TRACE_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,6 +38,24 @@ struct LayerTrace
     double monitoredSparsity = -1.0;
 
     bool monitored() const { return monitoredSparsity >= 0.0; }
+
+    /** Finite and non-negative. */
+    bool
+    validLatency() const
+    {
+        return std::isfinite(latency) && latency >= 0.0;
+    }
+
+    /**
+     * A zero fraction of at most 1, or the negative "unmonitored"
+     * marker; NaN and inf are neither.
+     */
+    bool
+    validSparsity() const
+    {
+        return std::isfinite(monitoredSparsity) &&
+               monitoredSparsity <= 1.0;
+    }
 };
 
 /** One input sample's end-to-end runtime record. */

@@ -14,6 +14,7 @@
 #define DYSTA_UTIL_FP16_HH
 
 #include <cstdint>
+#include <cstring>
 
 namespace dysta {
 
@@ -22,6 +23,34 @@ uint16_t floatToHalfBits(float f);
 
 /** Convert binary16 bits to binary32. */
 float halfBitsToFloat(uint16_t h);
+
+/**
+ * Round a binary32 value to binary16 (round-to-nearest-even) and
+ * widen it back: bit for bit halfBitsToFloat(floatToHalfBits(f)).
+ *
+ * For |f| in [2^-14, 65520) and for +-0 the result is a binary16
+ * normal or zero, and the rounding is one integer add and mask on the
+ * binary32 bits: adding 0xFFF plus the lowest kept mantissa bit
+ * carries into bit 13 exactly when the 13 dropped bits round up (ties
+ * to even), and a carry out of the mantissa steps the exponent as
+ * binary16 does. Subnormals, overflow, inf and NaN take the
+ * conversion round-trip.
+ */
+inline float
+roundToHalf(float f)
+{
+    uint32_t x;
+    std::memcpy(&x, &f, sizeof(x));
+    uint32_t mag = x & 0x7FFFFFFFu;
+    constexpr uint32_t kMinNormal = 0x38800000u;  // 2^-14
+    constexpr uint32_t kRoundsToInf = 0x477FF000u; // 65520
+    if (mag - kMinNormal < kRoundsToInf - kMinNormal || mag == 0) {
+        x = (x + 0xFFFu + ((x >> 13) & 1u)) & 0xFFFFE000u;
+        std::memcpy(&f, &x, sizeof(f));
+        return f;
+    }
+    return halfBitsToFloat(floatToHalfBits(f));
+}
 
 /**
  * Storage type with value semantics behaving like a hardware FP16

@@ -1,7 +1,6 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -219,10 +218,10 @@ TraceRegistry::loadAllBinary(const std::string& path,
             trace.dark = dark != 0;
             trace.layers.resize(layers);
             get(trace.layers.data(), layers * sizeof(LayerTrace));
-            // A non-finite or negative latency marks the blob corrupt,
-            // as TraceSet::load rejects it in a CSV.
+            // A value TraceSet::load rejects in a CSV marks the blob
+            // corrupt.
             for (const LayerTrace& layer : trace.layers)
-                if (!std::isfinite(layer.latency) || layer.latency < 0.0)
+                if (!layer.validLatency() || !layer.validSparsity())
                     ok = false;
             if (!ok)
                 break;

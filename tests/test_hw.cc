@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the hardware module: FIFOs, LUTs, the FP16
  * reconfigurable compute unit (numerical agreement with the software
- * formulas), the cycle-approximate hardware scheduler (decision
+ * formulas, bit-for-bit agreement with Fp16/float reference
+ * datapaths), the cycle-approximate hardware scheduler (decision
  * agreement with the software Dysta), and the resource model against
  * Table 6 / Fig. 16.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/dysta.hh"
 #include "exp/experiments.hh"
@@ -59,6 +62,10 @@ TEST(Fifo, PeakOccupancyTracksHighWater)
     f.pop();
     f.push(4);
     EXPECT_EQ(f.peakOccupancy(), 3u);
+    // A cleared FIFO starts a new run, high-water mark included.
+    f.clear();
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.peakOccupancy(), 0u);
 }
 
 TEST(Fifo, EraseByIndex)
@@ -164,16 +171,23 @@ TEST(ComputeUnit, ScoreAppliesClamps)
 
 TEST(ComputeUnit, CycleAccounting)
 {
-    ComputeUnit cu(HwPrecision::FP16);
-    cu.resetCounters();
-    cu.sparsityCoeff(10, 100, 2.0);
-    cu.score(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 10.0, 2.0);
-    EXPECT_GT(cu.totalCycles(), 0u);
-    EXPECT_GT(cu.totalOps(), 0u);
-    uint64_t before = cu.totalCycles();
-    cu.resetCounters();
-    EXPECT_EQ(cu.totalCycles(), 0u);
-    EXPECT_LT(cu.totalCycles(), before);
+    // Table 6's decision latency is built from these counts: 3 cycles
+    // and 2 datapath ops per coefficient, 9 cycles and 7 ops per score.
+    for (HwPrecision p : {HwPrecision::FP16, HwPrecision::FP32}) {
+        ComputeUnit cu(p);
+        EXPECT_EQ(cu.sparsityCoeff(10, 100, 2.0).cycles, 3u);
+        EXPECT_EQ(cu.totalCycles(), 3u);
+        EXPECT_EQ(cu.totalOps(), 2u);
+        EXPECT_EQ(cu.score(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 10.0,
+                           2.0)
+                      .cycles,
+                  9u);
+        EXPECT_EQ(cu.totalCycles(), 12u);
+        EXPECT_EQ(cu.totalOps(), 9u);
+        cu.resetCounters();
+        EXPECT_EQ(cu.totalCycles(), 0u);
+        EXPECT_EQ(cu.totalOps(), 0u);
+    }
 }
 
 TEST(ComputeUnit, Fp32MorePreciseThanFp16)
@@ -184,6 +198,129 @@ TEST(ComputeUnit, Fp32MorePreciseThanFp16)
     double v16 = cu16.sparsityCoeff(1000, 4096, 1.0 / 0.613).value;
     double v32 = cu32.sparsityCoeff(1000, 4096, 1.0 / 0.613).value;
     EXPECT_LE(std::abs(v32 - exact), std::abs(v16 - exact) + 1e-9);
+}
+
+namespace {
+
+/**
+ * Reference datapath in T = Fp16 or float: every operand is rounded
+ * into T and every operation rounds its result, in the order the
+ * compute unit issues them.
+ */
+template <typename T>
+double
+refSparsityCoeff(uint64_t num_zeros, uint64_t shape,
+                 double recip_avg_density)
+{
+    uint64_t nnz = shape - std::min(num_zeros, shape);
+    double recip_q032 =
+        std::floor(4294967296.0 / static_cast<double>(shape) + 0.5) /
+        4294967296.0;
+    T density = static_cast<T>(static_cast<double>(nnz) * recip_q032);
+    T gamma = density * static_cast<T>(recip_avg_density);
+    return static_cast<float>(gamma);
+}
+
+template <typename T>
+double
+refScore(double gamma, double avg_remaining, double ddl_minus_now,
+         double wait, double recip_isolation, double recip_queue,
+         double eta, double slack_floor, double slack_cap,
+         double penalty_cap)
+{
+    auto q = [](double v) { return static_cast<T>(v); };
+    T rem = q(gamma) * q(avg_remaining);
+    T slack = std::clamp(q(ddl_minus_now) - rem, q(slack_floor),
+                         q(slack_cap));
+    T norm_wait =
+        std::min(q(wait) * q(recip_isolation), q(penalty_cap));
+    T penalty = norm_wait * q(recip_queue);
+    T urgency = slack + penalty;
+    T weighted = q(eta) * urgency;
+    return static_cast<float>(rem + weighted);
+}
+
+/** The bits of `v`; all NaNs compare equal. */
+uint64_t
+bitsOf(double v)
+{
+    if (std::isnan(v))
+        return 0x7FF8000000000000ull;
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+/** Log-uniform magnitude over [2^-30, 2^17], with a random sign. */
+double
+wideOperand(Rng& rng, bool signed_value)
+{
+    double v = std::exp2(rng.uniform(-30.0, 17.0));
+    return signed_value && rng.bernoulli(0.5) ? -v : v;
+}
+
+template <typename T>
+void
+expectDatapathMatchesReference(HwPrecision precision)
+{
+    ComputeUnit cu(precision);
+    Rng rng(2024);
+    for (int i = 0; i < 20000; ++i) {
+        // Half the draws stay in the scheduler's working range, half
+        // span binary16's subnormals and overflow.
+        bool wide = i % 2 == 1;
+        auto draw = [&](double lo, double hi, bool signed_value) {
+            return wide ? wideOperand(rng, signed_value)
+                        : rng.uniform(lo, hi);
+        };
+        auto shape = static_cast<uint64_t>(rng.uniformInt(1, 1 << 22));
+        auto zeros = static_cast<uint64_t>(rng.uniformInt(
+            0, static_cast<int64_t>(shape) + 8));
+        double recip_density = draw(1.0, 1000.0, false);
+        ASSERT_EQ(bitsOf(cu.sparsityCoeff(zeros, shape, recip_density)
+                             .value),
+                  bitsOf(refSparsityCoeff<T>(zeros, shape,
+                                             recip_density)))
+            << "zeros=" << zeros << " shape=" << shape
+            << " recip_density=" << recip_density;
+
+        double gamma = draw(0.25, 4.0, false);
+        double avg_remaining = draw(0.0, 0.5, false);
+        double ddl_minus_now = draw(-1.0, 1.0, true);
+        double wait = draw(0.0, 1.0, false);
+        double recip_isolation = draw(1.0, 1000.0, false);
+        double recip_queue = 1.0 / static_cast<double>(
+                                       rng.uniformInt(1, 64));
+        double eta = draw(0.0, 1.0, false);
+        double slack_floor = draw(-0.5, 0.0, true);
+        double slack_cap = draw(0.0, 5.0, true);
+        if (slack_cap < slack_floor)
+            std::swap(slack_floor, slack_cap);
+        double penalty_cap = draw(0.5, 4.0, false);
+        ASSERT_EQ(bitsOf(cu.score(gamma, avg_remaining, ddl_minus_now,
+                                  wait, recip_isolation, recip_queue,
+                                  eta, slack_floor, slack_cap,
+                                  penalty_cap)
+                             .value),
+                  bitsOf(refScore<T>(gamma, avg_remaining,
+                                     ddl_minus_now, wait,
+                                     recip_isolation, recip_queue, eta,
+                                     slack_floor, slack_cap,
+                                     penalty_cap)))
+            << "draw " << i;
+    }
+}
+
+} // namespace
+
+TEST(ComputeUnit, Fp16DatapathMatchesFp16ReferenceBitForBit)
+{
+    expectDatapathMatchesReference<Fp16>(HwPrecision::FP16);
+}
+
+TEST(ComputeUnit, Fp32DatapathMatchesFloatReferenceBitForBit)
+{
+    expectDatapathMatchesReference<float>(HwPrecision::FP32);
 }
 
 // --- DystaHwScheduler vs software Dysta ---
@@ -292,6 +429,54 @@ TEST(HwScheduler, TinyFifoStillCompletesEverything)
     SimResult r = runOne(*f.ctx, wl, hw);
     EXPECT_EQ(r.metrics.completed, 120u);
     EXPECT_LE(hw.fifoPeakOccupancy(), 2u);
+}
+
+TEST(HwScheduler, ChargesPinnedCyclesPerCandidateAndLayer)
+{
+    // One decision costs a 9-cycle score plus one argmin comparator
+    // cycle per resident candidate; an observed layer costs a 3-cycle
+    // coefficient.
+    auto& f = hwFixture();
+    WorkloadConfig wl;
+    wl.kind = WorkloadKind::MultiAttNN;
+    wl.numRequests = 8;
+    std::vector<Request> requests =
+        generateWorkload(wl, f.ctx->registry);
+    DystaHwScheduler hw(f.ctx->lut, f.ctx->models);
+    std::vector<const Request*> ready;
+    for (size_t i = 0; i < requests.size(); ++i) {
+        requests[i].slot = static_cast<int>(i);
+        hw.onArrival(requests[i], requests[i].arrival);
+        ready.push_back(&requests[i]);
+    }
+    double now = requests.back().arrival;
+    hw.selectNext(ready, now);
+    EXPECT_EQ(hw.decisions(), 1u);
+    EXPECT_EQ(hw.totalCycles(), 10u * requests.size());
+
+    requests[0].nextLayer = 1;
+    hw.onLayerComplete(requests[0], now, 0.5);
+    EXPECT_EQ(hw.totalCycles(), 10u * requests.size() + 3u);
+}
+
+TEST(HwScheduler, ResetForgetsFifoPeak)
+{
+    auto& f = hwFixture();
+    WorkloadConfig wl;
+    wl.kind = WorkloadKind::MultiAttNN;
+    wl.arrivalRate = 35.0;
+    wl.numRequests = 120;
+    wl.seed = 6;
+
+    DystaHwScheduler hw(f.ctx->lut, f.ctx->models);
+    runOne(*f.ctx, wl, hw);
+    ASSERT_GT(hw.fifoPeakOccupancy(), 3u);
+
+    hw.reset();
+    wl.numRequests = 3;
+    SimResult r = runOne(*f.ctx, wl, hw);
+    EXPECT_EQ(r.metrics.completed, 3u);
+    EXPECT_LE(hw.fifoPeakOccupancy(), 3u);
 }
 
 // --- Resource model ---

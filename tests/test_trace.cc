@@ -164,15 +164,20 @@ TEST(TraceSet, LoadMissingFileIsFatal)
 
 namespace {
 
-/** A two-layer, two-sample trace CSV whose last latency is `value`. */
+/**
+ * A two-layer, two-sample trace CSV whose last layer reads `latency`
+ * and `sparsity`.
+ */
 void
-writeCsvWithLatency(const std::string& path, const std::string& value)
+writeCsvWithLastLayer(const std::string& path,
+                      const std::string& latency,
+                      const std::string& sparsity = "0.6")
 {
     std::ofstream out(path);
     out << "toy,CNN," << toString(SparsityPattern::RandomPointwise)
         << ",2\n"
         << "0,0,0.1,0.5,0.2,0.6\n"
-        << "0,0,0.1,0.5," << value << ",0.6\n";
+        << "0,0,0.1,0.5," << latency << "," << sparsity << "\n";
 }
 
 } // namespace
@@ -180,21 +185,47 @@ writeCsvWithLatency(const std::string& path, const std::string& value)
 TEST(TraceSet, LoadRejectsNonFiniteOrNegativeLatency)
 {
     std::string path = "/tmp/dysta_bad_latency.csv";
-    writeCsvWithLatency(path, "0.2");
+    writeCsvWithLastLayer(path, "0.2");
     EXPECT_EQ(TraceSet::load(path).size(), 2u); // the control loads
 
     // The message names the file, the sample row, the layer and the
     // value as written.
-    writeCsvWithLatency(path, "nan");
+    writeCsvWithLastLayer(path, "nan");
     EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
                 "dysta_bad_latency.csv: sample row 2, layer 1: "
                 "invalid latency 'nan'");
-    writeCsvWithLatency(path, "-1");
+    writeCsvWithLastLayer(path, "-1");
     EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
                 "sample row 2, layer 1: invalid latency '-1'");
-    writeCsvWithLatency(path, "inf");
+    writeCsvWithLastLayer(path, "inf");
     EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
                 "invalid latency 'inf'");
+    std::filesystem::remove(path);
+}
+
+TEST(TraceSet, LoadRejectsNonFiniteOrAboveOneSparsity)
+{
+    std::string path = "/tmp/dysta_bad_sparsity.csv";
+    // A negative reading is the "unmonitored" marker; 0 and 1 bound
+    // a real zero fraction.
+    for (const char* ok : {"-1", "0", "1"}) {
+        writeCsvWithLastLayer(path, "0.2", ok);
+        EXPECT_EQ(TraceSet::load(path).size(), 2u) << ok;
+    }
+
+    writeCsvWithLastLayer(path, "0.2", "nan");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "dysta_bad_sparsity.csv: sample row 2, layer 1: "
+                "invalid sparsity 'nan'");
+    writeCsvWithLastLayer(path, "0.2", "inf");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "sample row 2, layer 1: invalid sparsity 'inf'");
+    writeCsvWithLastLayer(path, "0.2", "-inf");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "invalid sparsity '-inf'");
+    writeCsvWithLastLayer(path, "0.2", "1.5");
+    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
+                "invalid sparsity '1.5'");
     std::filesystem::remove(path);
 }
 
@@ -433,6 +464,33 @@ TEST(TraceRegistry, BinaryLoadRejectsBadLatency)
         TraceRegistry out;
         EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out)) << bad;
         EXPECT_EQ(out.size(), 0u);
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(TraceRegistry, BinaryLoadRejectsBadSparsity)
+{
+    // The CSV loader's sparsity rule, applied to the blob: NaN, inf
+    // and fractions above 1 mark it corrupt; a negative reading is
+    // the "unmonitored" marker and loads.
+    std::string path = "/tmp/dysta_registry_bad_sparsity.bin";
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (double sparsity :
+         {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 1.5,
+          -1.0}) {
+        TraceSet set("toy", ModelFamily::CNN,
+                     SparsityPattern::RandomPointwise);
+        set.add(makeSample({0.1, 0.2}, {0.5, 0.7}));
+        set.add(makeSample({0.1, 0.2}, {0.5, sparsity}));
+        TraceRegistry registry;
+        registry.add(std::move(set));
+        registry.saveAllBinary(path);
+
+        TraceRegistry out;
+        bool unmonitored = sparsity == -1.0;
+        EXPECT_EQ(TraceRegistry::loadAllBinary(path, out), unmonitored)
+            << sparsity;
+        EXPECT_EQ(out.size(), unmonitored ? 1u : 0u);
     }
     std::filesystem::remove(path);
 }

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -489,6 +491,91 @@ TEST(Fp16, ComparisonOperators)
     EXPECT_TRUE(Fp16(1.0) < Fp16(2.0));
     EXPECT_TRUE(Fp16(2.0) > Fp16(1.0));
     EXPECT_TRUE(Fp16(1.5) == Fp16(1.5));
+}
+
+namespace {
+
+uint32_t
+floatBits(float f)
+{
+    uint32_t x;
+    std::memcpy(&x, &f, sizeof(x));
+    return x;
+}
+
+/**
+ * Counts binary32 patterns where roundToHalf differs from the
+ * conversion round-trip, keeping the first one for the message.
+ */
+struct RoundToHalfCheck
+{
+    size_t checked = 0;
+    size_t mismatches = 0;
+    uint32_t first = 0;
+
+    void
+    operator()(uint32_t x)
+    {
+        float f;
+        std::memcpy(&f, &x, sizeof(f));
+        ++checked;
+        if (floatBits(roundToHalf(f)) !=
+                floatBits(halfBitsToFloat(floatToHalfBits(f))) &&
+            mismatches++ == 0)
+            first = x;
+    }
+
+    /** x and the binary32 patterns on either side of it. */
+    void
+    around(uint32_t x)
+    {
+        (*this)(x - 1);
+        (*this)(x);
+        (*this)(x + 1);
+    }
+};
+
+} // namespace
+
+TEST(Fp16, RoundToHalfMatchesConversionRoundTrip)
+{
+    RoundToHalfCheck check;
+    for (uint32_t h = 0; h < 0x10000u; ++h) {
+        // Every half value and its float neighbours, then every
+        // midpoint to the next half of larger magnitude (exact in
+        // binary32) and its neighbours, where ties to even decide.
+        auto bits = static_cast<uint16_t>(h);
+        check.around(floatBits(halfBitsToFloat(bits)));
+        if ((h & 0x7FFFu) < 0x7BFFu) {
+            float lo = halfBitsToFloat(bits);
+            float hi = halfBitsToFloat(static_cast<uint16_t>(h + 1));
+            check.around(floatBits((lo + hi) / 2.0f));
+        }
+    }
+    for (float v : {0.0f, std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::signaling_NaN(),
+                    65504.0f, 65519.99f, 65520.0f, 0x1.0p-14f,
+                    0x1.0p-24f, 0x1.0p-25f}) {
+        check.around(floatBits(v));
+        check.around(floatBits(-v));
+    }
+    for (uint32_t nan : {0x7F800001u, 0x7FBFFFFFu, 0x7FC00001u,
+                         0x7FFFFFFFu}) {
+        check.around(nan);
+        check.around(nan | 0x80000000u);
+    }
+    Rng rng(19);
+    for (int i = 0; i < 3000000; ++i)
+        check(static_cast<uint32_t>(rng.next()));
+
+    // Halves and midpoints, 10 named values and 4 NaN patterns of
+    // both signs (3 patterns each), then the random draws.
+    EXPECT_EQ(check.checked, 3u * (0x10000u + 2u * 0x7BFFu) +
+                                 3u * 2u * (10u + 4u) + 3000000u);
+    EXPECT_EQ(check.mismatches, 0u)
+        << "first mismatch at binary32 bits 0x" << std::hex
+        << check.first;
 }
 
 TEST(Fp16, RoundTripAllBitPatternsFinite)
