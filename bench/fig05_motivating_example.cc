@@ -92,14 +92,13 @@ main()
     // an absolute deadline of 5.2 (the paper's timeline).
     auto build = [&]() {
         std::vector<Request> reqs;
-        reqs.push_back(makeRequest(0, "resnet",
-                                   SparsityPattern::RandomPointwise,
-                                   resnet_truth.sample(0), 0.0,
-                                   10.0 / 6.0, 6.0));
-        reqs.push_back(makeRequest(1, "mobilenet",
-                                   SparsityPattern::ChannelWise,
-                                   mobilenet_truth.sample(0), 1.2,
-                                   4.0 / 4.7, 4.7));
+        // Both LUTs hold the same two keys, so either interns them.
+        reqs.push_back(makeRequest(
+            0, aware.key("resnet", SparsityPattern::RandomPointwise),
+            resnet_truth.sample(0), 0.0, 10.0 / 6.0, 6.0));
+        reqs.push_back(makeRequest(
+            1, aware.key("mobilenet", SparsityPattern::ChannelWise),
+            mobilenet_truth.sample(0), 1.2, 4.0 / 4.7, 4.7));
         return reqs;
     };
 

@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the scheduler hot paths:
  * per-decision cost of each policy at a representative queue depth,
- * the sparse latency predictor update, FP16 conversion, and the
+ * the sparse latency predictor update, the LUT estimate admission
+ * control takes for every queued request, FP16 conversion, and the
  * reconfigurable compute unit. These bound the software-side cost
  * that the dedicated hardware scheduler (Sec. 5) eliminates.
  */
@@ -81,8 +82,8 @@ void
 BM_PredictorObserve(benchmark::State& state)
 {
     MicroContext& mc = microContext();
-    const ModelInfo& info =
-        mc.ctx->lut.lookup("bert", SparsityPattern::Dense);
+    ModelKey bert = mc.ctx->lut.key("bert", SparsityPattern::Dense);
+    const ModelInfo& info = mc.ctx->lut.lookup(bert);
     PredictorConfig cfg;
     SparseLatencyPredictor predictor(info, cfg);
     size_t layer = 1; // attention score stage (monitored)
@@ -91,6 +92,24 @@ BM_PredictorObserve(benchmark::State& state)
         predictor.observe(layer, 0.7);
         benchmark::DoNotOptimize(predictor.predictRemaining(2));
     }
+}
+
+void
+BM_LutEstimatorRemaining(benchmark::State& state)
+{
+    // Admission control's path: its LutEstimator never admits a
+    // request, so every query on a queued request is untracked.
+    MicroContext& mc = microContext();
+    LutEstimator lut_est(mc.ctx->lut);
+    const LatencyEstimator& est = lut_est;
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (const Request* req : mc.ready)
+            sum += est.remaining(*req);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * mc.ready.size()));
 }
 
 void
@@ -140,6 +159,7 @@ BENCHMARK_CAPTURE(BM_SchedulerDecision, dysta, std::string("Dysta"))
 BENCHMARK_CAPTURE(BM_SchedulerDecision, dysta_hw, std::string("Dysta-HW"))
     ->Arg(8)->Arg(64);
 BENCHMARK(BM_PredictorObserve);
+BENCHMARK(BM_LutEstimatorRemaining);
 BENCHMARK(BM_Fp16RoundTrip);
 BENCHMARK(BM_Fp16RoundToHalf);
 BENCHMARK(BM_ComputeUnitScore);

@@ -40,20 +40,20 @@ buildWorkload(const TraceRegistry& registry, int n, uint64_t seed)
     double t_gest = rng.exponential(4.0);
     for (int id = 0; id < n; ++id) {
         if (t_hand <= t_gest) {
-            const TraceSet& set =
-                registry.get("ssd300", SparsityPattern::ChannelWise);
+            ModelKey key =
+                registry.key("ssd300", SparsityPattern::ChannelWise);
+            const TraceSet& set = registry.get(key);
             reqs.push_back(makeRequest(
-                id, "ssd300", SparsityPattern::ChannelWise,
-                set.sample(rng.uniformInt(0, set.size() - 1)), t_hand,
-                6.0, set.avgTotalLatency()));
+                id, key, set.sample(rng.uniformInt(0, set.size() - 1)),
+                t_hand, 6.0, set.avgTotalLatency()));
             t_hand += rng.exponential(2.0);
         } else {
-            const TraceSet& set =
-                registry.get("mobilenet", SparsityPattern::BlockNM);
+            ModelKey key =
+                registry.key("mobilenet", SparsityPattern::BlockNM);
+            const TraceSet& set = registry.get(key);
             reqs.push_back(makeRequest(
-                id, "mobilenet", SparsityPattern::BlockNM,
-                set.sample(rng.uniformInt(0, set.size() - 1)), t_gest,
-                25.0, set.avgTotalLatency()));
+                id, key, set.sample(rng.uniformInt(0, set.size() - 1)),
+                t_gest, 25.0, set.avgTotalLatency()));
             t_gest += rng.exponential(4.0);
         }
     }
@@ -98,7 +98,7 @@ main(int argc, char** argv)
         int gest_viol = 0;
         int gest_n = 0;
         for (const auto& req : reqs) {
-            if (req.modelName == "ssd300") {
+            if (ctx->registry.get(req.model).modelName() == "ssd300") {
                 ++hand_n;
                 hand_viol += req.violated();
             } else {
@@ -118,7 +118,7 @@ main(int argc, char** argv)
             gcfg.windowEnd = 2.0;
             gcfg.maxRows = 10;
             std::printf("%s", renderGantt(result.events, reqs,
-                                          gcfg).c_str());
+                                          ctx->lut, gcfg).c_str());
         }
     }
     t.print();

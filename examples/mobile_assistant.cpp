@@ -67,10 +67,12 @@ main(int argc, char** argv)
         std::map<std::string, int> violations;
         std::map<std::string, int> count;
         for (const auto& req : reqs) {
-            turnaround[req.modelName].push_back(
+            const std::string& app =
+                ctx->registry.get(req.model).modelName();
+            turnaround[app].push_back(
                 (req.finishTime - req.arrival) * 1e3);
-            violations[req.modelName] += req.violated();
-            ++count[req.modelName];
+            violations[app] += req.violated();
+            ++count[app];
         }
 
         AsciiTable t(std::string("Personal assistant under ") +

@@ -4,41 +4,6 @@
 
 namespace dysta {
 
-// --- LutEstimator -----------------------------------------------------------
-
-const ModelInfo&
-LutEstimator::info(const Request& req) const
-{
-    if (const ModelInfo* const* cached = tracked.find(req))
-        return **cached;
-    return lut->lookup(req.modelName, req.pattern);
-}
-
-void
-LutEstimator::admit(const Request& req)
-{
-    if (!tracked.contains(req))
-        tracked.emplace(req, &lut->lookup(req.modelName, req.pattern));
-}
-
-void
-LutEstimator::release(const Request& req)
-{
-    tracked.erase(req);
-}
-
-double
-LutEstimator::remaining(const Request& req) const
-{
-    return info(req).estRemaining(req.nextLayer);
-}
-
-double
-LutEstimator::isolated(const Request& req) const
-{
-    return info(req).avgLatency;
-}
-
 // --- DystaEstimator ---------------------------------------------------------
 
 DystaEstimator::DystaEstimator(const ModelInfoLut& table,
@@ -58,8 +23,7 @@ void
 DystaEstimator::admit(const Request& req)
 {
     if (!predictors.contains(req))
-        predictors.emplace(req, lut->lookup(req.modelName, req.pattern),
-                           pcfg);
+        predictors.emplace(req, lut->lookup(req.model), pcfg);
 }
 
 void
@@ -84,8 +48,7 @@ DystaEstimator::remaining(const Request& req) const
 {
     if (const SparseLatencyPredictor* predictor = predictors.find(req))
         return predictor->predictRemaining(req.nextLayer);
-    return lut->lookup(req.modelName, req.pattern)
-        .estRemaining(req.nextLayer);
+    return lut->lookup(req.model).estRemaining(req.nextLayer);
 }
 
 double
@@ -96,7 +59,7 @@ DystaEstimator::isolated(const Request& req) const
     // requests.
     if (const SparseLatencyPredictor* predictor = predictors.find(req))
         return predictor->modelInfo().avgLatency;
-    return lut->lookup(req.modelName, req.pattern).avgLatency;
+    return lut->lookup(req.model).avgLatency;
 }
 
 double

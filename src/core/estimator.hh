@@ -90,9 +90,8 @@ class LatencyEstimator
 
 /**
  * Static LUT estimator: the profiled average latency of the layers
- * still ahead (Sec. 4.1). Stateless apart from a per-request cache
- * of the LUT entry, indexed by the request's run slot, which avoids
- * re-hashing the (model, pattern) string key on every query.
+ * still ahead (Sec. 4.1). Stateless: every query indexes the LUT by
+ * the request's ModelKey.
  */
 class LutEstimator : public LatencyEstimator
 {
@@ -101,18 +100,18 @@ class LutEstimator : public LatencyEstimator
 
     std::string name() const override { return "lut"; }
 
-    void reset() override { tracked.clear(); }
-    void admit(const Request& req) override;
-    void release(const Request& req) override;
+    double remaining(const Request& req) const override
+    {
+        return lut->lookup(req.model).estRemaining(req.nextLayer);
+    }
 
-    double remaining(const Request& req) const override;
-    double isolated(const Request& req) const override;
+    double isolated(const Request& req) const override
+    {
+        return lut->lookup(req.model).avgLatency;
+    }
 
   private:
     const ModelInfoLut* lut;
-    SlotTable<const ModelInfo*> tracked;
-
-    const ModelInfo& info(const Request& req) const;
 };
 
 /**

@@ -44,25 +44,24 @@ ModelInfoLut::addFromTrace(const TraceSet& traces)
             info.remainingFrom[l + 1] + info.avgLayerLatency[l];
     }
 
-    entries[traces.key()] = std::move(info);
+    entries.put(traces.key(), std::move(info));
 }
 
 bool
 ModelInfoLut::contains(const std::string& model,
                        SparsityPattern pattern) const
 {
-    return entries.count(TraceSet::makeKey(model, pattern)) > 0;
+    return entries.find(TraceSet::makeKey(model, pattern)).has_value();
 }
 
-const ModelInfo&
-ModelInfoLut::lookup(const std::string& model,
-                     SparsityPattern pattern) const
+ModelKey
+ModelInfoLut::key(const std::string& model, SparsityPattern pattern) const
 {
-    auto it = entries.find(TraceSet::makeKey(model, pattern));
-    if (it == entries.end())
-        fatal("ModelInfoLut: no entry for " +
-              TraceSet::makeKey(model, pattern));
-    return it->second;
+    std::string name = TraceSet::makeKey(model, pattern);
+    std::optional<ModelKey> k = entries.find(name);
+    if (!k)
+        fatal("ModelInfoLut: no entry for " + name);
+    return *k;
 }
 
 } // namespace dysta

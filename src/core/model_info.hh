@@ -11,10 +11,10 @@
 #define DYSTA_CORE_MODEL_INFO_HH
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sparsity/pattern.hh"
+#include "trace/model_key.hh"
 #include "trace/trace.hh"
 
 namespace dysta {
@@ -43,7 +43,11 @@ struct ModelInfo
     double estRemaining(size_t layer) const;
 };
 
-/** Registry of ModelInfo entries keyed by (model, pattern). */
+/**
+ * Registry of ModelInfo entries, one per (model, pattern) pair and
+ * addressed by its interned ModelKey (trace/model_key.hh). A LUT
+ * built from a TraceRegistry shares the registry's keys.
+ */
 class ModelInfoLut
 {
   public:
@@ -53,14 +57,24 @@ class ModelInfoLut
     bool contains(const std::string& model,
                   SparsityPattern pattern) const;
 
+    /** Interned key of a pair; fatal() when missing. */
+    ModelKey key(const std::string& model,
+                 SparsityPattern pattern) const;
+
     /** Fetch an entry; fatal() when missing (unprofiled model). */
     const ModelInfo& lookup(const std::string& model,
-                            SparsityPattern pattern) const;
+                            SparsityPattern pattern) const
+    {
+        return entries[key(model, pattern)];
+    }
+
+    /** Fetch an entry by key: the run-path lookup. */
+    const ModelInfo& lookup(ModelKey k) const { return entries[k]; }
 
     size_t size() const { return entries.size(); }
 
   private:
-    std::unordered_map<std::string, ModelInfo> entries;
+    ModelKeyTable<ModelInfo> entries;
 };
 
 } // namespace dysta

@@ -41,6 +41,18 @@ benchModelNames(const BenchSetup& setup)
     return names;
 }
 
+/**
+ * The patterns Phase 1 profiles a model under: every CNN pruning
+ * pattern, or Dense alone for an AttNN (its pruning is dynamic).
+ */
+std::vector<SparsityPattern>
+profiledPatterns(const ModelDesc& model)
+{
+    if (model.family == ModelFamily::CNN)
+        return cnnPatterns();
+    return {SparsityPattern::Dense};
+}
+
 std::string
 readTextFile(const std::string& path)
 {
@@ -124,6 +136,28 @@ makeBenchContext(BenchSetup setup, const std::string& trace_cache_dir)
             ctx->registry = TraceRegistry::loadAll(trace_cache_dir);
         for (const std::string& name : benchModelNames(setup))
             ctx->models.push_back(makeModelByName(name));
+        // The cold profile yields one set per (model, pattern) with
+        // one record per zoo layer; a cache that disagrees would send
+        // the run (and Dysta-HW's shape LUT) past model.layers.
+        for (const ModelDesc& model : ctx->models) {
+            for (SparsityPattern pattern : profiledPatterns(model)) {
+                std::string key = TraceSet::makeKey(model.name, pattern);
+                if (!ctx->registry.contains(model.name, pattern)) {
+                    fatal("makeBenchContext: trace cache '" +
+                          trace_cache_dir + "' has no traces for '" +
+                          key + "'");
+                }
+                size_t layers =
+                    ctx->registry.get(model.name, pattern).layerCount();
+                if (layers != model.layers.size()) {
+                    fatal("makeBenchContext: trace cache '" +
+                          trace_cache_dir + "': traces for '" + key +
+                          "' have " + std::to_string(layers) +
+                          " layers, model " + model.name + " has " +
+                          std::to_string(model.layers.size()));
+                }
+            }
+        }
         ctx->lut = ctx->registry.buildLut();
         return ctx;
     }
@@ -133,19 +167,14 @@ makeBenchContext(BenchSetup setup, const std::string& trace_cache_dir)
     pcfg.seed = setup.seed;
     pcfg.cnnSparsityRate = setup.cnnSparsityRate;
 
-    // The model list is defined once (benchModelNames) so the cold
-    // and cache-hit paths cannot drift apart.
+    // The model list (benchModelNames) and each model's patterns
+    // (profiledPatterns) are defined once so the cold and cache-hit
+    // paths cannot drift apart.
     for (const std::string& name : benchModelNames(setup)) {
         ModelDesc model = makeModelByName(name);
-        if (model.family == ModelFamily::CNN) {
-            for (SparsityPattern pattern : cnnPatterns()) {
-                ctx->registry.add(profileCnn(
-                    model, pattern, defaultProfileFor(name),
-                    ctx->eyeriss, pcfg));
-            }
-        } else {
-            ctx->registry.add(profileAttn(model, defaultProfileFor(name),
-                                          ctx->sanger, pcfg));
+        for (SparsityPattern pattern : profiledPatterns(model)) {
+            ctx->registry.add(profileModel(model, pattern, ctx->eyeriss,
+                                           ctx->sanger, pcfg));
         }
         ctx->models.push_back(std::move(model));
     }

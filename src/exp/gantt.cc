@@ -11,7 +11,8 @@ namespace dysta {
 
 std::string
 renderGantt(const std::vector<ClusterEvent>& events,
-            const std::vector<Request>& requests, GanttConfig config)
+            const std::vector<Request>& requests,
+            const ModelInfoLut& lut, GanttConfig config)
 {
     if (events.empty())
         return "(no schedule events recorded)\n";
@@ -80,7 +81,7 @@ renderGantt(const std::vector<ClusterEvent>& events,
         const Request* req = by_id.count(id) ? by_id.at(id) : nullptr;
         char label[64];
         std::snprintf(label, sizeof(label), "%4d %-10s |", id,
-                      req ? req->modelName.c_str() : "?");
+                      req ? lut.lookup(req->model).model.c_str() : "?");
         out += label + lane + "|\n";
     }
     return out;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/model_info.hh"
 #include "obs/telemetry.hh"
 #include "sim/core.hh"
 
@@ -45,9 +46,11 @@ struct GanttConfig
  * Render schedule events as an ASCII Gantt chart.
  * @param events   recorded execution slots (SimResult::events)
  * @param requests the requests the events refer to (for labels)
+ * @param lut      the table the requests' ModelKeys index (names)
  */
 std::string renderGantt(const std::vector<ClusterEvent>& events,
                         const std::vector<Request>& requests,
+                        const ModelInfoLut& lut,
                         GanttConfig config = {});
 
 /**

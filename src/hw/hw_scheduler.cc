@@ -22,7 +22,17 @@ DystaHwScheduler::DystaHwScheduler(const ModelInfoLut& lut,
         for (SparsityPattern pattern : patterns) {
             if (!lut.contains(model.name, pattern))
                 continue;
-            const ModelInfo& info = lut.lookup(model.name, pattern);
+            ModelKey key = lut.key(model.name, pattern);
+            const ModelInfo& info = lut.lookup(key);
+            // The shape LUT walks model.layers by the profiled layer
+            // count; a trace of another architecture would overrun it.
+            if (info.avgLayerSparsity.size() != model.layers.size()) {
+                panic("DystaHwScheduler: LUT entry " +
+                      TraceSet::makeKey(model.name, pattern) + " has " +
+                      std::to_string(info.avgLayerSparsity.size()) +
+                      " layers, model " + model.name + " has " +
+                      std::to_string(model.layers.size()));
+            }
             LutEntry entry;
             entry.info = &info;
             entry.recipIsolation =
@@ -38,9 +48,7 @@ DystaHwScheduler::DystaHwScheduler(const ModelInfoLut& lut,
                     1, model.layers[l].outputElems(
                            model.defaultSeqLen)));
             }
-            modelLut.install(
-                TraceSet::makeKey(model.name, pattern),
-                std::move(entry));
+            modelLut.install(key, std::move(entry));
         }
     }
 }
@@ -54,12 +62,6 @@ DystaHwScheduler::reset()
     cu.resetCounters();
     schedCycles = 0;
     decisionCount = 0;
-}
-
-size_t
-DystaHwScheduler::lutIdFor(const Request& req)
-{
-    return modelLut.idOf(TraceSet::makeKey(req.modelName, req.pattern));
 }
 
 void
@@ -79,13 +81,17 @@ void
 DystaHwScheduler::onArrival(const Request& req, double now)
 {
     (void)now;
+    if (!modelLut.contains(req.model)) {
+        const ModelInfo& sw = swLut->lookup(req.model);
+        fatal("HwLut: missing key " +
+              TraceSet::makeKey(sw.model, sw.pattern));
+    }
     HwRequestState rs;
-    rs.lutId = lutIdFor(req);
     rs.gamma = 1.0;
 
     // Software static level (Alg. 1) computes the initial score and
     // forwards the request to the hardware FIFOs.
-    const ModelInfo& info = *modelLut.read(rs.lutId).info;
+    const ModelInfo& info = *modelLut.read(req.model).info;
     double slo_rel = req.deadline - req.arrival;
     rs.staticScore =
         info.avgLatency + cfg.beta * (slo_rel - info.avgLatency);
@@ -106,7 +112,7 @@ DystaHwScheduler::onLayerComplete(const Request& req, double now,
     HwRequestState* rs = state.find(req);
     panicIf(rs == nullptr, "DystaHwScheduler: unknown request");
 
-    const LutEntry& entry = modelLut.read(rs->lutId);
+    const LutEntry& entry = modelLut.read(req.model);
     size_t layer = req.nextLayer - 1;
     panicIf(layer >= entry.shape.size(),
             "DystaHwScheduler: layer index out of range");
@@ -163,7 +169,7 @@ DystaHwScheduler::selectNext(const std::vector<const Request*>& ready,
         const HwRequestState* rs = state.find(req);
         if (rs == nullptr || !rs->resident)
             continue; // still in the host-side overflow queue
-        const LutEntry& entry = modelLut.read(rs->lutId);
+        const LutEntry& entry = modelLut.read(req.model);
 
         // Time differences are formed on the controller's integer
         // cycle counter (exact) and only the small deltas enter the

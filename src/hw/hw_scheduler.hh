@@ -98,7 +98,6 @@ class DystaHwScheduler : public Scheduler
     /** Per-resident-request hardware state. */
     struct HwRequestState
     {
-        size_t lutId = 0;
         double gamma = 1.0;
         double staticScore = 0.0;
         /** In the request FIFO (false: host-side overflow queue). */
@@ -117,7 +116,6 @@ class DystaHwScheduler : public Scheduler
     uint64_t decisionCount = 0;
 
     void backfill();
-    size_t lutIdFor(const Request& req);
 };
 
 } // namespace dysta

@@ -2,23 +2,26 @@
  * @file
  * Fixed-capacity lookup tables caching per model-pattern information
  * (latency / sparsity / shape LUTs of Fig. 10). Entries are addressed
- * by a small integer id assigned at population time, as the RTL would
- * address an SRAM.
+ * by the pair's interned ModelKey, as the RTL would address an SRAM.
  */
 
 #ifndef DYSTA_HW_LUT_HH
 #define DYSTA_HW_LUT_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "trace/model_key.hh"
 #include "util/logging.hh"
 
 namespace dysta {
 
-/** Capacity-bounded id-addressed table with a name directory. */
+/**
+ * Capacity-bounded table addressed by ModelKey: the key is the SRAM
+ * address, so a read is one index.
+ */
 template <typename Entry>
 class HwLut
 {
@@ -29,51 +32,44 @@ class HwLut
         panicIf(capacity == 0, "HwLut: capacity must be positive");
     }
 
-    /** Install an entry under a key; returns its slot id. */
-    size_t
-    install(const std::string& key, Entry entry)
+    /** Install an entry under a key, overwriting any previous one. */
+    void
+    install(ModelKey key, Entry entry)
     {
-        auto it = directory.find(key);
-        if (it != directory.end()) {
-            slots[it->second] = std::move(entry);
-            return it->second;
+        if (key.index() >= slots.size())
+            slots.resize(key.index() + 1);
+        std::optional<Entry>& slot = slots[key.index()];
+        if (!slot) {
+            if (installed >= cap)
+                fatal("HwLut: capacity exceeded installing key " +
+                      std::to_string(key.id));
+            ++installed;
         }
-        fatalIf(slots.size() >= cap,
-                "HwLut: capacity exceeded installing " + key);
-        slots.push_back(std::move(entry));
-        directory[key] = slots.size() - 1;
-        return slots.size() - 1;
+        slot = std::move(entry);
     }
 
-    bool contains(const std::string& key) const
+    bool
+    contains(ModelKey key) const
     {
-        return directory.count(key) > 0;
+        return key.index() < slots.size() && slots[key.index()];
     }
 
-    /** Slot id for a key; fatal() when missing. */
-    size_t
-    idOf(const std::string& key) const
-    {
-        auto it = directory.find(key);
-        if (it == directory.end())
-            fatal("HwLut: missing key " + key);
-        return it->second;
-    }
-
+    /** The entry of a key; fatal() when missing. */
     const Entry&
-    read(size_t id) const
+    read(ModelKey key) const
     {
-        panicIf(id >= slots.size(), "HwLut: id out of range");
-        return slots[id];
+        if (!contains(key))
+            fatal("HwLut: missing key " + std::to_string(key.id));
+        return *slots[key.index()];
     }
 
-    size_t size() const { return slots.size(); }
+    size_t size() const { return installed; }
     size_t capacity() const { return cap; }
 
   private:
     size_t cap;
-    std::vector<Entry> slots;
-    std::unordered_map<std::string, size_t> directory;
+    size_t installed = 0;
+    std::vector<std::optional<Entry>> slots;
 };
 
 } // namespace dysta

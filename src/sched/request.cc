@@ -30,16 +30,14 @@ Request::violated() const
 }
 
 Request
-makeRequest(int id, const std::string& model_name,
-            SparsityPattern pattern, const SampleTrace& trace,
+makeRequest(int id, ModelKey model, const SampleTrace& trace,
             double arrival, double slo_multiplier,
             double slo_reference_latency)
 {
     Request req;
     req.id = id;
     req.slot = id;
-    req.modelName = model_name;
-    req.pattern = pattern;
+    req.model = model;
     req.trace = &trace;
     req.arrival = arrival;
     req.sloMultiplier = slo_multiplier;

@@ -9,9 +9,9 @@
 #define DYSTA_SCHED_REQUEST_HH
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
-#include "sparsity/pattern.hh"
+#include "trace/model_key.hh"
 #include "trace/trace.hh"
 
 namespace dysta {
@@ -29,8 +29,11 @@ struct Request
      * primary's slot.
      */
     int slot = -1;
-    std::string modelName;
-    SparsityPattern pattern = SparsityPattern::Dense;
+    /**
+     * The (model, sparsity pattern) pair, interned by the registry or
+     * LUT the request was built from; name it through that table.
+     */
+    ModelKey model;
 
     /** Ground-truth execution record (not owned). */
     const SampleTrace* trace = nullptr;
@@ -123,10 +126,12 @@ struct Request
  * long prompts) therefore face relatively tighter deadlines — the
  * pressure that makes sparsity-aware latency prediction matter.
  */
-Request makeRequest(int id, const std::string& model_name,
-                    SparsityPattern pattern, const SampleTrace& trace,
+Request makeRequest(int id, ModelKey model, const SampleTrace& trace,
                     double arrival, double slo_multiplier,
                     double slo_reference_latency);
+
+// Hedge clones and arena recycling copy requests wholesale.
+static_assert(std::is_trivially_copyable_v<Request>);
 
 } // namespace dysta
 

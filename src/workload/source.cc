@@ -7,15 +7,10 @@ namespace dysta {
 WorkloadArrivalSource::WorkloadArrivalSource(
     const WorkloadConfig& workload, const TraceRegistry& traces)
     : config(workload),
-      registry(&traces),
       // Same seed derivation as generateWorkload: the two paths draw
       // the identical random sequence for one WorkloadConfig.
       rng(config.seed * 0x9E3779B97F4A7C15ULL + 0x123456789ULL),
-      models(workloadModels(config.kind)),
-      patterns(config.kind == WorkloadKind::MultiCNN
-                   ? cnnPatterns()
-                   : std::vector<SparsityPattern>{
-                         SparsityPattern::Dense}),
+      mix(config.kind, traces),
       arrivals(makeArrivalProcess(config.arrival, config.arrivalRate))
 {
     fatalIf(config.arrivalRate <= 0.0,
@@ -38,17 +33,14 @@ WorkloadArrivalSource::next()
 
     // One iteration of generateWorkload's loop, draw for draw.
     lastArrival = arrivals->nextArrival(lastArrival, rng);
-    const std::string& model =
-        models[rng.uniformInt(0, models.size() - 1)];
-    SparsityPattern pattern =
-        patterns[rng.uniformInt(0, patterns.size() - 1)];
-    const TraceSet& set = registry->get(model, pattern);
+    WorkloadMix::Pick pick = mix.draw(rng);
     const SampleTrace& trace =
-        set.sample(rng.uniformInt(0, set.size() - 1));
+        pick.set->sample(rng.uniformInt(0, pick.set->size() - 1));
 
     Request* slot = pool.acquire();
-    *slot = makeRequest(produced, model, pattern, trace, lastArrival,
-                        config.sloMultiplier, set.avgTotalLatency());
+    *slot = makeRequest(produced, pick.key, trace, lastArrival,
+                        config.sloMultiplier,
+                        pick.set->avgTotalLatency());
     ++produced;
     return slot;
 }

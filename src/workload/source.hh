@@ -19,7 +19,6 @@
 #define DYSTA_WORKLOAD_SOURCE_HH
 
 #include <memory>
-#include <vector>
 
 #include "sim/request_arena.hh"
 #include "sim/source.hh"
@@ -49,10 +48,8 @@ class WorkloadArrivalSource final : public ArrivalSource
 
   private:
     WorkloadConfig config;
-    const TraceRegistry* registry;
     Rng rng;
-    std::vector<std::string> models;
-    std::vector<SparsityPattern> patterns;
+    WorkloadMix mix;
     std::unique_ptr<ArrivalProcess> arrivals;
     RequestArena pool;
     int produced = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -24,53 +25,40 @@ void
 TraceRegistry::add(TraceSet traces)
 {
     std::string key = traces.key();
-    sets.insert_or_assign(key, std::move(traces));
+    sets.put(key, std::make_unique<TraceSet>(std::move(traces)));
 }
 
 bool
 TraceRegistry::contains(const std::string& model,
                         SparsityPattern pattern) const
 {
-    return sets.count(TraceSet::makeKey(model, pattern)) > 0;
+    return sets.find(TraceSet::makeKey(model, pattern)).has_value();
 }
 
-const TraceSet&
-TraceRegistry::get(const std::string& model,
-                   SparsityPattern pattern) const
+ModelKey
+TraceRegistry::key(const std::string& model, SparsityPattern pattern) const
 {
-    auto it = sets.find(TraceSet::makeKey(model, pattern));
-    if (it == sets.end()) {
+    std::string name = TraceSet::makeKey(model, pattern);
+    std::optional<ModelKey> k = sets.find(name);
+    if (!k) {
         // Name both the missing key and the registered ones — the
         // usual cause is a scenario whose model mix was excluded
         // from the Phase-1 profile (includeCnn/includeAttnn).
-        fatal("TraceRegistry: missing traces for '" +
-              TraceSet::makeKey(model, pattern) +
+        fatal("TraceRegistry: missing traces for '" + name +
               "'; available trace sets: " + joinComma(keys()));
     }
-    return it->second;
+    return *k;
 }
 
 ModelInfoLut
 TraceRegistry::buildLut() const
 {
     ModelInfoLut lut;
-    // Sorted drain: LUT entry indices follow insertion order, so a
-    // hash-ordered walk would leak unordered_map layout into them.
-    for (const std::string& key : keys())
-        lut.addFromTrace(sets.at(key));
+    // Both tables order entries by key string, so every LUT entry
+    // gets the ModelKey of its trace set.
+    for (const auto& set : sets.all())
+        lut.addFromTrace(*set);
     return lut;
-}
-
-std::vector<std::string>
-TraceRegistry::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(sets.size());
-    // detlint-allow(unordered-iter): collects every key and sorts
-    for (const auto& [key, set] : sets)
-        out.push_back(key);
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 void
@@ -80,12 +68,10 @@ TraceRegistry::saveAll(const std::string& dir) const
     std::filesystem::create_directories(dir, ec);
     fatalIf(!std::filesystem::is_directory(dir),
             "TraceRegistry::saveAll: cannot create directory: " + dir);
-    // detlint-allow(unordered-iter): one independent file per key, the
-    // resulting directory contents are identical for any walk order
-    for (const auto& [key, set] : sets) {
-        std::string file = key;
+    for (const auto& set : sets.all()) {
+        std::string file = set->key();
         std::replace(file.begin(), file.end(), '/', '_');
-        set.save(dir + "/" + file + ".csv");
+        set->save(dir + "/" + file + ".csv");
     }
 }
 
@@ -97,9 +83,22 @@ TraceRegistry::loadAll(const std::string& dir)
                 "' (expected a trace-cache directory of *.csv files "
                 "written by saveAll)");
     TraceRegistry registry;
+    // key -> file, to name both files of a duplicate: otherwise the
+    // winner would be whichever the directory walk reached last.
+    std::map<std::string, std::string> fileOf;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() == ".csv")
-            registry.add(TraceSet::load(entry.path().string()));
+        if (entry.path().extension() != ".csv")
+            continue;
+        std::string path = entry.path().string();
+        TraceSet set = TraceSet::load(path);
+        auto [it, fresh] = fileOf.emplace(set.key(), path);
+        if (!fresh) {
+            auto [first, second] = std::minmax(it->second, path);
+            fatal("TraceRegistry::loadAll: " + first + " and " +
+                  second + " both hold traces for '" + set.key() +
+                  "'");
+        }
+        registry.add(std::move(set));
     }
     fatalIf(registry.size() == 0,
             "TraceRegistry::loadAll: no *.csv trace files in '" + dir +
@@ -130,8 +129,8 @@ TraceRegistry::saveAllBinary(const std::string& path) const
     putU64(kTraceBinMagic);
     putU64(sets.size());
     // Key order for a stable file; load order doesn't matter.
-    for (const std::string& k : keys()) {
-        const TraceSet& set = sets.at(k);
+    for (const auto& node : sets.all()) {
+        const TraceSet& set = *node;
         const std::string& name = set.modelName();
         putU64(name.size());
         put(name.data(), name.size());
@@ -199,9 +198,13 @@ TraceRegistry::loadAllBinary(const std::string& path,
         uint64_t layers = getU64();
         uint64_t samples = getU64();
         // Sanity bounds so a corrupt count fails the load cleanly
-        // instead of attempting a gigantic allocation.
+        // instead of attempting a gigantic allocation; an enum byte
+        // out of range or a repeated key marks the blob corrupt too.
         if (!ok || layers == 0 || layers > (1u << 20) ||
-            samples == 0 || samples > (1u << 26)) {
+            samples == 0 || samples > (1u << 26) ||
+            fam > static_cast<uint8_t>(ModelFamily::AttNN) ||
+            patt > static_cast<uint8_t>(SparsityPattern::ChannelWise) ||
+            loaded.contains(name, static_cast<SparsityPattern>(patt))) {
             ok = false;
             break;
         }
@@ -253,6 +256,40 @@ workloadModels(WorkloadKind kind)
     panic("workloadModels: unknown WorkloadKind");
 }
 
+WorkloadMix::WorkloadMix(WorkloadKind kind,
+                         const TraceRegistry& traces)
+    : registry(&traces),
+      models(workloadModels(kind)),
+      patterns(kind == WorkloadKind::MultiCNN
+                   ? cnnPatterns()
+                   : std::vector<SparsityPattern>{
+                         SparsityPattern::Dense})
+{
+    picks.reserve(models.size() * patterns.size());
+    for (const std::string& model : models) {
+        for (SparsityPattern pattern : patterns) {
+            Pick pick;
+            // A missing pair fails only if a draw reaches it.
+            if (traces.contains(model, pattern)) {
+                pick.key = traces.key(model, pattern);
+                pick.set = &traces.get(pick.key);
+            }
+            picks.push_back(pick);
+        }
+    }
+}
+
+WorkloadMix::Pick
+WorkloadMix::draw(Rng& rng) const
+{
+    size_t m = rng.uniformInt(0, models.size() - 1);
+    size_t p = rng.uniformInt(0, patterns.size() - 1);
+    const Pick& pick = picks[m * patterns.size() + p];
+    if (pick.set == nullptr)
+        registry->key(models[m], patterns[p]); // fatal(): names the pair
+    return pick;
+}
+
 std::vector<Request>
 generateWorkload(const WorkloadConfig& config,
                  const TraceRegistry& registry)
@@ -263,12 +300,7 @@ generateWorkload(const WorkloadConfig& config,
             "generateWorkload: need at least one request");
 
     Rng rng(config.seed * 0x9E3779B97F4A7C15ULL + 0x123456789ULL);
-    std::vector<std::string> models = workloadModels(config.kind);
-    std::vector<SparsityPattern> patterns =
-        config.kind == WorkloadKind::MultiCNN
-            ? cnnPatterns()
-            : std::vector<SparsityPattern>{SparsityPattern::Dense};
-
+    WorkloadMix mix(config.kind, registry);
     std::unique_ptr<ArrivalProcess> arrivals =
         makeArrivalProcess(config.arrival, config.arrivalRate);
 
@@ -277,18 +309,12 @@ generateWorkload(const WorkloadConfig& config,
     double now = 0.0;
     for (int i = 0; i < config.numRequests; ++i) {
         now = arrivals->nextArrival(now, rng);
-        const std::string& model =
-            models[rng.uniformInt(0, models.size() - 1)];
-        SparsityPattern pattern =
-            patterns[rng.uniformInt(0, patterns.size() - 1)];
-
-        const TraceSet& set = registry.get(model, pattern);
+        WorkloadMix::Pick pick = mix.draw(rng);
         const SampleTrace& trace =
-            set.sample(rng.uniformInt(0, set.size() - 1));
-
-        requests.push_back(makeRequest(i, model, pattern, trace, now,
+            pick.set->sample(rng.uniformInt(0, pick.set->size() - 1));
+        requests.push_back(makeRequest(i, pick.key, trace, now,
                                        config.sloMultiplier,
-                                       set.avgTotalLatency()));
+                                       pick.set->avgTotalLatency()));
     }
     return requests;
 }

@@ -11,13 +11,15 @@
 #ifndef DYSTA_WORKLOAD_WORKLOAD_HH
 #define DYSTA_WORKLOAD_WORKLOAD_HH
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/model_info.hh"
 #include "sched/request.hh"
+#include "trace/model_key.hh"
 #include "trace/trace.hh"
+#include "util/rng.hh"
 #include "workload/arrival.hh"
 
 namespace dysta {
@@ -47,25 +49,42 @@ struct WorkloadConfig
     uint64_t seed = 42;
 };
 
-/** Pool of Phase-1 trace sets keyed by (model, pattern). */
+/**
+ * Pool of Phase-1 trace sets, one per (model, pattern) pair and
+ * addressed by its interned ModelKey (trace/model_key.hh).
+ */
 class TraceRegistry
 {
   public:
+    /** Add a set, replacing any set with the same key. */
     void add(TraceSet traces);
 
     bool contains(const std::string& model,
                   SparsityPattern pattern) const;
 
+    /**
+     * Interned key of a pair; fatal() naming the pair and the
+     * registered keys when missing.
+     */
+    ModelKey key(const std::string& model,
+                 SparsityPattern pattern) const;
+
     const TraceSet& get(const std::string& model,
-                        SparsityPattern pattern) const;
+                        SparsityPattern pattern) const
+    {
+        return get(key(model, pattern));
+    }
+
+    /** The set interned as `k`. */
+    const TraceSet& get(ModelKey k) const { return *sets[k]; }
 
     /** Build the static scheduler's LUT over all registered sets. */
     ModelInfoLut buildLut() const;
 
     size_t size() const { return sets.size(); }
 
-    /** Keys of all registered trace sets (sorted). */
-    std::vector<std::string> keys() const;
+    /** Keys of all registered trace sets, in ModelKey (sorted) order. */
+    const std::vector<std::string>& keys() const { return sets.names(); }
 
     /**
      * Persist every trace set as "<dir>/<model>_<pattern>.csv",
@@ -74,7 +93,10 @@ class TraceRegistry
      */
     void saveAll(const std::string& dir) const;
 
-    /** Load every "*.csv" trace file previously written by saveAll. */
+    /**
+     * Load every "*.csv" trace file previously written by saveAll;
+     * fatal() naming both files when two hold the same key.
+     */
     static TraceRegistry loadAll(const std::string& dir);
 
     /**
@@ -87,18 +109,52 @@ class TraceRegistry
 
     /**
      * Load a saveAllBinary blob into `out`. Returns false (leaving
-     * `out` unspecified) on a missing file or a magic/version
-     * mismatch, so callers can fall back to the CSVs.
+     * `out` unspecified) on a missing file, a magic/version mismatch
+     * or corrupt content, so callers can fall back to the CSVs.
      */
     static bool loadAllBinary(const std::string& path,
                               TraceRegistry& out);
 
   private:
-    std::unordered_map<std::string, TraceSet> sets;
+    /**
+     * One heap node per set, as in a map: a set keeps its address
+     * while later sets are added, and requests point into it.
+     */
+    ModelKeyTable<std::unique_ptr<TraceSet>> sets;
 };
 
 /** Model mix of a scenario (names from the zoo). */
 std::vector<std::string> workloadModels(WorkloadKind kind);
+
+/**
+ * A WorkloadKind's (model, pattern) mix resolved against a registry
+ * once: each draw picks a model, then a pattern, and returns the
+ * pair's key and trace set without a string lookup.
+ */
+class WorkloadMix
+{
+  public:
+    WorkloadMix(WorkloadKind kind, const TraceRegistry& registry);
+
+    struct Pick
+    {
+        ModelKey key;
+        const TraceSet* set = nullptr;
+    };
+
+    /**
+     * Draw one pair from `rng` (model, then pattern); fatal() when
+     * the registry lacks the drawn pair.
+     */
+    Pick draw(Rng& rng) const;
+
+  private:
+    const TraceRegistry* registry;
+    std::vector<std::string> models;
+    std::vector<SparsityPattern> patterns;
+    /** picks[m * patterns.size() + p]; set == nullptr when missing. */
+    std::vector<Pick> picks;
+};
 
 /**
  * Generate one workload. Returned requests reference traces owned by

@@ -146,25 +146,20 @@ TEST(AllocationBudget, MegascaleCellAllocatesAlmostNothingPerRequest)
     }
 }
 
-TEST(AllocationBudget, Tab05CellsStayWithinBudgetOnAverage)
+TEST(AllocationBudget, Tab05CellsAllocateAlmostNothingPerRequest)
 {
     ScenarioSpec spec = scenario("tab05");
     std::unique_ptr<BenchContext> ctx =
         makeBenchContext(scenarioSetup(spec));
     std::vector<SweepCell> cells = scenarioCells(spec);
     ASSERT_FALSE(cells.empty());
-    double total = 0.0;
-    // Every policy runs here, so the per-cell breakdown is the first
-    // thing to read when the average moves.
-    std::string breakdown;
+    // Every policy runs here, on materialized multi-CNN and
+    // multi-AttNN workloads.
     for (const SweepCell& cell : cells) {
         double per_request = marginalAllocationsPerRequest(*ctx, cell);
-        total += per_request;
-        breakdown += "\n  " + toString(cell.workload.kind) + " " +
-                     cell.scheduler + ": " + std::to_string(per_request);
+        EXPECT_LE(per_request, 0.5)
+            << toString(cell.workload.kind) << " " << cell.scheduler;
     }
-    EXPECT_LE(total / static_cast<double>(cells.size()), 2.0)
-        << "allocations per request by cell:" << breakdown;
 }
 
 TEST(AllocationBudget, BatchingCellsAllocateAlmostNothingPerRequest)

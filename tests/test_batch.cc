@@ -310,9 +310,9 @@ TEST(BatchFormation, CompositionPoliciesRankCandidatesDifferently)
         node.beginBatch(0.0);
         ASSERT_EQ(node.activeBatch().size(), 2u) << c.compose;
         // SJF anchors on the shortest job ("a") in every variant.
-        EXPECT_EQ(node.activeBatch()[0]->modelName, "a")
+        EXPECT_EQ(world().name(*node.activeBatch()[0]), "a")
             << c.compose;
-        EXPECT_EQ(node.activeBatch()[1]->modelName, c.pick)
+        EXPECT_EQ(world().name(*node.activeBatch()[1]), c.pick)
             << c.compose;
     }
 }
@@ -335,9 +335,9 @@ TEST(BatchFormation, EstimatorLessPoliciesFallBackToQueueOrder)
     }
     node.beginBatch(0.0);
     ASSERT_EQ(node.activeBatch().size(), 3u);
-    EXPECT_EQ(node.activeBatch()[0]->modelName, "d");
-    EXPECT_EQ(node.activeBatch()[1]->modelName, "c");
-    EXPECT_EQ(node.activeBatch()[2]->modelName, "b");
+    EXPECT_EQ(world().name(*node.activeBatch()[0]), "d");
+    EXPECT_EQ(world().name(*node.activeBatch()[1]), "c");
+    EXPECT_EQ(world().name(*node.activeBatch()[2]), "b");
 }
 
 namespace {

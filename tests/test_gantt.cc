@@ -41,7 +41,7 @@ struct GanttFixture
 TEST(Gantt, RendersOneLanePerRequest)
 {
     GanttFixture f;
-    std::string out = renderGantt(f.result.events, f.reqs);
+    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut);
     EXPECT_NE(out.find("long"), std::string::npos);
     EXPECT_NE(out.find("short"), std::string::npos);
     EXPECT_NE(out.find('#'), std::string::npos);
@@ -54,7 +54,7 @@ TEST(Gantt, PreemptionShowsAsGapInLongLane)
     GanttFixture f;
     GanttConfig cfg;
     cfg.columns = 42; // 4.2 s span -> 0.1 s per column
-    std::string out = renderGantt(f.result.events, f.reqs, cfg);
+    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut, cfg);
     // The long request's lane must contain an interior gap where the
     // short one ran (1.0 .. 1.2 s).
     size_t lane_pos = out.find("long");
@@ -70,7 +70,7 @@ TEST(Gantt, WindowClipsEvents)
     GanttConfig cfg;
     cfg.windowStart = 0.0;
     cfg.windowEnd = 0.9; // before the short request ever runs
-    std::string out = renderGantt(f.result.events, f.reqs, cfg);
+    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut, cfg);
     EXPECT_NE(out.find("long"), std::string::npos);
     EXPECT_EQ(out.find("short"), std::string::npos);
 }
@@ -80,7 +80,7 @@ TEST(Gantt, MaxRowsKeepsBusiestRequests)
     GanttFixture f;
     GanttConfig cfg;
     cfg.maxRows = 1;
-    std::string out = renderGantt(f.result.events, f.reqs, cfg);
+    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut, cfg);
     // The long request dominates busy time and must be the survivor.
     EXPECT_NE(out.find("long"), std::string::npos);
     EXPECT_EQ(out.find("short"), std::string::npos);
@@ -90,6 +90,7 @@ TEST(Gantt, EmptyEventsHandled)
 {
     std::vector<ClusterEvent> none;
     std::vector<Request> reqs;
-    EXPECT_NE(renderGantt(none, reqs).find("no schedule events"),
+    EXPECT_NE(renderGantt(none, reqs, ModelInfoLut{})
+                  .find("no schedule events"),
               std::string::npos);
 }

@@ -45,6 +45,7 @@ class World
     addModel(const std::string& name, std::vector<double> latencies,
              std::vector<double> sparsities = {})
     {
+        checkNoKeysTaken();
         auto set = std::make_unique<TraceSet>(
             name, ModelFamily::CNN, SparsityPattern::Dense);
         set->add(trace(std::move(latencies), std::move(sparsities)));
@@ -57,6 +58,7 @@ class World
     addModelSamples(const std::string& name,
                     std::vector<SampleTrace> samples)
     {
+        checkNoKeysTaken();
         auto set = std::make_unique<TraceSet>(
             name, ModelFamily::CNN, SparsityPattern::Dense);
         for (auto& s : samples)
@@ -72,16 +74,36 @@ class World
     {
         for (const auto& set : sets) {
             if (set->modelName() == name) {
-                return makeRequest(id, name, SparsityPattern::Dense,
-                                   set->sample(sample_idx), arrival,
-                                   slo_mult, set->avgTotalLatency());
+                keysTaken = true;
+                return makeRequest(
+                    id, lut.key(name, SparsityPattern::Dense),
+                    set->sample(sample_idx), arrival, slo_mult,
+                    set->avgTotalLatency());
             }
         }
         fatal("test World: unknown model " + name);
     }
 
+    /** Model name of a request built by request(). */
+    const std::string&
+    name(const Request& req) const
+    {
+        return lut.lookup(req.model).model;
+    }
+
     ModelInfoLut lut;
     std::vector<std::unique_ptr<TraceSet>> sets;
+
+  private:
+    /** Set once a request holds a key; later adds would renumber. */
+    bool keysTaken = false;
+
+    void
+    checkNoKeysTaken() const
+    {
+        panicIf(keysTaken, "test World: add every model before the "
+                           "first request (a new key renumbers keys)");
+    }
 };
 
 } // namespace dysta::test

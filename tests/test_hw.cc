@@ -91,34 +91,36 @@ TEST(Fifo, PopEmptyPanics)
 TEST(HwLut, InstallAndRead)
 {
     HwLut<double> lut(4);
-    size_t id = lut.install("a", 1.5);
-    EXPECT_TRUE(lut.contains("a"));
-    EXPECT_EQ(lut.idOf("a"), id);
-    EXPECT_DOUBLE_EQ(lut.read(id), 1.5);
+    lut.install(ModelKey{2}, 1.5);
+    EXPECT_TRUE(lut.contains(ModelKey{2}));
+    EXPECT_FALSE(lut.contains(ModelKey{1}));
+    EXPECT_FALSE(lut.contains(ModelKey{3}));
+    EXPECT_DOUBLE_EQ(lut.read(ModelKey{2}), 1.5);
+    EXPECT_EQ(lut.size(), 1u);
 }
 
 TEST(HwLut, ReinstallOverwritesInPlace)
 {
     HwLut<double> lut(2);
-    size_t id1 = lut.install("a", 1.0);
-    size_t id2 = lut.install("a", 2.0);
-    EXPECT_EQ(id1, id2);
-    EXPECT_DOUBLE_EQ(lut.read(id1), 2.0);
+    lut.install(ModelKey{0}, 1.0);
+    lut.install(ModelKey{0}, 2.0);
+    EXPECT_DOUBLE_EQ(lut.read(ModelKey{0}), 2.0);
     EXPECT_EQ(lut.size(), 1u);
 }
 
 TEST(HwLut, CapacityExceededIsFatal)
 {
     HwLut<int> lut(1);
-    lut.install("a", 1);
-    EXPECT_EXIT(lut.install("b", 2), ::testing::ExitedWithCode(1),
+    lut.install(ModelKey{0}, 1);
+    EXPECT_EXIT(lut.install(ModelKey{1}, 2), ::testing::ExitedWithCode(1),
                 "capacity");
 }
 
 TEST(HwLut, MissingKeyIsFatal)
 {
     HwLut<int> lut(1);
-    EXPECT_EXIT(lut.idOf("nope"), ::testing::ExitedWithCode(1),
+    lut.install(ModelKey{0}, 1);
+    EXPECT_EXIT(lut.read(ModelKey{1}), ::testing::ExitedWithCode(1),
                 "missing");
 }
 
@@ -477,6 +479,29 @@ TEST(HwScheduler, ResetForgetsFifoPeak)
     SimResult r = runOne(*f.ctx, wl, hw);
     EXPECT_EQ(r.metrics.completed, 3u);
     EXPECT_LE(hw.fifoPeakOccupancy(), 3u);
+}
+
+TEST(HwScheduler, LayerCountMismatchPanics)
+{
+    // A LUT entry profiled for a deeper network than the model the
+    // shape LUT walks would read past model.layers.
+    auto& f = hwFixture();
+    ModelDesc model = f.ctx->models.front();
+    const TraceSet& real =
+        f.ctx->registry.get(model.name, SparsityPattern::Dense);
+    TraceSet deeper(model.name, model.family, SparsityPattern::Dense);
+    for (SampleTrace s : real.all()) {
+        s.layers.push_back(s.layers.back());
+        s.finalize();
+        deeper.add(std::move(s));
+    }
+    ModelInfoLut lut;
+    lut.addFromTrace(deeper);
+    EXPECT_DEATH(DystaHwScheduler(lut, {model}),
+                 "LUT entry " + model.name + "/dense has " +
+                     std::to_string(model.layers.size() + 1) +
+                     " layers, model " + model.name + " has " +
+                     std::to_string(model.layers.size()));
 }
 
 // --- Resource model ---

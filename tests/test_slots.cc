@@ -46,10 +46,9 @@ ctx()
 Request
 requestOf(int id, int slot, const std::string& model)
 {
-    const TraceSet& set =
-        ctx().registry.get(model, SparsityPattern::Dense);
-    Request req = makeRequest(id, model, SparsityPattern::Dense,
-                              set.sample(0), 0.0, 10.0,
+    ModelKey key = ctx().registry.key(model, SparsityPattern::Dense);
+    const TraceSet& set = ctx().registry.get(key);
+    Request req = makeRequest(id, key, set.sample(0), 0.0, 10.0,
                               set.avgTotalLatency());
     req.slot = slot;
     return req;
@@ -81,7 +80,7 @@ profiledLayers(const std::string& model)
 void
 observeOffProfile(LatencyEstimator& est, Request& req, size_t layer)
 {
-    double avg = infoOf(req.modelName).avgLayerSparsity[layer];
+    double avg = ctx().lut.lookup(req.model).avgLayerSparsity[layer];
     req.nextLayer = layer + 1;
     est.observe(req, avg > 0.5 ? 0.0 : 0.9);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -470,4 +471,96 @@ TEST(TraceCache, CorruptBinaryFallsBackToCsv)
                                             SparsityPattern::Dense);
     EXPECT_EQ(a.avgLatency, b.avgLatency);
     EXPECT_EQ(a.avgLayerLatency, b.avgLayerLatency);
+}
+
+TEST(TraceCache, ModelKeysMatchAcrossColdCsvAndBinaryLoads)
+{
+    CacheDir cache;
+    BenchSetup setup = tinySetup();
+    setup.includeCnn = true; // CNN patterns give keys past the models
+    setup.samplesPerModel = 4;
+    auto cold = makeBenchContext(setup, cache.dir);
+    auto binary = makeBenchContext(setup, cache.dir);
+    std::filesystem::remove(cache.dir + "/traces.bin");
+    auto csv = makeBenchContext(setup, cache.dir);
+
+    const std::vector<std::string>& keys = cold->registry.keys();
+    ASSERT_EQ(keys.size(), 4u * cnnPatterns().size() + 3u);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    for (const BenchContext* ctx : {binary.get(), csv.get()}) {
+        EXPECT_EQ(ctx->registry.keys(), keys);
+        ASSERT_EQ(ctx->lut.size(), keys.size());
+        for (uint32_t i = 0; i < keys.size(); ++i) {
+            ModelKey key{i};
+            const TraceSet& set = ctx->registry.get(key);
+            EXPECT_EQ(set.key(), keys[i]);
+            EXPECT_EQ(ctx->registry.key(set.modelName(), set.pattern()),
+                      key);
+            EXPECT_EQ(ctx->lut.key(set.modelName(), set.pattern()), key);
+            EXPECT_EQ(ctx->lut.lookup(key).avgLayerLatency,
+                      cold->lut.lookup(key).avgLayerLatency);
+        }
+    }
+
+    // Generated requests carry the same keys on every path.
+    WorkloadConfig wl;
+    wl.kind = WorkloadKind::MultiCNN;
+    wl.numRequests = 60;
+    std::vector<Request> a = generateWorkload(wl, cold->registry);
+    std::vector<Request> b = generateWorkload(wl, csv->registry);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i].model, b[i].model) << i;
+}
+
+namespace {
+
+/** Rewrite `<dir>/<file>` with `extra` copies of its last layer. */
+void
+padCachedTraceLayers(const std::string& dir, const std::string& file,
+                     size_t extra)
+{
+    std::string path = dir + "/" + file;
+    TraceSet loaded = TraceSet::load(path);
+    TraceSet padded(loaded.modelName(), loaded.family(),
+                    loaded.pattern());
+    for (SampleTrace s : loaded.all()) {
+        for (size_t i = 0; i < extra; ++i)
+            s.layers.push_back(s.layers.back());
+        s.finalize();
+        padded.add(std::move(s));
+    }
+    padded.save(path);
+    std::filesystem::remove(dir + "/traces.bin");
+}
+
+} // namespace
+
+TEST(TraceCache, LayerCountMismatchIsFatal)
+{
+    CacheDir cache;
+    BenchSetup setup = tinySetup();
+    auto cold = makeBenchContext(setup, cache.dir);
+    size_t layers = cold->registry.get("bart", SparsityPattern::Dense)
+                        .layerCount();
+    padCachedTraceLayers(cache.dir, "bart_dense.csv", 40);
+    EXPECT_EXIT(makeBenchContext(setup, cache.dir),
+                ::testing::ExitedWithCode(1),
+                "makeBenchContext: trace cache '" + cache.dir +
+                    "': traces for 'bart/dense' have " +
+                    std::to_string(layers + 40) +
+                    " layers, model bart has " + std::to_string(layers));
+}
+
+TEST(TraceCache, MissingCachedSetIsFatal)
+{
+    CacheDir cache;
+    BenchSetup setup = tinySetup();
+    makeBenchContext(setup, cache.dir);
+    std::filesystem::remove(cache.dir + "/gpt2_dense.csv");
+    std::filesystem::remove(cache.dir + "/traces.bin");
+    EXPECT_EXIT(makeBenchContext(setup, cache.dir),
+                ::testing::ExitedWithCode(1),
+                "makeBenchContext: trace cache '" + cache.dir +
+                    "' has no traces for 'gpt2/dense'");
 }

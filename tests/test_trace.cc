@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -492,5 +493,181 @@ TEST(TraceRegistry, BinaryLoadRejectsBadSparsity)
             << sparsity;
         EXPECT_EQ(out.size(), unmonitored ? 1u : 0u);
     }
+    std::filesystem::remove(path);
+}
+
+// --- interned ModelKeys -----------------------------------------------------
+
+namespace {
+
+/** A one-sample set of `layers` layers for (model, pattern). */
+TraceSet
+namedSet(const std::string& model, SparsityPattern pattern,
+         size_t layers = 2)
+{
+    TraceSet set(model, ModelFamily::CNN, pattern);
+    SampleTrace s;
+    for (size_t l = 0; l < layers; ++l)
+        s.layers.push_back({0.1 * static_cast<double>(l + 1), 0.5});
+    s.finalize();
+    set.add(std::move(s));
+    return set;
+}
+
+/** Raw bytes of a file. */
+std::string
+readBytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string& path, const std::string& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+} // namespace
+
+TEST(ModelKey, DenseAndInSortedKeyOrder)
+{
+    // Added out of order; keys follow the sorted key strings.
+    TraceRegistry registry;
+    registry.add(namedSet("zeta", SparsityPattern::Dense));
+    registry.add(namedSet("alpha", SparsityPattern::RandomPointwise));
+    registry.add(namedSet("alpha", SparsityPattern::BlockNM));
+    registry.add(namedSet("mid", SparsityPattern::ChannelWise));
+
+    ASSERT_EQ(registry.size(), 4u);
+    EXPECT_EQ(registry.keys(),
+              (std::vector<std::string>{"alpha/block_nm", "alpha/random",
+                                        "mid/channel", "zeta/dense"}));
+    ModelInfoLut lut = registry.buildLut();
+    ASSERT_EQ(lut.size(), registry.size());
+    for (uint32_t i = 0; i < registry.size(); ++i) {
+        ModelKey key{i};
+        const TraceSet& set = registry.get(key);
+        EXPECT_EQ(set.key(), registry.keys()[i]);
+        // A lookup by key is the by-name lookup, in both tables.
+        EXPECT_EQ(registry.key(set.modelName(), set.pattern()), key);
+        EXPECT_EQ(&registry.get(set.modelName(), set.pattern()), &set);
+        EXPECT_EQ(lut.key(set.modelName(), set.pattern()), key);
+        EXPECT_EQ(&lut.lookup(key),
+                  &lut.lookup(set.modelName(), set.pattern()));
+        EXPECT_EQ(lut.lookup(key).model, set.modelName());
+        EXPECT_EQ(lut.lookup(key).pattern, set.pattern());
+    }
+}
+
+TEST(ModelKey, LutBuiltInAnyOrderSharesRegistryKeys)
+{
+    TraceRegistry registry;
+    ModelInfoLut lut;
+    for (const char* model : {"c", "a", "b"}) {
+        registry.add(namedSet(model, SparsityPattern::Dense));
+        lut.addFromTrace(namedSet(model, SparsityPattern::Dense));
+    }
+    for (const char* model : {"a", "b", "c"}) {
+        EXPECT_EQ(lut.key(model, SparsityPattern::Dense),
+                  registry.key(model, SparsityPattern::Dense))
+            << model;
+    }
+}
+
+TEST(ModelKey, UnknownPairIsFatalNamingModelAndPattern)
+{
+    TraceRegistry registry;
+    registry.add(tinySet());
+    EXPECT_EXIT(registry.key("nosuch", SparsityPattern::BlockNM),
+                ::testing::ExitedWithCode(1),
+                "missing traces for 'nosuch/block_nm'; available trace "
+                "sets: toy/random");
+    ModelInfoLut lut = registry.buildLut();
+    EXPECT_EXIT(lut.key("toy", SparsityPattern::ChannelWise),
+                ::testing::ExitedWithCode(1), "no entry for toy/channel");
+}
+
+TEST(ModelKey, RequestsCarryTheirSetsKey)
+{
+    TraceRegistry registry;
+    registry.add(tinySet());
+    registry.add(namedSet("other", SparsityPattern::Dense));
+    ModelKey key = registry.key("toy", SparsityPattern::RandomPointwise);
+    const TraceSet& set = registry.get(key);
+    Request req = makeRequest(3, key, set.sample(1), 0.5, 4.0,
+                              set.avgTotalLatency());
+    EXPECT_EQ(req.model, key);
+    EXPECT_EQ(registry.get(req.model).modelName(), "toy");
+    EXPECT_EQ(req.trace, &set.sample(1));
+    EXPECT_DOUBLE_EQ(req.deadline, 0.5 + 4.0 * set.avgTotalLatency());
+}
+
+// --- trace-cache loader checks ----------------------------------------------
+
+TEST(TraceRegistry, DuplicateCsvKeyIsFatalNamingBothFiles)
+{
+    namespace fs = std::filesystem;
+    std::string dir = "/tmp/dysta_registry_dup_csv";
+    fs::remove_all(dir);
+    TraceRegistry registry;
+    registry.add(tinySet());
+    registry.saveAll(dir);
+    // A second file holding the same (model, pattern) key.
+    fs::copy_file(dir + "/toy_random.csv", dir + "/zz_toy_copy.csv");
+    EXPECT_EXIT(TraceRegistry::loadAll(dir), ::testing::ExitedWithCode(1),
+                "TraceRegistry::loadAll: .*/toy_random.csv and "
+                ".*/zz_toy_copy.csv both hold traces for 'toy/random'");
+    fs::remove_all(dir);
+}
+
+TEST(TraceRegistry, BinaryLoadRejectsOutOfRangeEnumBytes)
+{
+    // Layout: magic (8), set count (8), name length (8), name, then
+    // the family byte and the pattern byte.
+    std::string path = "/tmp/dysta_registry_enum.bin";
+    TraceRegistry registry;
+    registry.add(tinySet());
+    registry.saveAllBinary(path);
+    const std::string good = readBytes(path);
+    const size_t family_byte = 24 + std::string("toy").size();
+    ASSERT_EQ(good[family_byte], static_cast<char>(ModelFamily::CNN));
+    ASSERT_EQ(good[family_byte + 1],
+              static_cast<char>(SparsityPattern::RandomPointwise));
+
+    for (size_t offset : {family_byte, family_byte + 1}) {
+        std::string bad = good;
+        bad[offset] = 9;
+        writeBytes(path, bad);
+        TraceRegistry out;
+        EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out)) << offset;
+        EXPECT_EQ(out.size(), 0u);
+    }
+    writeBytes(path, good);
+    TraceRegistry out;
+    EXPECT_TRUE(TraceRegistry::loadAllBinary(path, out));
+    std::filesystem::remove(path);
+}
+
+TEST(TraceRegistry, BinaryLoadRejectsDuplicateKey)
+{
+    // Two sets whose names differ in one byte; renaming the second
+    // to the first makes the blob carry one key twice.
+    std::string path = "/tmp/dysta_registry_dup.bin";
+    TraceRegistry registry;
+    registry.add(namedSet("toya", SparsityPattern::Dense));
+    registry.add(namedSet("toyb", SparsityPattern::Dense));
+    registry.saveAllBinary(path);
+    std::string bytes = readBytes(path);
+    size_t second = bytes.find("toyb");
+    ASSERT_NE(second, std::string::npos);
+    bytes[second + 3] = 'a';
+    writeBytes(path, bytes);
+
+    TraceRegistry out;
+    EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out));
+    EXPECT_EQ(out.size(), 0u);
     std::filesystem::remove(path);
 }

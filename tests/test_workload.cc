@@ -29,6 +29,13 @@ ctx()
     return *instance;
 }
 
+/** The trace set a generated request was drawn from. */
+const TraceSet&
+setOf(const Request& req)
+{
+    return ctx().registry.get(req.model);
+}
+
 } // namespace
 
 TEST(Workload, GeneratesRequestedCount)
@@ -66,8 +73,8 @@ TEST(Workload, AttnnMixUsesLanguageModelsOnly)
     auto reqs = generateWorkload(cfg, ctx().registry);
     std::set<std::string> seen;
     for (const auto& r : reqs) {
-        seen.insert(r.modelName);
-        EXPECT_EQ(r.pattern, SparsityPattern::Dense);
+        seen.insert(setOf(r).modelName());
+        EXPECT_EQ(setOf(r).pattern(), SparsityPattern::Dense);
     }
     EXPECT_EQ(seen, (std::set<std::string>{"bert", "gpt2", "bart"}));
 }
@@ -82,8 +89,8 @@ TEST(Workload, CnnMixCoversModelsAndPatterns)
     std::set<std::string> models;
     std::set<SparsityPattern> patterns;
     for (const auto& r : reqs) {
-        models.insert(r.modelName);
-        patterns.insert(r.pattern);
+        models.insert(setOf(r).modelName());
+        patterns.insert(setOf(r).pattern());
     }
     EXPECT_EQ(models,
               (std::set<std::string>{"ssd300", "vgg16", "resnet50",
@@ -100,7 +107,7 @@ TEST(Workload, SsdIsOversampledInCnnMix)
     auto reqs = generateWorkload(cfg, ctx().registry);
     int ssd = 0;
     for (const auto& r : reqs)
-        ssd += r.modelName == "ssd300";
+        ssd += setOf(r).modelName() == "ssd300";
     EXPECT_NEAR(static_cast<double>(ssd) / 5000.0, 0.4, 0.03);
 }
 
@@ -112,9 +119,7 @@ TEST(Workload, DeadlineUsesModelAverageReference)
     cfg.numRequests = 50;
     auto reqs = generateWorkload(cfg, ctx().registry);
     for (const auto& r : reqs) {
-        double ref =
-            ctx().registry.get(r.modelName, r.pattern)
-                .avgTotalLatency();
+        double ref = setOf(r).avgTotalLatency();
         EXPECT_NEAR(r.deadline, r.arrival + 7.0 * ref, 1e-9);
     }
 }
@@ -129,14 +134,14 @@ TEST(Workload, DeterministicPerSeed)
     auto b = generateWorkload(cfg, ctx().registry);
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_DOUBLE_EQ(a[i].arrival, b[i].arrival);
-        EXPECT_EQ(a[i].modelName, b[i].modelName);
+        EXPECT_EQ(a[i].model.id, b[i].model.id);
         EXPECT_EQ(a[i].trace, b[i].trace);
     }
     cfg.seed = 32;
     auto c = generateWorkload(cfg, ctx().registry);
     int same = 0;
     for (size_t i = 0; i < a.size(); ++i)
-        same += a[i].modelName == c[i].modelName &&
+        same += a[i].model == c[i].model &&
                 a[i].trace == c[i].trace;
     EXPECT_LT(same, 30);
 }
