@@ -81,10 +81,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 "runSimulation: policy factory returned null");
         nodes.push_back(std::make_unique<SimNode>(
             static_cast<int>(i), cfg.nodes[i], std::move(policy)));
-    }
-    if (batch_on) {
-        for (auto& node : nodes)
-            node->setBatching(cfg.batching);
+        nodes.back()->setBatching(cfg.batching);
     }
 
     Telemetry* tele = cfg.telemetry;
@@ -221,6 +218,20 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         calendar->push(ev);
     };
 
+    // Start a step on an idle node with queued work, unless its
+    // batcher holds for a fuller batch: the armed BatchRelease
+    // re-evaluates the hold when the fill window expires.
+    auto holdOrStart = [&](SimNode& node, double now) {
+        if (node.state() == NodeState::Down || node.busy() ||
+            node.outstanding() == 0)
+            return;
+        double release_at = 0.0;
+        if (node.batchShouldHold(now, &release_at))
+            pushBatchRelease(node, release_at);
+        else
+            pushLayerEnd(node, node.beginStep(now));
+    };
+
     size_t finished = 0;
     size_t shed_count = 0;
     bool decision_pending = false;
@@ -295,6 +306,19 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             pushDecision(now);
     };
 
+    // Dissolve a primary's live hedge: its clone is pulled back
+    // wherever it sits and recycled.
+    auto dissolveHedge = [&](Request* primary, double now) {
+        Request* clone = primary->hedgePeer;
+        if (clone == nullptr)
+            return;
+        if (tele)
+            tele->hedgeCancel(*clone, clone->lastNode, now);
+        cancelCopy(clone, now);
+        dropClone(clone);
+        primary->hedgePeer = nullptr;
+    };
+
     auto accountCompleted = [&](const Request& req) {
         if (cfg.hedge.enabled)
             hedge_lat.add(req.finishTime - req.arrival);
@@ -308,14 +332,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     auto shedRequest = [&](Request* req, double now) {
         panicIf(req->isHedgeClone,
                 "runSimulation: tried to shed a hedge clone");
-        if (req->hedgePeer != nullptr) {
-            Request* clone = req->hedgePeer;
-            if (tele)
-                tele->hedgeCancel(*clone, clone->lastNode, now);
-            cancelCopy(clone, now);
-            dropClone(clone);
-            req->hedgePeer = nullptr;
-        }
+        dissolveHedge(req, now);
         ++req->cancelEpoch;
         req->shed = true;
         ++shed_count;
@@ -454,11 +471,11 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
 
     // Retire one completed logical request: resolve any hedge pair,
     // account it, give rebalancers a look, and hand the request back
-    // to the source. Shared verbatim by the scalar and batch
-    // completion paths so batching cannot drift the retirement
-    // semantics.
+    // to the source. Kept out of line: completions are rare next to
+    // layer boundaries, and this body inlined into the step path
+    // slows every event.
     auto retireCompleted = [&](SimNode& node, Request* done,
-                               double now) {
+                               double now) __attribute__((noinline)) {
         // First completion of a hedged pair wins; the loser is
         // pulled back and only the primary is ever recorded/retired
         // as the logical request.
@@ -482,14 +499,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             dropClone(done);
             logical = prim;
         } else {
-            if (done->hedgePeer != nullptr) {
-                Request* clone = done->hedgePeer;
-                if (tele)
-                    tele->hedgeCancel(*clone, clone->lastNode, now);
-                cancelCopy(clone, now);
-                dropClone(clone);
-                done->hedgePeer = nullptr;
-            }
+            dissolveHedge(done, now);
             ++done->cancelEpoch;
             dispatcher.onComplete(node, *done, now);
         }
@@ -599,19 +609,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 for (Request* req : displaced) {
                     if (req->isHedgeClone)
                         continue;
-                    if (req->hedgePeer != nullptr) {
-                        // Displaced primary with a live clone
-                        // elsewhere: dissolve the hedge before the
-                        // primary goes through the normal
-                        // restart/shed path.
-                        Request* clone = req->hedgePeer;
-                        if (tele)
-                            tele->hedgeCancel(*clone, clone->lastNode,
-                                              now);
-                        cancelCopy(clone, now);
-                        dropClone(clone);
-                        req->hedgePeer = nullptr;
-                    }
+                    // A live clone elsewhere dissolves before the
+                    // primary goes through the normal restart/shed
+                    // path.
+                    dissolveHedge(req, now);
                     bool started =
                         req == inflight || req->nextLayer > 0;
                     if (started &&
@@ -655,93 +656,42 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
           case SimEventKind::Decision: {
             decision_pending = false;
             applyRebalance(now);
-            for (auto& node : nodes) {
-                if (node->state() == NodeState::Down ||
-                    node->busy() || node->outstanding() == 0)
-                    continue;
-                if (batch_on) {
-                    // Hold for more batchable work while the delay
-                    // window allows; the armed BatchRelease starts
-                    // the batch when it expires.
-                    double release_at = 0.0;
-                    if (node->batchShouldHold(now, &release_at)) {
-                        pushBatchRelease(*node, release_at);
-                        continue;
-                    }
-                    pushLayerEnd(*node, node->beginBatch(now));
-                    continue;
-                }
-                pushLayerEnd(*node, node->beginBlock(now));
-            }
+            for (auto& node : nodes)
+                holdOrStart(*node, now);
             break;
           }
 
           case SimEventKind::LayerComplete: {
             SimNode& node = *nodes[ev.node];
             if (ev.epoch != node.epoch()) {
-                // The layer this event announced was abandoned by a
+                // The step this event announced was abandoned by a
                 // node failure after it was scheduled; nothing to do.
                 break;
             }
 
-            if (batch_on) {
-                // One batch step ends: every member advanced its own
-                // next layer over the shared step window.
-                const Request* anchor = node.current();
-                if (cfg.recordEvents) {
-                    double lat = node.batchStepLatency();
-                    for (const Request* m : node.activeBatch())
-                        result.events.push_back({node.id(), m->id,
-                                                 m->nextLayer,
-                                                 now - lat, now});
-                }
-                const std::vector<Request*>& completed =
-                    node.completeBatchStep();
-                // The anchor drives the sparsity feedback, exactly
-                // as in the scalar path.
-                dispatcher.onLayerComplete(
-                    node, *anchor, now,
-                    node.lastMonitoredSparsity());
-                for (Request* done : completed)
-                    retireCompleted(node, done, now);
-
-                if (node.blockContinues()) {
-                    // Continuous batching: newly-queued work may join
-                    // the running batch at this layer boundary.
-                    node.batchJoin(now);
-                    pushLayerEnd(node, node.continueBatchStep(now));
-                } else if (node.outstanding() > 0) {
-                    double release_at = 0.0;
-                    if (node.batchShouldHold(now, &release_at))
-                        pushBatchRelease(node, release_at);
-                    else
-                        pushLayerEnd(node, node.beginBatch(now));
-                }
-                break;
-            }
-
-            const Request* req = node.current();
-            size_t layer_idx = req->nextLayer;
-
+            // One step ends: every member advanced its own next layer
+            // over the shared step window.
+            const Request* anchor = node.current();
             if (cfg.recordEvents) {
-                double lat = node.layerLatency(
-                    req->trace->layers[layer_idx]);
-                result.events.push_back({node.id(), req->id,
-                                         layer_idx, now - lat, now});
+                double lat = node.batchStepLatency();
+                for (const Request* m : node.activeBatch())
+                    result.events.push_back({node.id(), m->id,
+                                             m->nextLayer, now - lat,
+                                             now});
             }
-
-            Request* done = node.completeLayer();
-            dispatcher.onLayerComplete(node, *req, now,
+            const std::vector<Request*>& completed = node.completeStep();
+            // The anchor drives the sparsity feedback.
+            dispatcher.onLayerComplete(node, *anchor, now,
                                        node.lastMonitoredSparsity());
-            if (done != nullptr)
+            for (Request* done : completed)
                 retireCompleted(node, done, now);
 
             // Continue the non-preemptible block, or make a fresh
             // dispatch decision at the block boundary.
             if (node.blockContinues())
-                pushLayerEnd(node, node.continueBlock(now));
-            else if (node.outstanding() > 0)
-                pushLayerEnd(node, node.beginBlock(now));
+                pushLayerEnd(node, node.continueStep(now));
+            else
+                holdOrStart(node, now);
             break;
           }
 
@@ -760,14 +710,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             // copies (a timeout dissolves any hedge) and retry from
             // scratch while per-request attempts and the fleet-wide
             // retry budget allow, else shed.
-            if (req->hedgePeer != nullptr) {
-                Request* clone = req->hedgePeer;
-                if (tele)
-                    tele->hedgeCancel(*clone, clone->lastNode, now);
-                cancelCopy(clone, now);
-                dropClone(clone);
-                req->hedgePeer = nullptr;
-            }
+            dissolveHedge(req, now);
             cancelCopy(req, now);
             dispatcher.onCancel(*req, now);
             ++req->cancelEpoch;
@@ -830,14 +773,9 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
           case SimEventKind::BatchRelease: {
             SimNode& node = *nodes[ev.node];
             release_pending[static_cast<size_t>(ev.node)] = -1.0;
-            if (node.state() == NodeState::Down || node.busy() ||
-                node.outstanding() == 0)
-                break; // the work started (or vanished) another way
-            double release_at = 0.0;
-            if (node.batchShouldHold(now, &release_at))
-                pushBatchRelease(node, release_at); // window moved
-            else
-                pushLayerEnd(node, node.beginBatch(now));
+            // A no-op when the work started (or vanished) another
+            // way; re-arms when the window moved.
+            holdOrStart(node, now);
             break;
           }
         }

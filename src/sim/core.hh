@@ -176,13 +176,14 @@ struct SimConfig
 
     // --- dynamic batching (src/batch/) -------------------------------
     /**
-     * Batch formation/execution knobs (disabled default). Enabled,
-     * every node executes batch steps: the scheduler picks the
-     * anchor, the composition policy fills the batch, and each step
-     * costs the slowest member's layer latency plus the marginal-
-     * member overhead. Disabled runs are bit-identical to builds
-     * without the subsystem. Incompatible with rebalancing
-     * (work-stealing) dispatchers.
+     * Batch formation/execution knobs (disabled default). Every node
+     * executes steps: the scheduler picks the anchor, the
+     * composition policy fills the batch, and each step costs the
+     * slowest member's layer latency plus the marginal-member
+     * overhead. Disabled, a node runs batches of one (no hold, no
+     * batch stats), bit-identical to builds without the subsystem.
+     * Enabled, incompatible with rebalancing (work-stealing)
+     * dispatchers.
      */
     BatchConfig batching;
 };

@@ -103,7 +103,7 @@ SimNode::fail(double now)
     if (nodeState == NodeState::Down)
         return {};
     nodeState = NodeState::Down;
-    ++failEpoch;
+    abandonStep();
 
     // The policy forgets every queued request (in queue order); the
     // caller decides their fate (re-dispatch, restart or shed).
@@ -113,13 +113,18 @@ SimNode::fail(double now)
         sched->onDequeue(*req, now);
         req->lastNode = -1;
     }
+    return displaced;
+}
 
+void
+SimNode::abandonStep()
+{
     running = nullptr;
     blockOwner = nullptr;
     blockExecuted = 0;
     lastRun = nullptr;
     batch.clear();
-    return displaced;
+    ++failEpoch; // stales the pending layer-complete event
 }
 
 void
@@ -183,16 +188,10 @@ SimNode::cancel(Request* req, double now)
     req->lastNode = -1;
 
     if (req == running) {
-        // Its layer is in flight: abandon it. The epoch bump stales
-        // the pending layer-complete event, exactly like fail().
-        // With batching the anchor owns the step, so the whole batch
-        // loses it (members keep their progress in the ready queue).
-        running = nullptr;
-        blockOwner = nullptr;
-        blockExecuted = 0;
-        lastRun = nullptr;
-        batch.clear();
-        ++failEpoch;
+        // Its step is in flight: abandon it, exactly like fail(). The
+        // anchor owns the step, so the whole batch loses it (members
+        // keep their progress in the ready queue).
+        abandonStep();
         return CancelOutcome::Running;
     }
     // A cancelled non-anchor member leaves its batch; an in-flight
@@ -211,102 +210,7 @@ SimNode::cancel(Request* req, double now)
     return CancelOutcome::Queued;
 }
 
-double
-SimNode::startLayer(double now)
-{
-    const LayerTrace& layer =
-        blockOwner->trace->layers[blockOwner->nextLayer];
-    running = blockOwner;
-    layerEnd = now + layerLatency(layer);
-    if (telemetry)
-        telemetry->execStart(*blockOwner, nodeId,
-                             blockOwner->nextLayer, now);
-    return layerEnd;
-}
-
-double
-SimNode::beginBlock(double now)
-{
-    panicIf(busy(), "SimNode::beginBlock while busy");
-    panicIf(ready.empty(), "SimNode::beginBlock with empty queue");
-    panicIf(nodeState == NodeState::Down,
-            "SimNode::beginBlock on a failed node");
-
-    Request* pick = sched->pickNext(ready, now);
-    ++numDecisions;
-    // Containment for buggy pickNext overrides (e.g. a user heap
-    // that forgot to erase on completion): fail deterministically
-    // instead of indexing a finished trace.
-    panicIf(pick == nullptr || pick->done(),
-            "SimNode: scheduler returned an invalid request");
-    blockOwner = pick;
-    blockExecuted = 0;
-
-    if (lastRun != nullptr && blockOwner != lastRun &&
-        lastRun->nextLayer > 0 && !lastRun->done()) {
-        ++numPreemptions;
-        if (telemetry)
-            telemetry->preempt(*lastRun, nodeId, now);
-    }
-
-    return startLayer(now + prof.decisionOverheadSec);
-}
-
-Request*
-SimNode::completeLayer()
-{
-    panicIf(!busy(), "SimNode::completeLayer on idle node");
-    Request* req = running;
-    size_t layer_idx = req->nextLayer;
-    const LayerTrace& layer = req->trace->layers[layer_idx];
-
-    req->executedTime += layerLatency(layer);
-    ++req->nextLayer;
-    req->lastRunEnd = layerEnd;
-    lastSparsity = layer.monitoredSparsity;
-    ++blockExecuted;
-    running = nullptr;
-
-    sched->onLayerComplete(*req, layerEnd, layer.monitoredSparsity);
-    if (telemetry)
-        telemetry->layerComplete(*req, nodeId, layer_idx,
-                                 layerEnd - layerLatency(layer),
-                                 layerEnd, layer.monitoredSparsity);
-
-    if (req->done()) {
-        req->finishTime = layerEnd;
-        sched->onComplete(*req, layerEnd);
-        ready.erase(std::find(ready.begin(), ready.end(), req));
-        req->lastNode = -1;
-        ++numCompleted;
-        blockOwner = nullptr;
-        lastRun = nullptr;
-        if (telemetry)
-            telemetry->complete(*req, nodeId, ready.size(), layerEnd);
-        return req;
-    }
-    lastRun = req;
-    return nullptr;
-}
-
-bool
-SimNode::blockContinues() const
-{
-    panicIf(busy(), "SimNode::blockContinues while busy");
-    size_t block = std::max<size_t>(1, prof.layerBlockSize);
-    return blockOwner != nullptr && !blockOwner->done() &&
-           blockExecuted < block;
-}
-
-double
-SimNode::continueBlock(double now)
-{
-    panicIf(!blockContinues(), "SimNode::continueBlock at boundary");
-    (void)now; // layers within a block run back to back
-    return startLayer(layerEnd);
-}
-
-// --- dynamic batching ------------------------------------------------
+// --- step execution ------------------------------------------------
 
 bool
 SimNode::inActiveBatch(const Request* req) const
@@ -315,13 +219,11 @@ SimNode::inActiveBatch(const Request* req) const
            std::find(batch.begin(), batch.end(), req) != batch.end();
 }
 
+/** The hold rule past its fast exits: wait while the oldest waiter
+ *  is inside the fill window. */
 bool
-SimNode::batchShouldHold(double now, double* release_at) const
+SimNode::fillWindowOpen(double now, double* release_at) const
 {
-    if (!batchCfg.enabled || batchCfg.maxDelaySec <= 0.0)
-        return false;
-    if (ready.size() >= static_cast<size_t>(batchCfg.maxSize))
-        return false;
     double oldest = ready.front()->nodeEnqueueTime;
     for (const Request* r : ready)
         oldest = std::min(oldest, r->nodeEnqueueTime);
@@ -331,22 +233,30 @@ SimNode::batchShouldHold(double now, double* release_at) const
     return true;
 }
 
+/** Add `req` to the current batch, counting its first-step wait. */
+void
+SimNode::admitMember(Request* req, double now)
+{
+    batch.push_back(req);
+    if (batchCfg.enabled && req->nextLayer == 0) {
+        bstats.fillWaitSec += now - req->nodeEnqueueTime;
+        ++bstats.fillWaitCount;
+    }
+}
+
 /**
- * Fill the batch from the ready queue up to maxSize, ordered by the
- * composition policy. Candidate ranking consults the scheduler's own
- * estimator (sparsity-refined under Dysta); estimator-less policies
- * (FCFS) fall back to queue order for every composition. Each
- * candidate's rank key is computed once, and a stable insertion sort
- * on it gives exactly the order of a stable comparator sort over the
- * same expression, without allocating.
+ * Fill the batch from the ready queue up to the step cap, ordered by
+ * the composition policy. Candidate ranking consults the scheduler's
+ * own estimator (sparsity-refined under Dysta); estimator-less
+ * policies (FCFS) fall back to queue order for every composition.
+ * Each candidate's rank key is computed once, and a stable insertion
+ * sort on it gives exactly the order of a stable comparator sort over
+ * the same expression, without allocating.
+ * @pre batch.size() < stepCap()
  */
 void
 SimNode::composeBatch(double now, bool at_join)
 {
-    size_t cap = static_cast<size_t>(batchCfg.maxSize);
-    if (batch.size() >= cap)
-        return;
-
     ranked.clear();
     for (Request* r : ready) {
         if (std::find(batch.begin(), batch.end(), r) == batch.end())
@@ -383,14 +293,10 @@ SimNode::composeBatch(double now, bool at_join)
     }
 
     for (const RankedCandidate& c : ranked) {
-        if (batch.size() >= cap)
+        if (batch.size() >= stepCap())
             break;
         Request* r = c.req;
-        batch.push_back(r);
-        if (r->nextLayer == 0) {
-            bstats.fillWaitSec += now - r->nodeEnqueueTime;
-            ++bstats.fillWaitCount;
-        }
+        admitMember(r, now);
         if (at_join) {
             ++bstats.joins;
             if (telemetry)
@@ -399,17 +305,25 @@ SimNode::composeBatch(double now, bool at_join)
     }
 }
 
-double
-SimNode::startBatchStep(double now)
+/**
+ * Start a step of the current batch at `now`: the slowest member's
+ * layer latency, inflated by the overhead of each marginal member.
+ * A lone member's step is exactly its own layer latency.
+ */
+inline double
+SimNode::startStep(double now)
 {
-    double base = 0.0;
-    for (const Request* m : batch)
-        base = std::max(base,
-                        layerLatency(m->trace->layers[m->nextLayer]));
+    auto memberLatency = [&](const Request* m) {
+        return layerLatency(m->trace->layers[m->nextLayer]);
+    };
+    double base = memberLatency(batch.front());
+    for (size_t i = 1; i < batch.size(); ++i)
+        base = std::max(base, memberLatency(batch[i]));
     batchStepBase = base;
-    batchStepLat =
-        base * (1.0 + batchCfg.overhead *
-                          static_cast<double>(batch.size() - 1));
+    batchStepLat = base;
+    if (batch.size() > 1)
+        batchStepLat *= 1.0 + batchCfg.overhead *
+                                  static_cast<double>(batch.size() - 1);
     running = blockOwner;
     layerEnd = now + batchStepLat;
     if (telemetry)
@@ -419,16 +333,18 @@ SimNode::startBatchStep(double now)
 }
 
 double
-SimNode::beginBatch(double now)
+SimNode::beginStep(double now)
 {
-    panicIf(busy(), "SimNode::beginBatch while busy");
-    panicIf(ready.empty(), "SimNode::beginBatch with empty queue");
+    panicIf(busy(), "SimNode::beginStep while busy");
+    panicIf(ready.empty(), "SimNode::beginStep with empty queue");
     panicIf(nodeState == NodeState::Down,
-            "SimNode::beginBatch on a failed node");
-    panicIf(!batchCfg.enabled, "SimNode::beginBatch without batching");
+            "SimNode::beginStep on a failed node");
 
     Request* pick = sched->pickNext(ready, now);
     ++numDecisions;
+    // Containment for buggy pickNext overrides (e.g. a user heap
+    // that forgot to erase on completion): fail deterministically
+    // instead of indexing a finished trace.
     panicIf(pick == nullptr || pick->done(),
             "SimNode: scheduler returned an invalid request");
     blockOwner = pick;
@@ -442,33 +358,36 @@ SimNode::beginBatch(double now)
     }
 
     batch.clear();
-    batch.push_back(pick);
-    if (pick->nextLayer == 0) {
-        bstats.fillWaitSec += now - pick->nodeEnqueueTime;
-        ++bstats.fillWaitCount;
+    admitMember(pick, now);
+    if (stepCap() > 1)
+        composeBatch(now, false);
+    if (batchCfg.enabled) {
+        ++bstats.formed;
+        if (telemetry)
+            telemetry->batchForm(*pick, nodeId, batch.size(), now);
     }
-    composeBatch(now, false);
-    ++bstats.formed;
-    if (telemetry)
-        telemetry->batchForm(*pick, nodeId, batch.size(), now);
-    return startBatchStep(now + prof.decisionOverheadSec);
+    return startStep(now + prof.decisionOverheadSec);
 }
 
 const std::vector<Request*>&
-SimNode::completeBatchStep()
+SimNode::completeStep()
 {
-    panicIf(!busy(), "SimNode::completeBatchStep on idle node");
+    panicIf(!busy(), "SimNode::completeStep on idle node");
     running = nullptr;
     ++blockExecuted;
-    ++bstats.steps;
-    bstats.memberSteps += batch.size();
+    const bool counting = batchCfg.enabled;
+    if (counting) {
+        ++bstats.steps;
+        bstats.memberSteps += batch.size();
+    }
 
     completed.clear();
     for (Request* m : batch) {
         size_t layer_idx = m->nextLayer;
         const LayerTrace& layer = m->trace->layers[layer_idx];
         double own = layerLatency(layer);
-        bstats.stragglerTaxSec += batchStepBase - own;
+        if (counting)
+            bstats.stragglerTaxSec += batchStepBase - own;
         m->executedTime += own;
         ++m->nextLayer;
         m->lastRunEnd = layerEnd;
@@ -490,33 +409,24 @@ SimNode::completeBatchStep()
         batch.erase(std::find(batch.begin(), batch.end(), m));
         m->lastNode = -1;
         ++numCompleted;
+        if (m == blockOwner)
+            blockOwner = nullptr; // a finished anchor ends its block
         if (telemetry)
             telemetry->complete(*m, nodeId, ready.size(), layerEnd);
     }
-    if (blockOwner->done()) {
-        blockOwner = nullptr;
-        lastRun = nullptr;
-    } else {
-        lastRun = blockOwner;
-    }
+    lastRun = blockOwner;
     return completed;
 }
 
-void
-SimNode::batchJoin(double now)
-{
-    panicIf(busy(), "SimNode::batchJoin while busy");
-    panicIf(!blockContinues(), "SimNode::batchJoin at block boundary");
-    composeBatch(now, true);
-}
-
 double
-SimNode::continueBatchStep(double now)
+SimNode::continueStep(double now)
 {
-    panicIf(!blockContinues(),
-            "SimNode::continueBatchStep at boundary");
-    (void)now; // steps within a block run back to back
-    return startBatchStep(layerEnd);
+    panicIf(!blockContinues(), "SimNode::continueStep at boundary");
+    // Continuous batching: queued work may join at this boundary.
+    if (batch.size() < stepCap())
+        composeBatch(now, true);
+    // Steps within a block run back to back.
+    return startStep(layerEnd);
 }
 
 } // namespace dysta

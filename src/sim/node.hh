@@ -34,6 +34,7 @@
 #ifndef DYSTA_SIM_NODE_HH
 #define DYSTA_SIM_NODE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -166,10 +167,10 @@ class SimNode
     /** Queued plus running request count. */
     size_t outstanding() const { return ready.size(); }
 
-    /** Whether a layer is currently executing. */
+    /** Whether a step is currently executing. */
     bool busy() const { return running != nullptr; }
 
-    /** Currently executing request (nullptr when idle). */
+    /** Anchor of the executing step (nullptr when idle). */
     const Request* current() const { return running; }
 
     /** Latency of `layer` on this node (speed-scaled). */
@@ -241,91 +242,90 @@ class SimNode
      */
     CancelOutcome cancel(Request* req, double now);
 
-    /**
-     * Invoke the policy and start the first layer of a new
-     * non-preemptible block.
-     * @pre !busy() && outstanding() > 0
-     * @return completion time of the started layer
-     */
-    double beginBlock(double now);
-
-    /**
-     * Finish the in-flight layer at its completion time.
-     * @return the completed request if it just finished, else nullptr
-     */
-    Request* completeLayer();
-
-    /**
-     * Whether the node should immediately continue with the next
-     * layer of the current block (request unfinished, block not
-     * exhausted). @pre !busy() (layer just completed)
-     */
-    bool blockContinues() const;
-
-    /** Start the next layer of the current block. @pre blockContinues() */
-    double continueBlock(double now);
-
-    /** Monitored sparsity reported by the layer just completed. */
+    /** Monitored sparsity reported by the anchor's last layer. */
     double lastMonitoredSparsity() const { return lastSparsity; }
 
-    // --- dynamic batching (src/batch/) -------------------------------
-    // With batching enabled the node executes *batch steps* instead
-    // of single layers: the scheduler still picks the block's anchor
-    // (decision/preemption counting unchanged), the composition
-    // policy fills the batch from the ready queue, and every member
-    // advances its own next layer per step. The step's wall time is
-    // the slowest member's layer latency inflated by the marginal-
-    // member overhead (see BatchConfig). Members may join a running
-    // batch at layer boundaries (continuous batching).
+    // --- step execution ----------------------------------------------
+    // The node executes *steps*. At a block boundary the scheduler
+    // picks the block's anchor (one decision, preemption counted as
+    // above), the composition policy fills the batch from the ready
+    // queue up to the step cap, and every member advances its own
+    // next layer per step. A step's wall time is the slowest member's
+    // layer latency inflated by the marginal-member overhead (see
+    // BatchConfig). Members may join a running batch at layer
+    // boundaries (continuous batching). An unbatched node runs
+    // batches of one: a cap of 1 member and no hold, so each step is
+    // exactly one layer of the anchor.
 
-    /** Enable batch execution for this run. */
+    /** Configure batch execution for this run. */
     void setBatching(const BatchConfig& cfg) { batchCfg = cfg; }
 
     /**
      * Whether formation should wait for the batch to fill: fewer
-     * than maxSize ready requests and the oldest has not yet waited
-     * maxDelaySec. Sets `release_at` to when the hold expires.
+     * than the step cap ready requests and the oldest has not yet
+     * waited maxDelaySec. Sets `release_at` to when the hold expires.
+     * @pre outstanding() > 0
      */
-    bool batchShouldHold(double now, double* release_at) const;
+    bool batchShouldHold(double now, double* release_at) const
+    {
+        // A full step, or one with no fill window, never waits.
+        if (ready.size() >= stepCap() || batchCfg.maxDelaySec <= 0.0)
+            return false;
+        return fillWindowOpen(now, release_at);
+    }
 
     /**
-     * Invoke the policy for the batch anchor, compose the batch and
-     * start its first step. @pre !busy() && outstanding() > 0
+     * Invoke the policy for the anchor of a new non-preemptible
+     * block, compose its batch and start the block's first step.
+     * @pre !busy() && outstanding() > 0
      * @return completion time of the started step
      */
-    double beginBatch(double now);
+    double beginStep(double now);
 
     /**
-     * Finish the in-flight batch step at its completion time: every
-     * member advances one layer; finished members retire.
+     * Finish the in-flight step at its completion time: every member
+     * advances one layer; finished members retire.
      * @return the members that just completed, in batch order
-     *         (valid until the next completeBatchStep)
+     *         (valid until the next completeStep)
      */
-    const std::vector<Request*>& completeBatchStep();
+    const std::vector<Request*>& completeStep();
 
     /**
-     * Admit new members at a layer boundary (continuous batching),
-     * up to maxSize, chosen by the composition policy.
-     * @pre !busy() && blockContinues()
+     * Whether the node should immediately continue the current block
+     * with another step (anchor unfinished, block not exhausted).
+     * @pre !busy() (a step just completed)
      */
-    void batchJoin(double now);
+    bool blockContinues() const
+    {
+        // A finished anchor has already left its block.
+        return blockOwner != nullptr &&
+               blockExecuted < std::max<size_t>(1, prof.layerBlockSize);
+    }
 
-    /** Start the next step of the current batch. @pre blockContinues() */
-    double continueBatchStep(double now);
+    /**
+     * Admit new members up to the step cap, chosen by the composition
+     * policy (continuous batching), and start the next step of the
+     * current block. @pre blockContinues()
+     * @return completion time of the started step
+     */
+    double continueStep(double now);
 
-    /** Whether `req` is a member of the in-flight batch step. */
+    /** Whether `req` is a member of the in-flight step. */
     bool inActiveBatch(const Request* req) const;
 
-    /** Members of the current batch (valid while busy()). */
+    /** Members of the current step (valid while busy()). */
     const std::vector<Request*>& activeBatch() const { return batch; }
 
-    /** Wall time of the in-flight batch step (valid while busy()). */
+    /** Wall time of the in-flight step (valid while busy()). */
     double batchStepLatency() const { return batchStepLat; }
 
-    /** Batch-execution counters accumulated over the run. */
+    /**
+     * Batch-execution counters accumulated over the run; kept (and
+     * reported) only when batching is enabled.
+     */
     struct BatchCounters
     {
-        size_t formed = 0;      ///< batches formed (beginBatch calls)
+        size_t formed = 0;      ///< batches formed (beginStep calls)
         size_t joins = 0;       ///< members admitted at layer boundaries
         size_t steps = 0;       ///< batch steps executed
         size_t memberSteps = 0; ///< member-layers executed across steps
@@ -351,10 +351,10 @@ class SimNode
     std::unique_ptr<Scheduler> sched;
 
     std::vector<Request*> ready;
-    Request* running = nullptr;      ///< request owning the in-flight layer
-    Request* blockOwner = nullptr;   ///< request owning the current block
-    size_t blockExecuted = 0;        ///< layers done in the current block
-    double layerEnd = 0.0;           ///< completion time of in-flight layer
+    Request* running = nullptr;      ///< anchor of the in-flight step
+    Request* blockOwner = nullptr;   ///< anchor of the current block
+    size_t blockExecuted = 0;        ///< steps done in the current block
+    double layerEnd = 0.0;           ///< completion time of in-flight step
     double lastSparsity = -1.0;
     const Request* lastRun = nullptr; ///< preemption detection
 
@@ -367,7 +367,7 @@ class SimNode
     size_t numDecisions = 0;
 
     BatchConfig batchCfg;            ///< disabled by default
-    std::vector<Request*> batch;     ///< current batch members
+    std::vector<Request*> batch;     ///< current step members
     double batchStepBase = 0.0;      ///< max member latency of the step
     double batchStepLat = 0.0;       ///< step wall time (with overhead)
     BatchCounters bstats;
@@ -379,11 +379,19 @@ class SimNode
         Request* req;
     };
     std::vector<RankedCandidate> ranked; ///< composeBatch scratch
-    std::vector<Request*> completed;     ///< completeBatchStep result
+    std::vector<Request*> completed;     ///< completeStep result
 
-    double startLayer(double now);
+    /** Max members per step: `maxSize` when batching, else 1. */
+    size_t stepCap() const
+    {
+        return batchCfg.enabled ? static_cast<size_t>(batchCfg.maxSize)
+                                : 1;
+    }
+    bool fillWindowOpen(double now, double* release_at) const;
+    void admitMember(Request* req, double now);
     void composeBatch(double now, bool at_join);
-    double startBatchStep(double now);
+    double startStep(double now);
+    void abandonStep();
 };
 
 } // namespace dysta

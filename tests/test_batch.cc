@@ -6,8 +6,9 @@
  * boundaries only), the composition policies (fifo / greedy /
  * sparsity-aware), per-node scheduler overrides in fleet specs, the
  * goodput metric, and the determinism contract: batching off keeps
- * every report inert, and the batching grid replays bit-identically
- * serial vs parallel.
+ * every report inert, a batcher capped at one member schedules
+ * exactly like an unbatched node, and the batching grid replays
+ * bit-identically serial vs parallel.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,11 @@
 #include "api/scenario.hh"
 #include "batch/batch.hh"
 #include "exp/sweep.hh"
+#include "obs/telemetry.hh"
 #include "sched/fcfs.hh"
 #include "sched/sjf.hh"
+#include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "sim/node.hh"
 #include "test_helpers.hh"
 #include "util/rng.hh"
@@ -83,6 +87,92 @@ sameBatching(const BatchStats& a, const BatchStats& b)
            a.meanOccupancy == b.meanOccupancy &&
            a.meanFillWaitSec == b.meanFillWaitSec &&
            a.stragglerTaxSec == b.stragglerTaxSec;
+}
+
+/** Every Metrics field except the batching block, bit for bit. */
+void
+expectSameMetricsButBatching(const Metrics& a, const Metrics& b)
+{
+    EXPECT_EQ(a.antt, b.antt);
+    EXPECT_EQ(a.violationRate, b.violationRate);
+    EXPECT_EQ(a.sloMissRate, b.sloMissRate);
+    EXPECT_EQ(a.throughput, b.throughput);
+    EXPECT_EQ(a.goodput, b.goodput);
+    EXPECT_EQ(a.stp, b.stp);
+    EXPECT_EQ(a.p50Turnaround, b.p50Turnaround);
+    EXPECT_EQ(a.p95Turnaround, b.p95Turnaround);
+    EXPECT_EQ(a.p99Turnaround, b.p99Turnaround);
+    EXPECT_EQ(a.p50Latency, b.p50Latency);
+    EXPECT_EQ(a.p95Latency, b.p95Latency);
+    EXPECT_EQ(a.p99Latency, b.p99Latency);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.estimators.size(), b.estimators.size());
+    EXPECT_EQ(a.resilience.active, b.resilience.active);
+    EXPECT_EQ(a.resilience.availability, b.resilience.availability);
+    EXPECT_EQ(a.resilience.failures, b.resilience.failures);
+}
+
+/** What an equivalence run exercised (see expectBatchOfOneEquivalence). */
+struct Exercised
+{
+    size_t preemptions = 0;
+    size_t restarts = 0;
+};
+
+/**
+ * Run the profiled AttNN workload on `nodes` (one `policy` per node)
+ * unbatched and under an enabled `batcher:size=1`: finish times,
+ * decisions, preemptions, calendar events, execution telemetry and
+ * every metric but the batching block must match.
+ */
+Exercised
+expectBatchOfOneEquivalence(const std::vector<NodeProfile>& nodes,
+                            const std::string& policy,
+                            const std::vector<NodeEvent>& events)
+{
+    WorkloadConfig wl;
+    wl.arrivalRate = 40.0;
+    wl.numRequests = 150;
+    SimResult runs[2];
+    std::vector<Request> reqs[2];
+    Telemetry sinks[2];
+    for (int batched = 0; batched < 2; ++batched) {
+        SimConfig cfg;
+        cfg.nodes = nodes;
+        cfg.nodeEvents = events;
+        cfg.telemetry = &sinks[batched];
+        cfg.batching =
+            batchConfigFromSpec(batched ? "batcher:size=1" : "");
+        reqs[batched] = generateWorkload(wl, ctx().registry);
+        LeastOutstandingDispatcher disp;
+        runs[batched] = runSimulation(
+            cfg, reqs[batched], disp, [&](const NodeProfile&, int) {
+                return makeSchedulerByName(policy, ctx());
+            });
+    }
+    const SimResult& off = runs[0];
+    const SimResult& one = runs[1];
+    EXPECT_EQ(sinks[0].execStarts(), sinks[1].execStarts()) << policy;
+    EXPECT_EQ(sinks[0].layerCompletions(), sinks[1].layerCompletions())
+        << policy;
+    EXPECT_EQ(sinks[0].restarts(), sinks[1].restarts()) << policy;
+    EXPECT_EQ(sinks[0].batchesFormed(), 0u) << policy;
+    EXPECT_EQ(sinks[1].batchesFormed(), one.decisions) << policy;
+    EXPECT_FALSE(off.metrics.batching.active) << policy;
+    EXPECT_TRUE(one.metrics.batching.active) << policy;
+    EXPECT_EQ(one.metrics.batching.meanOccupancy, 1.0) << policy;
+    EXPECT_EQ(one.metrics.batching.joins, 0.0) << policy;
+    EXPECT_EQ(off.decisions, one.decisions) << policy;
+    EXPECT_EQ(off.preemptions, one.preemptions) << policy;
+    EXPECT_EQ(off.eventsProcessed, one.eventsProcessed) << policy;
+    EXPECT_EQ(off.perNodeCompleted, one.perNodeCompleted) << policy;
+    expectSameMetricsButBatching(off.metrics, one.metrics);
+    for (size_t i = 0; i < reqs[0].size(); ++i)
+        EXPECT_EQ(reqs[0][i].finishTime, reqs[1][i].finishTime)
+            << policy << " request " << i;
+    return {off.preemptions, sinks[0].restarts()};
 }
 
 /** A batching cell over the profiled AttNN workload. */
@@ -172,14 +262,14 @@ TEST(BatchFormation, SizeCapAndStepLatencyWithOverhead)
         node.enqueue(&reqs.back(), 0.0);
     }
 
-    double end = node.beginBatch(0.0);
+    double end = node.beginStep(0.0);
     // The batch fills to the cap, never past it.
     EXPECT_EQ(node.activeBatch().size(), 8u);
     // step = max member latency * (1 + overhead * (k - 1)).
     EXPECT_DOUBLE_EQ(node.batchStepLatency(), 1.0 * (1.0 + 0.05 * 7));
     EXPECT_DOUBLE_EQ(end, 1.35);
 
-    std::vector<Request*> done = node.completeBatchStep();
+    std::vector<Request*> done = node.completeStep();
     // Every member advanced (and here finished) its own layer, and
     // executed time is the member's own latency, not the step's.
     ASSERT_EQ(done.size(), 8u);
@@ -253,7 +343,7 @@ TEST(BatchFormation, ContinuousJoinOnlyAtLayerBoundaries)
     Request* first = &reqs.back();
     node.enqueue(first, 0.0);
 
-    double end = node.beginBatch(0.0);
+    double end = node.beginStep(0.0);
     EXPECT_EQ(node.activeBatch().size(), 1u);
     EXPECT_DOUBLE_EQ(end, 1.0);
 
@@ -264,17 +354,16 @@ TEST(BatchFormation, ContinuousJoinOnlyAtLayerBoundaries)
     node.enqueue(late, 0.3);
     EXPECT_FALSE(node.inActiveBatch(late));
 
-    EXPECT_TRUE(node.completeBatchStep().empty());
+    EXPECT_TRUE(node.completeStep().empty());
     ASSERT_TRUE(node.blockContinues());
-    node.batchJoin(1.0);
-    end = node.continueBatchStep(1.0);
+    end = node.continueStep(1.0);
     EXPECT_DOUBLE_EQ(end, 2.0);
     EXPECT_EQ(node.activeBatch().size(), 2u);
     EXPECT_TRUE(node.inActiveBatch(late));
     EXPECT_EQ(node.batchCounters().joins, 1u);
 
     // Each member advances its *own* next layer per step.
-    std::vector<Request*> done = node.completeBatchStep();
+    std::vector<Request*> done = node.completeStep();
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0], first);
     EXPECT_EQ(first->nextLayer, 2u);
@@ -307,7 +396,7 @@ TEST(BatchFormation, CompositionPoliciesRankCandidatesDifferently)
             node.enqueue(&reqs.back(), 0.0);
         }
 
-        node.beginBatch(0.0);
+        node.beginStep(0.0);
         ASSERT_EQ(node.activeBatch().size(), 2u) << c.compose;
         // SJF anchors on the shortest job ("a") in every variant.
         EXPECT_EQ(world().name(*node.activeBatch()[0]), "a")
@@ -333,7 +422,7 @@ TEST(BatchFormation, EstimatorLessPoliciesFallBackToQueueOrder)
         reqs.push_back(world().request(id++, model, 0.0));
         node.enqueue(&reqs.back(), 0.0);
     }
-    node.beginBatch(0.0);
+    node.beginStep(0.0);
     ASSERT_EQ(node.activeBatch().size(), 3u);
     EXPECT_EQ(world().name(*node.activeBatch()[0]), "d");
     EXPECT_EQ(world().name(*node.activeBatch()[1]), "c");
@@ -432,7 +521,7 @@ TEST(BatchComposition, RanksEachCandidateOnce)
             node.enqueue(&reqs.back(), 0.0);
         }
         calls = 0;
-        node.beginBatch(0.0);
+        node.beginStep(0.0);
         ASSERT_EQ(node.activeBatch().size(), 4u) << compose;
         size_t pivot = std::string(compose) == "sparsity" ? 1 : 0;
         EXPECT_EQ(calls, n + pivot) << compose;
@@ -477,7 +566,7 @@ TEST(BatchComposition, OrderMatchesAStableComparatorSort)
                                                model_of[i], 0.0));
                 node.enqueue(&reqs.back(), 0.0);
             }
-            node.beginBatch(0.0);
+            node.beginStep(0.0);
 
             std::vector<const Request*> expect;
             for (size_t i = 1; i < count; ++i)
@@ -637,12 +726,43 @@ TEST(BatchDeterminism, BatchingOffKeepsReportsInert)
     // No batcher spec: the stats must stay inactive and zero, so
     // batching-off reports are byte-identical to builds without the
     // subsystem (the sdysta --diff CI gate relies on this).
-    SweepCellResult r = runSweepCell(ctx(), batchCell(""));
+    SweepCell cell = batchCell("");
+    Telemetry sink;
+    cell.telemetry = &sink;
+    SweepCellResult r = runSweepCell(ctx(), cell);
     EXPECT_FALSE(r.metrics.batching.active);
     EXPECT_EQ(r.metrics.batching.formed, 0.0);
     EXPECT_EQ(r.metrics.batching.joins, 0.0);
     EXPECT_EQ(r.metrics.batching.steps, 0.0);
     EXPECT_EQ(r.metrics.batching.meanOccupancy, 0.0);
+    // Its batches of one emit no batch telemetry either.
+    EXPECT_GT(sink.layerCompletions(), 0u);
+    EXPECT_EQ(sink.batchesFormed(), 0u);
+    EXPECT_EQ(sink.batchJoins(), 0u);
+}
+
+TEST(BatchDeterminism, BatchOfOneMatchesTheUnbatchedRun)
+{
+    // An unbatched node runs batches of one, so an enabled batcher
+    // capped at one member with no fill window must schedule exactly
+    // like it. Blocks of two layers exercise block continuation.
+    NodeProfile node = referenceNodeProfile("node0");
+    node.layerBlockSize = 2;
+    size_t preemptions = 0;
+    for (const char* policy : {"FCFS", "SJF", "PREMA", "Dysta"})
+        preemptions +=
+            expectBatchOfOneEquivalence({node}, policy, {}).preemptions;
+    // The preemptive policies did preempt, so that path was compared.
+    EXPECT_GT(preemptions, 0u);
+
+    // Two nodes behind least-outstanding, one failing mid-run (its
+    // started work restarts on the other) and recovering.
+    NodeProfile other = referenceNodeProfile("node1");
+    other.layerBlockSize = 2;
+    Exercised fleet = expectBatchOfOneEquivalence(
+        {node, other}, "Dysta",
+        {{1.0, 1, NodeEventKind::Fail}, {2.0, 1, NodeEventKind::Recover}});
+    EXPECT_GT(fleet.restarts, 0u);
 }
 
 TEST(BatchDeterminism, BatchGridBitIdenticalAcrossJobs)

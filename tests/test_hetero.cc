@@ -448,7 +448,7 @@ TEST(WorkStealing, RebalanceProposesOnlyUnstartedRequests)
     std::vector<Request> reqs = requestsAt({0.0, 0.0, 0.0});
     for (auto& req : reqs)
         nodes[0]->enqueue(&req, 0.0);
-    nodes[0]->beginBlock(0.0); // r0 is now in flight
+    nodes[0]->beginStep(0.0); // r0 is now in flight
 
     WorkStealingConfig scfg;
     scfg.imbalanceRatio = 1.0;
