@@ -244,9 +244,9 @@ workloadPanelFromSpec(const std::string& spec)
     WorkloadPanel panel;
     panel.kind = kindFromShortName(spec.substr(0, at));
     panel.rate = parseDoubleStrict("workload", spec.substr(at + 1));
-    fatalIf(panel.rate <= 0.0,
-            "workloadPanelFromSpec: rate must be positive in '" + spec +
-                "'");
+    fatalIf(!(panel.rate > 0.0) || !std::isfinite(panel.rate),
+            "workloadPanelFromSpec: rate must be positive and finite "
+            "in '" + spec + "'");
     return panel;
 }
 

@@ -134,7 +134,7 @@ struct ScenarioSpec
      * in-flight set, bit-identical schedule for the same seed.
      */
     bool streaming = false;
-    /** Streaming metrics accumulation ("exact" | "sketch"). */
+    /** Metrics accumulation ("exact" | "sketch"), streaming or not. */
     MetricsKind metricsKind = MetricsKind::Exact;
     /** Event-calendar implementation ("heap" | "bucket"). */
     CalendarKind calendar = CalendarKind::Heap;

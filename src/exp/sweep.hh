@@ -67,7 +67,7 @@ struct SweepCell
     bool streaming = false;
     /** Calendar implementation (see SimConfig::calendar). */
     CalendarKind calendar = CalendarKind::Heap;
-    /** Streaming-mode metrics accumulation (see SimConfig). */
+    /** Metrics accumulation, streaming or not (see SimConfig). */
     MetricsKind metricsKind = MetricsKind::Exact;
 };
 

@@ -20,53 +20,20 @@ Metrics::shedRate() const
 namespace {
 
 /**
- * Shared aggregation loop. When `allow_shed` is set, shed requests
- * are skipped and counted; otherwise any unfinished request panics.
+ * The fields both metrics modes derive the same way from their
+ * counts and busy interval. Returns false when nothing completed,
+ * leaving every completion-based field zero.
  */
-Metrics
-aggregate(const std::vector<Request>& requests, bool allow_shed)
+bool
+fillRates(Metrics& m, size_t violations, double first_arrival,
+          double last_finish)
 {
-    Metrics m;
-    if (requests.empty())
-        return m;
-
-    double first_arrival = std::numeric_limits<double>::infinity();
-    double last_finish = 0.0;
-    size_t violations = 0;
-    std::vector<double> turnarounds;
-    std::vector<double> latencies;
-    turnarounds.reserve(requests.size());
-    latencies.reserve(requests.size());
-
-    for (const auto& req : requests) {
-        if (allow_shed && req.shed) {
-            ++m.shed;
-            continue;
-        }
-        panicIf(req.finishTime < 0.0,
-                "computeMetrics: unfinished request in result set");
-        // Shed requests never occupied the system, so the busy
-        // interval spans served arrivals only.
-        first_arrival = std::min(first_arrival, req.arrival);
-        last_finish = std::max(last_finish, req.finishTime);
-        double nt = req.normalizedTurnaround();
-        turnarounds.push_back(nt);
-        latencies.push_back(req.finishTime - req.arrival);
-        m.antt += nt;
-        m.stp += 1.0 / nt;
-        if (req.violated())
-            ++violations;
-    }
-
-    m.completed = turnarounds.size();
     if (m.completed == 0) {
         // Everything was shed: every offered request missed its SLO.
         m.sloMissRate = m.shed > 0 ? 1.0 : 0.0;
-        return m;
+        return false;
     }
-
     double n = static_cast<double>(m.completed);
-    m.antt /= n;
     m.violationRate = static_cast<double>(violations) / n;
     // Shed requests are client-visible SLO misses: count them in
     // both numerator and denominator so shedding cannot deflate the
@@ -80,16 +47,25 @@ aggregate(const std::vector<Request>& requests, bool allow_shed)
         m.makespan > 0.0
             ? (n - static_cast<double>(violations)) / m.makespan
             : 0.0;
-    // One sort per series; each percentile read is then O(1).
-    std::sort(turnarounds.begin(), turnarounds.end());
-    std::sort(latencies.begin(), latencies.end());
-    m.p50Turnaround = sortedPercentile(turnarounds, 50.0);
-    m.p95Turnaround = sortedPercentile(turnarounds, 95.0);
-    m.p99Turnaround = sortedPercentile(turnarounds, 99.0);
-    m.p50Latency = sortedPercentile(latencies, 50.0);
-    m.p95Latency = sortedPercentile(latencies, 95.0);
-    m.p99Latency = sortedPercentile(latencies, 99.0);
-    return m;
+    return true;
+}
+
+/**
+ * Replay `requests` in vector order into an Exact accumulator. When
+ * `allow_shed` is set, shed requests are counted as shed; anything
+ * else unfinished panics in recordCompleted().
+ */
+Metrics
+replayExact(const std::vector<Request>& requests, bool allow_shed)
+{
+    StreamingMetrics sink(MetricsKind::Exact);
+    for (const Request& req : requests) {
+        if (allow_shed && req.shed)
+            sink.recordShed(req);
+        else
+            sink.recordCompleted(req);
+    }
+    return sink.finalize();
 }
 
 } // namespace
@@ -177,69 +153,52 @@ StreamingMetrics::retired() const
 }
 
 Metrics
-StreamingMetrics::finalizeExact() const
+StreamingMetrics::finalizeExact()
 {
-    // Replay of aggregate() above: records are summed in request-id
-    // order — the materialized requests vector's iteration order —
-    // so every floating-point accumulation happens in the same order
-    // and the result is bit-identical to computeMetricsCompleted().
-    std::vector<const CompletedRecord*> ordered;
-    ordered.reserve(records.size());
-    for (const CompletedRecord& rec : records)
-        ordered.push_back(&rec);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const CompletedRecord* a, const CompletedRecord* b) {
-                  return a->id < b->id;
-              });
+    // Sum in request-id order, so the result does not depend on the
+    // order requests finished in, and a replayed vector (ids rising
+    // with the index) sums in vector order. Stable: equal ids keep
+    // their retirement order.
+    std::stable_sort(records.begin(), records.end(),
+                     [](const CompletedRecord& a,
+                        const CompletedRecord& b) { return a.id < b.id; });
 
     Metrics m;
     m.shed = shedCount;
-    if (ordered.empty() && shedCount == 0)
-        return m;
-
+    m.completed = records.size();
+    // Shed requests never occupied the system, so the busy interval
+    // spans served arrivals only.
     double first_arrival = std::numeric_limits<double>::infinity();
     double last_finish = 0.0;
     size_t violations = 0;
-    std::vector<double> turnarounds;
-    std::vector<double> latencies;
-    turnarounds.reserve(ordered.size());
-    latencies.reserve(ordered.size());
-    for (const CompletedRecord* rec : ordered) {
-        first_arrival = std::min(first_arrival, rec->arrival);
-        last_finish = std::max(last_finish, rec->finish);
-        turnarounds.push_back(rec->normalizedTurnaround);
-        latencies.push_back(rec->finish - rec->arrival);
-        m.antt += rec->normalizedTurnaround;
-        m.stp += 1.0 / rec->normalizedTurnaround;
-        if (rec->violated)
+    for (const CompletedRecord& rec : records) {
+        first_arrival = std::min(first_arrival, rec.arrival);
+        last_finish = std::max(last_finish, rec.finish);
+        m.antt += rec.normalizedTurnaround;
+        m.stp += 1.0 / rec.normalizedTurnaround;
+        if (rec.violated)
             ++violations;
     }
-
-    m.completed = turnarounds.size();
-    if (m.completed == 0) {
-        m.sloMissRate = m.shed > 0 ? 1.0 : 0.0;
+    if (!fillRates(m, violations, first_arrival, last_finish))
         return m;
-    }
-    double n = static_cast<double>(m.completed);
-    m.antt /= n;
-    m.violationRate = static_cast<double>(violations) / n;
-    m.sloMissRate =
-        static_cast<double>(violations + m.shed) /
-        static_cast<double>(m.completed + m.shed);
-    m.makespan = last_finish - first_arrival;
-    m.throughput = m.makespan > 0.0 ? n / m.makespan : 0.0;
-    m.goodput =
-        m.makespan > 0.0
-            ? (n - static_cast<double>(violations)) / m.makespan
-            : 0.0;
-    std::sort(turnarounds.begin(), turnarounds.end());
-    std::sort(latencies.begin(), latencies.end());
-    m.p50Turnaround = sortedPercentile(turnarounds, 50.0);
-    m.p95Turnaround = sortedPercentile(turnarounds, 95.0);
-    m.p99Turnaround = sortedPercentile(turnarounds, 99.0);
-    m.p50Latency = sortedPercentile(latencies, 50.0);
-    m.p95Latency = sortedPercentile(latencies, 95.0);
-    m.p99Latency = sortedPercentile(latencies, 99.0);
+    m.antt /= static_cast<double>(m.completed);
+
+    // One sort per series; each percentile read is then O(1).
+    std::vector<double> series;
+    series.reserve(records.size());
+    for (const CompletedRecord& rec : records)
+        series.push_back(rec.normalizedTurnaround);
+    std::sort(series.begin(), series.end());
+    m.p50Turnaround = sortedPercentile(series, 50.0);
+    m.p95Turnaround = sortedPercentile(series, 95.0);
+    m.p99Turnaround = sortedPercentile(series, 99.0);
+    series.clear();
+    for (const CompletedRecord& rec : records)
+        series.push_back(rec.finish - rec.arrival);
+    std::sort(series.begin(), series.end());
+    m.p50Latency = sortedPercentile(series, 50.0);
+    m.p95Latency = sortedPercentile(series, 95.0);
+    m.p99Latency = sortedPercentile(series, 99.0);
     return m;
 }
 
@@ -249,23 +208,10 @@ StreamingMetrics::finalizeSketch() const
     Metrics m;
     m.shed = shedCount;
     m.completed = completedCount;
-    if (completedCount == 0) {
-        m.sloMissRate = m.shed > 0 ? 1.0 : 0.0;
+    if (!fillRates(m, violationCount, firstArrival, lastFinish))
         return m;
-    }
-    double n = static_cast<double>(completedCount);
     m.antt = turnaroundStats.mean();
     m.stp = speedupStats.sum();
-    m.violationRate = static_cast<double>(violationCount) / n;
-    m.sloMissRate =
-        static_cast<double>(violationCount + shedCount) /
-        static_cast<double>(completedCount + shedCount);
-    m.makespan = lastFinish - firstArrival;
-    m.throughput = m.makespan > 0.0 ? n / m.makespan : 0.0;
-    m.goodput =
-        m.makespan > 0.0
-            ? (n - static_cast<double>(violationCount)) / m.makespan
-            : 0.0;
     m.p50Turnaround = p50Turn.value();
     m.p95Turnaround = p95Turn.value();
     m.p99Turnaround = p99Turn.value();
@@ -276,7 +222,7 @@ StreamingMetrics::finalizeSketch() const
 }
 
 Metrics
-StreamingMetrics::finalize() const
+StreamingMetrics::finalize()
 {
     return mode == MetricsKind::Exact ? finalizeExact()
                                       : finalizeSketch();
@@ -285,13 +231,13 @@ StreamingMetrics::finalize() const
 Metrics
 computeMetrics(const std::vector<Request>& requests)
 {
-    return aggregate(requests, false);
+    return replayExact(requests, false);
 }
 
 Metrics
 computeMetricsCompleted(const std::vector<Request>& requests)
 {
-    return aggregate(requests, true);
+    return replayExact(requests, true);
 }
 
 } // namespace dysta

@@ -172,15 +172,15 @@ struct Metrics
     double shedRate() const;
 };
 
-/** How a streaming run accumulates its metrics. */
+/** How a run accumulates its metrics. */
 enum class MetricsKind : uint8_t
 {
     /**
-     * Keep one small record per retired request and finalize by
-     * replaying the exact computeMetrics aggregation (same
-     * summation order, same sorted percentiles) — bit-identical to
-     * the materialized path, O(completed) memory. The default, and
-     * the right choice below ~10^6 requests.
+     * Keep one small record per completed request and aggregate
+     * them in request-id order at finalize (exact sums, sorted
+     * percentiles), whatever order the requests finished in.
+     * O(completed) memory. The default, and the right choice below
+     * ~10^6 requests.
      */
     Exact = 0,
     /**
@@ -199,13 +199,12 @@ std::string toString(MetricsKind kind);
 MetricsKind metricsKindFromName(const std::string& name);
 
 /**
- * Accumulator the streaming simulation core retires requests into,
- * one at a time, so no completed-request vector has to stay alive.
- * Exact mode reproduces computeMetricsCompleted() bit for bit (the
- * per-request records are replayed in request-id order, matching
- * the materialized vector's iteration order); Sketch mode holds
- * only O(1) state. `finalize()` may be called once, after the last
- * retirement.
+ * The one metrics aggregation: every simulation run retires its
+ * requests into one of these, one at a time, so no completed-request
+ * vector has to stay alive, and computeMetrics() replays a request
+ * vector through it. Exact mode aggregates its records in request-id
+ * order (ties in retirement order); Sketch mode holds only O(1)
+ * state. `finalize()` may be called once, after the last retirement.
  */
 class StreamingMetrics
 {
@@ -224,18 +223,20 @@ class StreamingMetrics
     size_t retired() const;
 
     /** Aggregate everything retired so far into a Metrics. */
-    Metrics finalize() const;
+    Metrics finalize();
 
   private:
-    /** Exact-mode retained state: everything aggregate() reads. */
+    /** Exact-mode retained state: everything finalizeExact() reads. */
     struct CompletedRecord
     {
-        int id = -1;
         double arrival = 0.0;
         double finish = 0.0;
         double normalizedTurnaround = 0.0;
+        int id = -1;
         bool violated = false;
     };
+    static_assert(sizeof(CompletedRecord) <= 32,
+                  "one completed request must stay 32 bytes");
 
     MetricsKind mode;
     size_t shedCount = 0;
@@ -255,12 +256,13 @@ class StreamingMetrics
     P2Quantile p50Turn, p95Turn, p99Turn;
     P2Quantile p50Lat, p95Lat, p99Lat;
 
-    Metrics finalizeExact() const;
+    Metrics finalizeExact();
     Metrics finalizeSketch() const;
 };
 
 /**
- * Compute metrics from a fully-executed request set.
+ * Compute metrics from a fully-executed request set: replays it, in
+ * vector order, into an Exact StreamingMetrics.
  * panic() on any unfinished request; empty input yields zero metrics.
  */
 Metrics computeMetrics(const std::vector<Request>& requests);

@@ -21,16 +21,14 @@ namespace {
  * non-decreasing time order and the Arrival kind wins every
  * same-time tie, this pops events in the same order as pushing all
  * arrivals up front, so the materialized path keeps its historical
- * schedule bit for bit. When `sink` is set, retired requests are
- * recorded there and handed back to the source; the materialized
- * caller passes nullptr and computes metrics from its surviving
- * vector instead.
+ * schedule bit for bit. Retired requests are recorded in `sink`
+ * and then handed back to the source.
  */
 SimResult
 runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                   Dispatcher& dispatcher,
                   const PolicyFactory& make_policy,
-                  StreamingMetrics* sink)
+                  StreamingMetrics& sink)
 {
     fatalIf(cfg.nodes.empty(), "runSimulation: need at least one node");
     fatalIf(cfg.admission.enabled && cfg.lut == nullptr &&
@@ -341,8 +339,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         dispatcher.onShed(*req, now);
         if (tele)
             tele->shed(*req, now);
-        if (sink)
-            sink->recordShed(*req);
+        sink.recordShed(*req);
         releaseSlot(req);
         source.retire(req, now);
     };
@@ -510,8 +507,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         // the pushed decision sweep.
         if (applyRebalance(now))
             pushDecision(now);
-        if (sink)
-            sink->recordCompleted(*logical);
+        sink.recordCompleted(*logical);
         // All callbacks are past; the source may recycle the request
         // and the loop its run slot (no node holds a reference:
         // completion cleared running/lastRun and the ready queue).
@@ -863,27 +859,6 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     return result;
 }
 
-/**
- * Install an overload's aggregated `metrics` in `result`, keeping the
- * resilience and batching stats the loop wrote there (the aggregation
- * knows neither), the telemetry probes' accuracy, and the
- * makespan-dependent per-tier goodput.
- */
-void
-finalizeMetrics(SimResult& result, Metrics metrics, const SimConfig& cfg)
-{
-    metrics.resilience = std::move(result.metrics.resilience);
-    metrics.batching = result.metrics.batching;
-    if (cfg.telemetry)
-        metrics.estimators = cfg.telemetry->accuracy();
-    for (TierStats& t : metrics.resilience.tiers) {
-        t.goodput = metrics.makespan > 0.0
-                        ? (t.completed - t.violations) / metrics.makespan
-                        : 0.0;
-    }
-    result.metrics = std::move(metrics);
-}
-
 } // namespace
 
 SimConfig
@@ -919,12 +894,7 @@ runSimulation(const SimConfig& cfg, std::vector<Request>& requests,
     }
 
     MaterializedSource source(requests);
-    SimResult result = runSimulationLoop(cfg, source, dispatcher,
-                                         make_policy, nullptr);
-    // The vector survives the run, so metrics come from the same
-    // full-vector aggregation as always (bit-identical to the seed).
-    finalizeMetrics(result, computeMetricsCompleted(requests), cfg);
-    return result;
+    return runSimulation(cfg, source, dispatcher, make_policy);
 }
 
 SimResult
@@ -932,9 +902,22 @@ runSimulation(const SimConfig& cfg, ArrivalSource& source,
               Dispatcher& dispatcher, const PolicyFactory& make_policy)
 {
     StreamingMetrics sink(cfg.metricsKind);
-    SimResult result = runSimulationLoop(cfg, source, dispatcher,
-                                         make_policy, &sink);
-    finalizeMetrics(result, sink.finalize(), cfg);
+    SimResult result =
+        runSimulationLoop(cfg, source, dispatcher, make_policy, sink);
+    // The aggregation knows neither the resilience and batching
+    // stats the loop wrote nor the probes' accuracy; per-tier
+    // goodput needs the aggregated makespan.
+    Metrics metrics = sink.finalize();
+    metrics.resilience = std::move(result.metrics.resilience);
+    metrics.batching = result.metrics.batching;
+    if (cfg.telemetry)
+        metrics.estimators = cfg.telemetry->accuracy();
+    for (TierStats& t : metrics.resilience.tiers) {
+        t.goodput = metrics.makespan > 0.0
+                        ? (t.completed - t.violations) / metrics.makespan
+                        : 0.0;
+    }
+    result.metrics = std::move(metrics);
     return result;
 }
 

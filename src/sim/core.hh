@@ -135,11 +135,9 @@ struct SimConfig
      */
     CalendarKind calendar = CalendarKind::Heap;
     /**
-     * Metrics accumulation of the streaming (ArrivalSource)
-     * overload: Exact is bit-identical to the materialized path,
-     * Sketch is O(1) memory for megascale runs. Ignored by the
-     * vector overload, which computes metrics from the surviving
-     * request vector as before.
+     * Metrics accumulation of both overloads: Exact keeps one small
+     * record per completed request, Sketch is O(1) memory for
+     * megascale runs (see MetricsKind).
      */
     MetricsKind metricsKind = MetricsKind::Exact;
 
@@ -278,7 +276,8 @@ class ForwardingScheduler : public Scheduler
  * Serve all requests to completion (or shed them) under
  * `dispatcher`, with per-node policies from `make_policy`.
  * Requests are mutated in place (progress, finish times, shed
- * flags).
+ * flags). Runs the streaming overload over a MaterializedSource, so
+ * the two overloads agree bit for bit under either metrics kind.
  * @pre every request has a trace with at least one layer
  */
 SimResult runSimulation(const SimConfig& cfg,
@@ -292,8 +291,7 @@ SimResult runSimulation(const SimConfig& cfg,
  * retired back to it on completion or shed, so memory stays bounded
  * by the in-flight set. Metrics accumulate through StreamingMetrics
  * per cfg.metricsKind. For the same workload seed this produces the
- * bit-identical schedule — and, with MetricsKind::Exact, the
- * bit-identical Metrics — as the materialized overload.
+ * bit-identical schedule and Metrics as the materialized overload.
  * @pre the source emits arrivals in non-decreasing time order
  */
 SimResult runSimulation(const SimConfig& cfg, ArrivalSource& source,

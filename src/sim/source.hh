@@ -12,11 +12,12 @@
  * bounded by the in-flight set.
  *
  * Two sources exist: MaterializedSource adapts the classic
- * pre-generated std::vector<Request> (retirement is a no-op; the
- * vector keeps every request for computeMetrics), and
+ * pre-generated std::vector<Request> (retirement is a no-op: the
+ * caller's vector keeps every request and its final state), and
  * WorkloadArrivalSource (src/workload/source.hh) generates requests
  * one at a time from the ArrivalProcess + trace sampler, recycling
- * retired ones through a RequestArena.
+ * retired ones through a RequestArena. Either way the core retires
+ * every request into the same StreamingMetrics.
  */
 
 #ifndef DYSTA_SIM_SOURCE_HH

@@ -1,18 +1,16 @@
 /**
  * @file
- * Lazy workload generation: the streaming twin of generateWorkload.
+ * The workload generator: one request at a time, on demand.
  *
- * generateWorkload() materializes every Request of a run up front,
- * so memory grows linearly with the request count. A
- * WorkloadArrivalSource performs the exact same per-request RNG
- * sequence — same seed derivation, same draw order (arrival time,
- * model, sparsity pattern, trace sample) — but one request at a
- * time, on demand, into RequestArena slots that retired requests
- * return to. A streaming run over N requests therefore produces the
- * bit-identical schedule to a materialized run over
- * generateWorkload()'s vector while keeping only the in-flight set
- * alive, which is what makes >=10M-request scenarios run at flat
- * RSS (scenarios/megascale.scn, bench/bench_megascale.cc).
+ * A WorkloadArrivalSource derives its RNG from the workload seed and
+ * draws each request in a fixed order (arrival time, model, sparsity
+ * pattern, trace sample) into RequestArena slots that retired
+ * requests return to. A streaming run therefore keeps only the
+ * in-flight set alive, which is what makes >=10M-request scenarios
+ * run at flat RSS (scenarios/megascale.scn,
+ * bench/bench_megascale.cc). generateWorkload() drains the same
+ * source into a vector, so a materialized run over that vector has
+ * the bit-identical schedule.
  */
 
 #ifndef DYSTA_WORKLOAD_SOURCE_HH
@@ -30,12 +28,15 @@ namespace dysta {
 /**
  * Generates the requests of one WorkloadConfig lazily, recycling
  * retired requests. The registry must outlive the source (requests
- * reference its traces), exactly as with generateWorkload().
+ * reference its traces).
  */
 class WorkloadArrivalSource final : public ArrivalSource
 {
   public:
-    /** fatal() on the same invalid configs generateWorkload rejects. */
+    /**
+     * fatal(), naming the bad value, on a non-positive or non-finite
+     * arrival rate or a non-positive request count.
+     */
     WorkloadArrivalSource(const WorkloadConfig& config,
                           const TraceRegistry& registry);
 

@@ -8,6 +8,7 @@
 
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "workload/source.hh"
 
 namespace dysta {
 
@@ -294,27 +295,14 @@ std::vector<Request>
 generateWorkload(const WorkloadConfig& config,
                  const TraceRegistry& registry)
 {
-    fatalIf(config.arrivalRate <= 0.0,
-            "generateWorkload: arrival rate must be positive");
-    fatalIf(config.numRequests <= 0,
-            "generateWorkload: need at least one request");
-
-    Rng rng(config.seed * 0x9E3779B97F4A7C15ULL + 0x123456789ULL);
-    WorkloadMix mix(config.kind, registry);
-    std::unique_ptr<ArrivalProcess> arrivals =
-        makeArrivalProcess(config.arrival, config.arrivalRate);
-
+    // Drain the one generator, so materialized and streaming runs
+    // share its seed derivation, draw order and input checks.
+    WorkloadArrivalSource source(config, registry);
     std::vector<Request> requests;
-    requests.reserve(config.numRequests);
-    double now = 0.0;
-    for (int i = 0; i < config.numRequests; ++i) {
-        now = arrivals->nextArrival(now, rng);
-        WorkloadMix::Pick pick = mix.draw(rng);
-        const SampleTrace& trace =
-            pick.set->sample(rng.uniformInt(0, pick.set->size() - 1));
-        requests.push_back(makeRequest(i, pick.key, trace, now,
-                                       config.sloMultiplier,
-                                       pick.set->avgTotalLatency()));
+    requests.reserve(source.total());
+    while (Request* req = source.next()) {
+        requests.push_back(*req);
+        source.retire(req, req->arrival);
     }
     return requests;
 }

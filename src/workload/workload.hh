@@ -157,8 +157,9 @@ class WorkloadMix
 };
 
 /**
- * Generate one workload. Returned requests reference traces owned by
- * the registry, which must outlive them.
+ * Generate one workload: every request a WorkloadArrivalSource over
+ * `config` emits, in order. Returned requests reference traces owned
+ * by the registry, which must outlive them.
  */
 std::vector<Request> generateWorkload(const WorkloadConfig& config,
                                       const TraceRegistry& registry);

@@ -343,6 +343,16 @@ TEST(Scenario, MalformedLinesAreRejected)
                 "unknown workload kind 'hybrid'.*attnn, cnn");
     EXPECT_EXIT(parseScenario("slo = ten\n"),
                 ::testing::ExitedWithCode(1), "expects a number");
+    // Unchecked, a NaN rate would abort in the event calendar and an
+    // infinite one would run to a meaningless report.
+    for (std::string rate : {"nan", "inf", "-inf", "0", "-3"}) {
+        std::string panel = "attnn@" + rate;
+        EXPECT_EXIT(parseScenario("workload = " + panel + "\n"),
+                    ::testing::ExitedWithCode(1),
+                    "rate must be positive and finite in '" + panel +
+                        "'")
+            << panel;
+    }
 }
 
 TEST(Scenario, UnknownPolicyIsRejectedAtValidation)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the streaming megascale core: StreamingMetrics (exact
  * replay and P² sketch), streaming-vs-materialized bit-identity on
- * single-node and cluster runs (including failures/migration, which
+ * single-node and cluster runs under both metrics kinds (including failures/migration, which
  * exercise arena recycling), the RequestArena free list, and the
  * BucketCalendar's event-order equivalence with the binary heap, and
  * both calendars against an independent std::multiset reference,
@@ -236,6 +236,33 @@ TEST(Streaming, ClusterBitIdenticalAcrossCalendarsAndModes)
                 << what;
         }
     }
+}
+
+TEST(Streaming, SketchMetricsAgreeAcrossModes)
+{
+    // metricsKind means the same with and without streaming: both
+    // runs retire into one Sketch accumulator in completion order,
+    // so even the approximate P² percentiles agree bit for bit.
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 60.0;
+    cell.workload.numRequests = 250;
+    cell.clusterMode = true;
+    cell.cluster.numNodes = 2;
+    cell.cluster.dispatcher = "least-outstanding";
+    cell.cluster.nodeScheduler = "Dysta";
+    cell.cluster.admission.enabled = true;
+    cell.cluster.admission.margin = 1.2;
+    cell.metricsKind = MetricsKind::Sketch;
+
+    SimResult materialized = runSweepCell(ctx(), cell);
+    cell.streaming = true;
+    SimResult streaming = runSweepCell(ctx(), cell);
+    EXPECT_GT(materialized.metrics.completed, 0u);
+    expectMetricsBitEqual(streaming.metrics, materialized.metrics,
+                          "sketch metrics, streaming vs materialized");
+    EXPECT_EQ(streaming.eventsProcessed,
+              materialized.eventsProcessed);
 }
 
 TEST(Streaming, ArenaRecyclesUnderFailures)

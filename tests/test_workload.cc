@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/experiments.hh"
 #include "util/stats.hh"
+#include "workload/source.hh"
 #include "workload/workload.hh"
 
 using namespace dysta;
@@ -172,6 +177,32 @@ TEST(Workload, InvalidConfigIsFatal)
     cfg.numRequests = 0;
     EXPECT_EXIT(generateWorkload(cfg, ctx().registry),
                 ::testing::ExitedWithCode(1), "at least one request");
+
+    // The message names the rejected value, and the lazy source that
+    // generateWorkload drains rejects the same configs.
+    cfg.numRequests = -4;
+    EXPECT_EXIT(generateWorkload(cfg, ctx().registry),
+                ::testing::ExitedWithCode(1),
+                "at least one request, got -4");
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::pair<double, std::string>> bad_rates = {
+        {std::numeric_limits<double>::quiet_NaN(), "got nan"},
+        {inf, "got inf"},
+        {-inf, "got -inf"},
+        {-2.5, "got -2.5"},
+    };
+    cfg.numRequests = 10;
+    for (const auto& [rate, named] : bad_rates) {
+        cfg.arrivalRate = rate;
+        EXPECT_EXIT(generateWorkload(cfg, ctx().registry),
+                    ::testing::ExitedWithCode(1),
+                    "arrival rate must be positive and finite, " + named)
+            << named;
+        EXPECT_EXIT(WorkloadArrivalSource(cfg, ctx().registry).total(),
+                    ::testing::ExitedWithCode(1),
+                    "arrival rate must be positive and finite, " + named)
+            << named;
+    }
 }
 
 TEST(Workload, KindNames)

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # A/B benchmark of the working tree against a base commit.
 #
-# Extracts <base-ref> with `git archive` into a temporary directory and
-# runs `python3 perfbench/run.py --workload <workload>` on both trees in
-# <pairs> alternating pairs (base first in even pairs, head first in odd
-# ones: b h h b b h ...), each tree built in its own CARGO_TARGET_DIR
-# under the same temporary directory, which is always removed on exit.
+# Extracts <base-ref> with `git archive`, and snapshots the working tree
+# (tracked and untracked files, minus ignored ones), into sibling
+# directories of one temporary directory, so both sides build and run
+# from equivalent copies. Runs `python3 perfbench/run.py --workload
+# <workload>` on both trees in <pairs> alternating pairs (base first in
+# even pairs, head first in odd ones: b h h b b h ...), each tree built
+# in its own CARGO_TARGET_DIR under the same temporary directory, which
+# is always removed on exit.
 #
 # It prints every run's result line, then, per workload and for every
 # end-to-end metric in BENCHMARK.json: each side's median and quartiles,
@@ -36,17 +39,21 @@ base_sha="$(git rev-parse --verify "$base_ref^{commit}")"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-mkdir "$work/base"
+mkdir "$work/base" "$work/head"
 git archive "$base_sha" | tar -x -C "$work/base"
+# Skip tracked files deleted in the working tree.
+while IFS= read -r -d '' f; do
+    if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+done < <(git ls-files -co --exclude-standard -z) |
+    tar --null -T - -cf - | tar -x -C "$work/head"
 runs="$work/runs.txt"
 : > "$runs"
 
 # One measuring run of one side; appends "run <pair> <side> <workload>
 # <json>" per workload result line to $runs and echoes it.
 run_side() {
-    local pair="$1" side="$2" tree
-    if [ "$side" = base ]; then tree="$work/base"; else tree="$repo_root"; fi
-    local out
+    local pair="$1" side="$2"
+    local tree="$work/$side" out
     out="$(cd "$tree" && CARGO_TARGET_DIR="$work/target-$side" \
         python3 perfbench/run.py --workload "$workload" \
         2>"$work/stderr-$side.log")" || {
@@ -68,6 +75,7 @@ run_side() {
 
 echo "ab_bench: base $base_sha vs working tree, workload $workload," \
      "$pairs pairs"
+echo "ab_bench: base tree $work/base, head tree $work/head"
 for ((p = 0; p < pairs; p++)); do
     if ((p % 2 == 0)); then
         run_side "$p" base
