@@ -4,14 +4,6 @@
 
 namespace dysta {
 
-double
-ModelInfo::estRemaining(size_t layer) const
-{
-    if (layer >= remainingFrom.size())
-        return 0.0;
-    return remainingFrom[layer];
-}
-
 void
 ModelInfoLut::addFromTrace(const TraceSet& traces)
 {

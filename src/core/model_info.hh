@@ -40,7 +40,11 @@ struct ModelInfo
     std::vector<double> remainingFrom;
 
     /** Average latency still ahead when the next layer is `layer`. */
-    double estRemaining(size_t layer) const;
+    double
+    estRemaining(size_t layer) const
+    {
+        return layer < remainingFrom.size() ? remainingFrom[layer] : 0.0;
+    }
 };
 
 /**

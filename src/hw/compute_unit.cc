@@ -11,14 +11,6 @@ ComputeUnit::ComputeUnit(HwPrecision precision)
 }
 
 double
-ComputeUnit::quantize(double v) const
-{
-    if (prec == HwPrecision::FP16)
-        return static_cast<double>(roundToHalf(static_cast<float>(v)));
-    return static_cast<double>(static_cast<float>(v));
-}
-
-double
 ComputeUnit::emit(double v)
 {
     ++cycles;
@@ -58,21 +50,12 @@ ComputeUnit::score(double gamma, double avg_remaining,
                    double eta, double slack_floor, double slack_cap,
                    double penalty_cap)
 {
-    double g = quantize(gamma);
-    double rem = emit(g * quantize(avg_remaining));
-    double slack = emit(quantize(ddl_minus_now) - rem);
-    // Clamp comparators (single-cycle, no arithmetic resources).
-    slack = std::clamp(slack, quantize(slack_floor),
-                       quantize(slack_cap));
-    ++cycles;
-    double norm_wait = emit(quantize(wait) * quantize(recip_isolation));
-    norm_wait = std::min(norm_wait, quantize(penalty_cap));
-    ++cycles;
-    double penalty = emit(norm_wait * quantize(recip_queue));
-    double urgency = emit(slack + penalty);
-    double weighted = emit(quantize(eta) * urgency);
-    double score = emit(rem + weighted);
-    return {score, 9};
+    float value = scoreQuantized(
+        quantize(gamma), quantize(avg_remaining), ddl_minus_now, wait,
+        quantize(recip_isolation), quantize(recip_queue), quantize(eta),
+        quantize(slack_floor), quantize(slack_cap),
+        quantize(penalty_cap));
+    return {value, 9};
 }
 
 void

@@ -16,11 +16,21 @@
  * All arithmetic is performed in the configured precision (FP16 in
  * the optimized design); cycle counts model a pipelined unit with
  * initiation interval 1 and one cycle per arithmetic stage.
+ *
+ * Score mode has one datapath, scoreQuantized(). Its constant
+ * operands arrive already rounded into the datapath precision, as
+ * they sit in hardware: eta, the slack floor and the penalty cap in
+ * registers, 1/|Q| latched once per decision, and gamma, the
+ * remaining-latency column, 1/T_isol and the slack cap in the LUTs
+ * and FIFO tags (see DystaHwScheduler). Only the live time deltas
+ * ddl - now and the waiting time are rounded on entry. score() takes
+ * raw operands: it rounds every one and calls the same datapath.
  */
 
 #ifndef DYSTA_HW_COMPUTE_UNIT_HH
 #define DYSTA_HW_COMPUTE_UNIT_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/fp16.hh"
@@ -50,6 +60,20 @@ class ComputeUnit
     HwPrecision precision() const { return prec; }
 
     /**
+     * Round a value into the datapath precision, as writing it to a
+     * register or LUT word does. Idempotent, so a value rounded once
+     * may be fed to scoreQuantized() any number of times.
+     */
+    float
+    quantize(float v) const
+    {
+        return prec == HwPrecision::FP16 ? roundToHalf(v) : v;
+    }
+
+    /** As above for a binary64 input, which enters through binary32. */
+    float quantize(double v) const { return quantize(static_cast<float>(v)); }
+
+    /**
      * Mode (a): sparsity coefficient.
      * density   = (shape - num_zeros) * recip_shape
      * gamma     = density * recip_avg_density
@@ -65,12 +89,45 @@ class ComputeUnit
      *           integer cycle counter; the clamps are comparators)
      * penalty = min(wait * recip_isolation, penalty_cap) * recip_queue
      * score   = remain + eta * (slack + penalty)
+     *
+     * Rounds every operand, then runs scoreQuantized().
      */
     CuResult score(double gamma, double avg_remaining,
                    double ddl_minus_now, double wait,
                    double recip_isolation, double recip_queue,
                    double eta, double slack_floor, double slack_cap,
                    double penalty_cap);
+
+    /**
+     * Mode (b) on pre-rounded operands: the score datapath itself.
+     * Every operand except `ddl_minus_now` and `wait` must already
+     * be quantize()d; each of the seven arithmetic results is rounded
+     * in issue order. Charges 9 cycles (7 ops plus the two clamp
+     * comparators) and returns the score.
+     *
+     * The ops run in binary32, which is exact to the binary64 form
+     * of the same chain: binary64 keeps more than 2 x 24 + 2 bits, so
+     * rounding a binary64 sum or product of two binary32 values to
+     * binary32 gives the binary32 op's own result.
+     */
+    float
+    scoreQuantized(float gamma, float avg_remaining,
+                   double ddl_minus_now, double wait,
+                   float recip_isolation, float recip_queue, float eta,
+                   float slack_floor, float slack_cap, float penalty_cap)
+    {
+        float rem = quantize(gamma * avg_remaining);
+        float slack = quantize(quantize(ddl_minus_now) - rem);
+        slack = std::clamp(slack, slack_floor, slack_cap);
+        float norm_wait = quantize(quantize(wait) * recip_isolation);
+        norm_wait = std::min(norm_wait, penalty_cap);
+        float penalty = quantize(norm_wait * recip_queue);
+        float urgency = quantize(slack + penalty);
+        float weighted = quantize(eta * urgency);
+        cycles += 9;
+        ops += 7;
+        return quantize(rem + weighted);
+    }
 
     /** Total cycles spent since construction/reset. */
     uint64_t totalCycles() const { return cycles; }
@@ -83,9 +140,6 @@ class ComputeUnit
     HwPrecision prec;
     uint64_t cycles = 0;
     uint64_t ops = 0;
-
-    /** Round a value through the datapath precision. */
-    double quantize(double v) const;
 
     /** Issue one arithmetic op (cycle + counter bookkeeping). */
     double emit(double v);

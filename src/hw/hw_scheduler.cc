@@ -11,7 +11,10 @@ DystaHwScheduler::DystaHwScheduler(const ModelInfoLut& lut,
                                    const std::vector<ModelDesc>& models,
                                    HwSchedulerConfig config)
     : cfg(config), swLut(&lut), cu(config.precision),
-      modelLut(config.lutCapacity), tagFifo(config.fifoDepth)
+      modelLut(config.lutCapacity), tagFifo(config.fifoDepth),
+      etaReg(cu.quantize(config.eta)),
+      slackFloorReg(cu.quantize(config.slackFloor)),
+      penaltyCapReg(cu.quantize(config.penaltyCap))
 {
     // Populate the latency/sparsity/shape LUTs for every profiled
     // model-pattern pair whose architecture we know.
@@ -34,9 +37,14 @@ DystaHwScheduler::DystaHwScheduler(const ModelInfoLut& lut,
                       std::to_string(model.layers.size()));
             }
             LutEntry entry;
-            entry.info = &info;
             entry.recipIsolation =
-                1.0 / std::max(info.avgLatency, 1e-12);
+                cu.quantize(1.0 / std::max(info.avgLatency, 1e-12));
+            entry.slackCap =
+                cu.quantize(cfg.slackCapFactor * info.avgLatency);
+            // remainingFrom ends in the 0 every later layer reads.
+            entry.remaining.reserve(info.remainingFrom.size());
+            for (double r : info.remainingFrom)
+                entry.remaining.push_back(cu.quantize(r));
             entry.recipAvgDensity.reserve(
                 info.avgLayerSparsity.size());
             entry.shape.reserve(model.layers.size());
@@ -58,6 +66,7 @@ DystaHwScheduler::reset()
 {
     state.clear();
     hostQueue.clear();
+    hostPopped = 0;
     tagFifo.clear();
     cu.resetCounters();
     schedCycles = 0;
@@ -69,7 +78,10 @@ DystaHwScheduler::backfill()
 {
     while (!hostQueue.empty() && !tagFifo.full()) {
         const Request* req = hostQueue.front();
-        hostQueue.erase(hostQueue.begin());
+        hostQueue.pop_front();
+        ++hostPopped;
+        if (req == nullptr)
+            continue; // left before reaching the FIFO
         bool ok = tagFifo.push(req->id);
         panicIf(!ok, "DystaHwScheduler: FIFO push failed on backfill");
         if (HwRequestState* rs = state.find(*req))
@@ -87,19 +99,13 @@ DystaHwScheduler::onArrival(const Request& req, double now)
               TraceSet::makeKey(sw.model, sw.pattern));
     }
     HwRequestState rs;
-    rs.gamma = 1.0;
-
-    // Software static level (Alg. 1) computes the initial score and
-    // forwards the request to the hardware FIFOs.
-    const ModelInfo& info = *modelLut.read(req.model).info;
-    double slo_rel = req.deadline - req.arrival;
-    rs.staticScore =
-        info.avgLatency + cfg.beta * (slo_rel - info.avgLatency);
-
+    rs.entry = &modelLut.read(req.model);
     rs.resident = tagFifo.push(req.id);
-    state.emplace(req, rs);
-    if (!rs.resident)
+    if (!rs.resident) {
+        rs.hostTicket = hostPopped + hostQueue.size();
         hostQueue.push_back(&req);
+    }
+    state.emplace(req, rs);
 }
 
 void
@@ -112,7 +118,7 @@ DystaHwScheduler::onLayerComplete(const Request& req, double now,
     HwRequestState* rs = state.find(req);
     panicIf(rs == nullptr, "DystaHwScheduler: unknown request");
 
-    const LutEntry& entry = modelLut.read(req.model);
+    const LutEntry& entry = *rs->entry;
     size_t layer = req.nextLayer - 1;
     panicIf(layer >= entry.shape.size(),
             "DystaHwScheduler: layer index out of range");
@@ -126,7 +132,7 @@ DystaHwScheduler::onLayerComplete(const Request& req, double now,
     CuResult coeff = cu.sparsityCoeff(zeros, shape,
                                       entry.recipAvgDensity[layer]);
     // Clamp exactly as the software predictor does.
-    rs->gamma = std::clamp(coeff.value, 0.25, 4.0);
+    rs->gamma = static_cast<float>(std::clamp(coeff.value, 0.25, 4.0));
     schedCycles += coeff.cycles;
 }
 
@@ -135,68 +141,75 @@ DystaHwScheduler::onComplete(const Request& req, double now)
 {
     (void)now;
     const HwRequestState* rs = state.find(req);
-    bool was_resident = rs != nullptr && rs->resident;
-    state.erase(req);
-    if (was_resident) {
+    if (rs != nullptr && rs->resident) {
         for (size_t i = 0; i < tagFifo.size(); ++i) {
             if (tagFifo.at(i) == req.id) {
                 tagFifo.erase(i);
                 break;
             }
         }
-    } else {
-        auto it = std::find(hostQueue.begin(), hostQueue.end(), &req);
-        if (it != hostQueue.end())
-            hostQueue.erase(it);
+    } else if (rs != nullptr) {
+        hostQueue[rs->hostTicket - hostPopped] = nullptr;
     }
+    state.erase(req);
     backfill();
 }
 
+template <typename RequestPtr>
 size_t
-DystaHwScheduler::selectNext(const std::vector<const Request*>& ready,
-                             double now)
+DystaHwScheduler::pick(const std::vector<RequestPtr>& ready, double now)
 {
     ++decisionCount;
     backfill();
 
     size_t best = ready.size();
-    double best_score = 0.0;
-    double recip_queue =
-        1.0 / static_cast<double>(std::max<size_t>(1, ready.size()));
+    float best_score = 0.0f;
+    float recip_queue = cu.quantize(
+        1.0 / static_cast<double>(std::max<size_t>(1, ready.size())));
 
     for (size_t i = 0; i < ready.size(); ++i) {
         const Request& req = *ready[i];
         const HwRequestState* rs = state.find(req);
         if (rs == nullptr || !rs->resident)
             continue; // still in the host-side overflow queue
-        const LutEntry& entry = modelLut.read(req.model);
+        const LutEntry& entry = *rs->entry;
 
         // Time differences are formed on the controller's integer
         // cycle counter (exact) and only the small deltas enter the
         // floating datapath.
         double ddl_minus_now = req.deadline - now;
         double wait = std::max(0.0, now - req.lastRunEnd);
-        double avg_remaining =
-            entry.info->estRemaining(req.nextLayer);
+        float avg_remaining = entry.remaining[std::min(
+            req.nextLayer, entry.remaining.size() - 1)];
 
-        double slack_cap =
-            cfg.slackCapFactor * entry.info->avgLatency;
-        CuResult sc = cu.score(rs->gamma, avg_remaining, ddl_minus_now,
-                               wait, entry.recipIsolation, recip_queue,
-                               cfg.eta, cfg.slackFloor, slack_cap,
-                               cfg.penaltyCap);
-        schedCycles += sc.cycles;
-        ++schedCycles; // argmin comparator stage
+        float score = cu.scoreQuantized(
+            rs->gamma, avg_remaining, ddl_minus_now, wait,
+            entry.recipIsolation, recip_queue, etaReg, slackFloorReg,
+            entry.slackCap, penaltyCapReg);
+        schedCycles += 10; // 9-cycle score + argmin comparator stage
 
-        if (best == ready.size() || sc.value < best_score) {
+        if (best == ready.size() || score < best_score) {
             best = i;
-            best_score = sc.value;
+            best_score = score;
         }
     }
 
     panicIf(best == ready.size(),
             "DystaHwScheduler: no resident request to dispatch");
     return best;
+}
+
+size_t
+DystaHwScheduler::selectNext(const std::vector<const Request*>& ready,
+                             double now)
+{
+    return pick(ready, now);
+}
+
+Request*
+DystaHwScheduler::pickNext(const std::vector<Request*>& ready, double now)
+{
+    return ready[pick(ready, now)];
 }
 
 double

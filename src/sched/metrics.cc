@@ -58,7 +58,7 @@ fillRates(Metrics& m, size_t violations, double first_arrival,
 Metrics
 replayExact(const std::vector<Request>& requests, bool allow_shed)
 {
-    StreamingMetrics sink(MetricsKind::Exact);
+    StreamingMetrics sink(MetricsKind::Exact, requests.size());
     for (const Request& req : requests) {
         if (allow_shed && req.shed)
             sink.recordShed(req);
@@ -91,11 +91,13 @@ metricsKindFromName(const std::string& name)
           "'; valid kinds: exact, sketch");
 }
 
-StreamingMetrics::StreamingMetrics(MetricsKind kind)
+StreamingMetrics::StreamingMetrics(MetricsKind kind, size_t expected)
     : mode(kind),
       p50Turn(0.50), p95Turn(0.95), p99Turn(0.99),
       p50Lat(0.50), p95Lat(0.95), p99Lat(0.99)
 {
+    if (mode == MetricsKind::Exact)
+        records.reserve(expected);
 }
 
 void
@@ -106,8 +108,11 @@ StreamingMetrics::recordCompleted(const Request& req)
             "completed");
     double nt = req.normalizedTurnaround();
     if (mode == MetricsKind::Exact) {
-        CompletedRecord rec;
+        panicIf(records.size() >= (size_t{1} << 31),
+                "StreamingMetrics: too many exact records");
+        CompletedRecord rec{};
         rec.id = req.id;
+        rec.seq = static_cast<uint32_t>(records.size()) & 0x7FFFFFFFu;
         rec.arrival = req.arrival;
         rec.finish = req.finishTime;
         rec.normalizedTurnaround = nt;
@@ -157,11 +162,12 @@ StreamingMetrics::finalizeExact()
 {
     // Sum in request-id order, so the result does not depend on the
     // order requests finished in, and a replayed vector (ids rising
-    // with the index) sums in vector order. Stable: equal ids keep
-    // their retirement order.
-    std::stable_sort(records.begin(), records.end(),
-                     [](const CompletedRecord& a,
-                        const CompletedRecord& b) { return a.id < b.id; });
+    // with the index) sums in vector order. Equal ids keep their
+    // retirement order.
+    std::sort(records.begin(), records.end(),
+              [](const CompletedRecord& a, const CompletedRecord& b) {
+                  return a.id != b.id ? a.id < b.id : a.seq < b.seq;
+              });
 
     Metrics m;
     m.shed = shedCount;

@@ -209,7 +209,13 @@ MetricsKind metricsKindFromName(const std::string& name);
 class StreamingMetrics
 {
   public:
-    explicit StreamingMetrics(MetricsKind kind = MetricsKind::Exact);
+    /**
+     * @param expected completions the run can retire at most (0 when
+     *        unknown); Exact mode reserves its records up front, so
+     *        they never grow by copying
+     */
+    explicit StreamingMetrics(MetricsKind kind = MetricsKind::Exact,
+                              size_t expected = 0);
 
     MetricsKind kind() const { return mode; }
 
@@ -233,7 +239,13 @@ class StreamingMetrics
         double finish = 0.0;
         double normalizedTurnaround = 0.0;
         int id = -1;
-        bool violated = false;
+        /**
+         * Retirement order, the sort's tie-break between equal ids;
+         * it fits the padding, so the sort is total and needs no
+         * stable-sort buffer.
+         */
+        uint32_t seq : 31;
+        uint32_t violated : 1;
     };
     static_assert(sizeof(CompletedRecord) <= 32,
                   "one completed request must stay 32 bytes");

@@ -901,7 +901,7 @@ SimResult
 runSimulation(const SimConfig& cfg, ArrivalSource& source,
               Dispatcher& dispatcher, const PolicyFactory& make_policy)
 {
-    StreamingMetrics sink(cfg.metricsKind);
+    StreamingMetrics sink(cfg.metricsKind, source.total());
     SimResult result =
         runSimulationLoop(cfg, source, dispatcher, make_policy, sink);
     // The aggregation knows neither the resilience and batching

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "core/dysta.hh"
 #include "exp/experiments.hh"
@@ -299,6 +300,10 @@ expectDatapathMatchesReference(HwPrecision precision)
         if (slack_cap < slack_floor)
             std::swap(slack_floor, slack_cap);
         double penalty_cap = draw(0.5, 4.0, false);
+        // LUT words and registers are rounded once; a compute-unit
+        // output (gamma) is fed back as is, so rounding is idempotent.
+        float once = cu.quantize(ddl_minus_now);
+        ASSERT_EQ(bitsOf(cu.quantize(once)), bitsOf(once)) << i;
         ASSERT_EQ(bitsOf(cu.score(gamma, avg_remaining, ddl_minus_now,
                                   wait, recip_isolation, recip_queue,
                                   eta, slack_floor, slack_cap,
@@ -323,6 +328,158 @@ TEST(ComputeUnit, Fp16DatapathMatchesFp16ReferenceBitForBit)
 TEST(ComputeUnit, Fp32DatapathMatchesFloatReferenceBitForBit)
 {
     expectDatapathMatchesReference<float>(HwPrecision::FP32);
+}
+
+namespace {
+
+/**
+ * The score datapath with nothing held pre-rounded: every operand and
+ * every binary64 op result goes through the binary32 -> binary16
+ * conversion chain, in the order the compute unit issues the ops.
+ */
+double
+quantizeEverythingScore(HwPrecision precision, double gamma,
+                        double avg_remaining, double ddl_minus_now,
+                        double wait, double recip_isolation,
+                        double recip_queue, double eta,
+                        double slack_floor, double slack_cap,
+                        double penalty_cap)
+{
+    auto q = [precision](double v) {
+        auto f = static_cast<float>(v);
+        if (precision == HwPrecision::FP16)
+            f = halfBitsToFloat(floatToHalfBits(f));
+        return static_cast<double>(f);
+    };
+    double rem = q(q(gamma) * q(avg_remaining));
+    double slack = std::clamp(q(q(ddl_minus_now) - rem), q(slack_floor),
+                              q(slack_cap));
+    double norm_wait =
+        std::min(q(q(wait) * q(recip_isolation)), q(penalty_cap));
+    double penalty = q(norm_wait * q(recip_queue));
+    double urgency = q(slack + penalty);
+    double weighted = q(q(eta) * urgency);
+    return q(rem + weighted);
+}
+
+/**
+ * An operand from the ranges where rounding is easiest to get wrong:
+ * zeros, binary16 subnormals and below, the overflow edge at 65520
+ * and beyond, infinity, exact binary16 ties and values just off
+ * them, and ordinary values.
+ */
+double
+edgeOperand(Rng& rng, bool negative_ok)
+{
+    double v = 0.0;
+    switch (rng.uniformInt(0, 8)) {
+      case 0:
+        v = 0.0;
+        break;
+      case 1:
+        v = std::exp2(rng.uniform(-27.0, -14.0));
+        break;
+      case 2:
+        v = rng.uniform(65504.0, 65536.0);
+        break;
+      case 3:
+        v = rng.bernoulli(0.5) ? 65520.0
+                               : std::exp2(rng.uniform(16.0, 40.0));
+        break;
+      case 4:
+        v = rng.bernoulli(0.9) ? rng.uniform(0.0, 1e4)
+                               : std::numeric_limits<double>::infinity();
+        break;
+      case 5:
+        // Halfway between two binary16 neighbours.
+        v = (1.0 + (2.0 * static_cast<double>(rng.uniformInt(0, 1023)) +
+                    1.0) / 2048.0) *
+            std::exp2(static_cast<double>(rng.uniformInt(-12, 12)));
+        break;
+      case 6:
+        // Just off a binary16 tie, closer than half a binary32 step:
+        // binary32 lands on the tie, which then goes to even.
+        v = (1.0 + (2.0 * static_cast<double>(rng.uniformInt(0, 1023)) +
+                    1.0) / 2048.0) *
+            (1.0 + (rng.bernoulli(0.5) ? 1.0 : -1.0) *
+                       std::exp2(-rng.uniform(26.0, 45.0))) *
+            std::exp2(static_cast<double>(rng.uniformInt(-12, 12)));
+        break;
+      default:
+        v = rng.uniform(0.0, 4.0);
+        break;
+    }
+    return negative_ok && rng.bernoulli(0.5) ? -v : v;
+}
+
+void
+expectKernelMatchesQuantizeEverything(HwPrecision precision)
+{
+    ComputeUnit cu(precision);
+    Rng rng(23);
+    constexpr int kDraws = 50000;
+    for (int i = 0; i < kDraws; ++i) {
+        double gamma = edgeOperand(rng, false);
+        double avg_remaining = edgeOperand(rng, false);
+        double ddl_minus_now = edgeOperand(rng, true);
+        double wait = edgeOperand(rng, false);
+        double recip_isolation = edgeOperand(rng, false);
+        double recip_queue =
+            rng.bernoulli(0.8)
+                ? 1.0 / static_cast<double>(rng.uniformInt(1, 64))
+                : edgeOperand(rng, false);
+        double eta = edgeOperand(rng, false);
+        double slack_floor = edgeOperand(rng, true);
+        double slack_cap = edgeOperand(rng, true);
+        if (slack_cap < slack_floor)
+            std::swap(slack_floor, slack_cap);
+        double penalty_cap = edgeOperand(rng, false);
+
+        double ref = quantizeEverythingScore(
+            precision, gamma, avg_remaining, ddl_minus_now, wait,
+            recip_isolation, recip_queue, eta, slack_floor, slack_cap,
+            penalty_cap);
+        float kernel = cu.scoreQuantized(
+            cu.quantize(gamma), cu.quantize(avg_remaining),
+            ddl_minus_now, wait, cu.quantize(recip_isolation),
+            cu.quantize(recip_queue), cu.quantize(eta),
+            cu.quantize(slack_floor), cu.quantize(slack_cap),
+            cu.quantize(penalty_cap));
+        ASSERT_EQ(bitsOf(kernel), bitsOf(ref))
+            << "draw " << i << ": gamma=" << gamma
+            << " avg_remaining=" << avg_remaining
+            << " ddl_minus_now=" << ddl_minus_now << " wait=" << wait
+            << " recip_isolation=" << recip_isolation
+            << " recip_queue=" << recip_queue << " eta=" << eta
+            << " slack=[" << slack_floor << ", " << slack_cap
+            << "] penalty_cap=" << penalty_cap;
+        // LUT words and registers are rounded once; a compute-unit
+        // output (gamma) is fed back as is, so rounding is idempotent.
+        float once = cu.quantize(ddl_minus_now);
+        ASSERT_EQ(bitsOf(cu.quantize(once)), bitsOf(once)) << i;
+        ASSERT_EQ(bitsOf(cu.score(gamma, avg_remaining, ddl_minus_now,
+                                  wait, recip_isolation, recip_queue,
+                                  eta, slack_floor, slack_cap,
+                                  penalty_cap)
+                             .value),
+                  bitsOf(ref))
+            << "draw " << i;
+    }
+    // Both entry points charge the same 9 cycles and 7 ops.
+    EXPECT_EQ(cu.totalCycles(), 2u * 9u * kDraws);
+    EXPECT_EQ(cu.totalOps(), 2u * 7u * kDraws);
+}
+
+} // namespace
+
+TEST(ComputeUnit, Fp16KernelMatchesQuantizeEverythingBitForBit)
+{
+    expectKernelMatchesQuantizeEverything(HwPrecision::FP16);
+}
+
+TEST(ComputeUnit, Fp32KernelMatchesQuantizeEverythingBitForBit)
+{
+    expectKernelMatchesQuantizeEverything(HwPrecision::FP32);
 }
 
 // --- DystaHwScheduler vs software Dysta ---
@@ -502,6 +659,205 @@ TEST(HwScheduler, LayerCountMismatchPanics)
                      std::to_string(model.layers.size() + 1) +
                      " layers, model " + model.name + " has " +
                      std::to_string(model.layers.size()));
+}
+
+namespace {
+
+/** Requests of one model with all scheduler-visible fields pinned. */
+std::vector<Request>
+pinnedRequests(size_t n, double now)
+{
+    auto& f = hwFixture();
+    WorkloadConfig wl;
+    wl.kind = WorkloadKind::MultiAttNN;
+    wl.numRequests = static_cast<int>(n);
+    std::vector<Request> requests =
+        generateWorkload(wl, f.ctx->registry);
+    for (size_t i = 0; i < requests.size(); ++i) {
+        requests[i].slot = static_cast<int>(i);
+        requests[i].model = requests[0].model;
+        requests[i].arrival = now;
+        requests[i].lastRunEnd = now;
+    }
+    return requests;
+}
+
+} // namespace
+
+TEST(HwScheduler, TinyFifoBackfillsInArrivalOrder)
+{
+    // Later arrivals are more urgent, so whichever request the FIFO
+    // holds shows in every pick: a request still in the host queue
+    // must never be chosen, however low its score would be.
+    auto& f = hwFixture();
+    double now = 1.0;
+    std::vector<Request> r = pinnedRequests(5, now);
+    const ModelInfo& info = f.ctx->lut.lookup(r[0].model);
+    for (size_t i = 0; i < r.size(); ++i) {
+        r[i].deadline = now + info.estRemaining(0) +
+                        static_cast<double>(5 - i) * info.avgLatency;
+    }
+
+    HwSchedulerConfig cfg;
+    cfg.fifoDepth = 2;
+    DystaHwScheduler hw(f.ctx->lut, f.ctx->models, cfg);
+    for (const Request& req : r)
+        hw.onArrival(req, now); // r0, r1 resident; r2..r4 queued
+    auto pick = [&](std::vector<Request*> ready) {
+        Request* p = hw.pickNext(ready, now);
+        std::vector<const Request*> view(ready.begin(), ready.end());
+        EXPECT_EQ(ready[hw.selectNext(view, now)], p);
+        return p;
+    };
+
+    EXPECT_EQ(pick({&r[0], &r[1], &r[2], &r[3], &r[4]}), &r[1]);
+    hw.onComplete(r[1], now); // back-fills r2, not the urgent r4
+    EXPECT_EQ(pick({&r[0], &r[2], &r[3], &r[4]}), &r[2]);
+    hw.onDequeue(r[3], now); // leaves from the host queue
+    EXPECT_EQ(pick({&r[0], &r[2], &r[4]}), &r[2]);
+    hw.onComplete(r[2], now); // skips the departed r3, admits r4
+    EXPECT_EQ(pick({&r[0], &r[4]}), &r[4]);
+    hw.onComplete(r[4], now);
+    EXPECT_EQ(pick({&r[0]}), &r[0]);
+    EXPECT_EQ(hw.fifoPeakOccupancy(), 2u);
+
+    // A ready set of host-queue requests only has nothing to run.
+    hw.reset();
+    for (const Request& req : r)
+        hw.onArrival(req, now);
+    std::vector<const Request*> queued = {&r[2], &r[3], &r[4]};
+    EXPECT_DEATH(hw.selectNext(queued, now), "no resident request");
+}
+
+TEST(HwScheduler, PickNextMatchesSelectNextUnderFp16Ties)
+{
+    // Deadlines and waits that differ below binary16 resolution make
+    // whole groups of candidates score alike; both entry points must
+    // pick the first minimum in ready-set order, and charge alike.
+    auto& f = hwFixture();
+    const double now = 2.0;
+    std::vector<Request> r = pinnedRequests(48, now);
+    ModelKey other = r[0].model;
+    for (const ModelDesc& m : f.ctx->models) {
+        ModelKey k = f.ctx->lut.key(m.name, SparsityPattern::Dense);
+        if (k.id != r[0].model.id)
+            other = k;
+    }
+    Rng rng(11);
+    for (Request& req : r) {
+        if (rng.bernoulli(0.3))
+            req.model = other;
+        req.nextLayer = static_cast<size_t>(rng.uniformInt(0, 2));
+        // Levels 1-3 leave slack below the cap; level 60 clamps to it.
+        int level = rng.bernoulli(0.25) ? 60 : static_cast<int>(
+                                                   rng.uniformInt(1, 3));
+        req.deadline = now + 0.05 * static_cast<double>(level) +
+                       1e-9 * static_cast<double>(rng.uniformInt(0, 9));
+        req.lastRunEnd = now - 0.01 * static_cast<double>(
+                                          rng.uniformInt(0, 2)) -
+                         1e-9 * static_cast<double>(rng.uniformInt(0, 9));
+    }
+
+    HwSchedulerConfig cfg;
+    cfg.fifoDepth = 40; // the last 8 arrivals wait in the host queue
+    DystaHwScheduler by_select(f.ctx->lut, f.ctx->models, cfg);
+    DystaHwScheduler by_pick(f.ctx->lut, f.ctx->models, cfg);
+    for (const Request& req : r) {
+        by_select.onArrival(req, now);
+        by_pick.onArrival(req, now);
+    }
+
+    ComputeUnit ref_cu(cfg.precision);
+    uint64_t resident_scored = 0;
+    size_t tied_decisions = 0;
+    constexpr size_t kDecisions = 400;
+    for (size_t d = 0; d < kDecisions; ++d) {
+        // Every fourth ready set holds only capped-slack candidates.
+        bool capped_only = d % 4 == 0;
+        std::vector<Request*> ready;
+        for (Request& req : r) {
+            if ((!capped_only || req.deadline > now + 1.0) &&
+                rng.bernoulli(0.4))
+                ready.push_back(&req);
+        }
+        // At least one FIFO-resident candidate.
+        Request* resident = &r[static_cast<size_t>(rng.uniformInt(0, 39))];
+        if (std::find(ready.begin(), ready.end(), resident) == ready.end())
+            ready.push_back(resident);
+        rng.shuffle(ready);
+
+        // The reference: the checked score() per resident candidate
+        // (arrival index < 40), first minimum in ready-set order.
+        size_t expected = ready.size();
+        double best = 0.0;
+        size_t at_best = 0;
+        for (size_t i = 0; i < ready.size(); ++i) {
+            const Request& req = *ready[i];
+            if (req.id >= 40)
+                continue;
+            ++resident_scored;
+            const ModelInfo& info = f.ctx->lut.lookup(req.model);
+            double score =
+                ref_cu
+                    .score(1.0, info.estRemaining(req.nextLayer),
+                           req.deadline - now, now - req.lastRunEnd,
+                           1.0 / info.avgLatency,
+                           1.0 / static_cast<double>(ready.size()),
+                           cfg.eta, cfg.slackFloor,
+                           cfg.slackCapFactor * info.avgLatency,
+                           cfg.penaltyCap)
+                    .value;
+            if (expected == ready.size() || score < best) {
+                expected = i;
+                best = score;
+                at_best = 1;
+            } else if (score == best) {
+                ++at_best;
+            }
+        }
+        if (at_best > 1)
+            ++tied_decisions;
+
+        std::vector<const Request*> view(ready.begin(), ready.end());
+        size_t selected = by_select.selectNext(view, now);
+        Request* picked = by_pick.pickNext(ready, now);
+        ASSERT_EQ(selected, expected) << "decision " << d;
+        ASSERT_EQ(picked, ready[expected]) << "decision " << d;
+    }
+    EXPECT_GT(tied_decisions, kDecisions / 4);
+    EXPECT_EQ(by_select.decisions(), kDecisions);
+    EXPECT_EQ(by_pick.decisions(), kDecisions);
+    EXPECT_EQ(by_select.totalCycles(), 10u * resident_scored);
+    EXPECT_EQ(by_pick.totalCycles(), 10u * resident_scored);
+}
+
+TEST(HwScheduler, CycleAndDecisionCountsArePinned)
+{
+    // One fixed overloaded run, with and without FIFO overflow. The
+    // counts price every score (9 cycles), argmin stage (1) and
+    // coefficient (3); no datapath or host-queue change may move them.
+    auto& f = hwFixture();
+    WorkloadConfig wl;
+    wl.kind = WorkloadKind::MultiAttNN;
+    wl.arrivalRate = 40.0;
+    wl.numRequests = 300;
+    wl.seed = 21;
+    struct Pinned
+    {
+        size_t depth;
+        uint64_t cycles;
+        size_t peak;
+    };
+    for (Pinned p : {Pinned{64, 7244034, 64}, Pinned{4, 978634, 4}}) {
+        HwSchedulerConfig cfg;
+        cfg.fifoDepth = p.depth;
+        DystaHwScheduler hw(f.ctx->lut, f.ctx->models, cfg);
+        SimResult result = runOne(*f.ctx, wl, hw);
+        EXPECT_EQ(result.metrics.completed, 300u) << p.depth;
+        EXPECT_EQ(hw.decisions(), 24216u) << p.depth;
+        EXPECT_EQ(hw.totalCycles(), p.cycles) << p.depth;
+        EXPECT_EQ(hw.fifoPeakOccupancy(), p.peak) << p.depth;
+    }
 }
 
 // --- Resource model ---

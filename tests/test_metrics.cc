@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sched/metrics.hh"
 #include "test_helpers.hh"
 
@@ -188,4 +190,45 @@ TEST(Metrics, CompletedVariantStillPanicsOnUnfinished)
     // Unfinished but *not* shed is an engine bug, even here.
     std::vector<Request> reqs = {world().request(0, "m", 0.0)};
     EXPECT_DEATH(computeMetricsCompleted(reqs), "unfinished request");
+}
+
+TEST(Metrics, RepeatedIdsSumInVectorOrder)
+{
+    // A replayed vector may repeat ids (e.g. a hand-built request
+    // set). Records of one id must be summed in vector order, so the
+    // floating-point sums are bit-equal to that order's.
+    std::vector<Request> reqs;
+    for (int i = 0; i < 200; ++i) {
+        double turnaround = std::exp2(static_cast<double>((i * 37) % 41)) +
+                            static_cast<double>(i) / 7.0;
+        reqs.push_back(finished(world(), (i * 13) % 5, 0.0, turnaround));
+    }
+
+    std::vector<const Request*> ordered;
+    for (int id = 0; id < 5; ++id) {
+        for (const Request& req : reqs) {
+            if (req.id == id)
+                ordered.push_back(&req);
+        }
+    }
+    double antt = 0.0;
+    double stp = 0.0;
+    for (const Request* req : ordered) {
+        antt += req->normalizedTurnaround();
+        stp += 1.0 / req->normalizedTurnaround();
+    }
+    antt /= static_cast<double>(ordered.size());
+
+    // Reversed within each id, the sum differs: the order is visible.
+    double reversed = 0.0;
+    for (size_t i = 0; i < ordered.size(); i += 40) {
+        for (size_t j = i + 40; j-- > i;)
+            reversed += ordered[j]->normalizedTurnaround();
+    }
+    ASSERT_NE(reversed / static_cast<double>(ordered.size()), antt);
+
+    Metrics m = computeMetrics(reqs);
+    EXPECT_EQ(m.completed, reqs.size());
+    EXPECT_EQ(m.antt, antt);
+    EXPECT_EQ(m.stp, stp);
 }

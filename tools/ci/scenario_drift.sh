@@ -3,7 +3,8 @@
 #
 # Builds `sdysta` at <base-ref> (in a temporary git worktree) and at the
 # working tree, runs every scenarios/*.scn of the working tree on both
-# binaries at the CI smoke size, and compares each pair of reports with
+# binaries at the CI smoke size, plus tab05 at the benchmark's queue
+# depth, and compares each pair of reports with
 # `sdysta --diff` (which ignores the wall-clock 'meta' section). It also
 # compares, byte for byte, `sdysta <name> --print-spec` for every built-in
 # name and `sdysta --list-scenarios` stdout. Any difference fails the
@@ -53,21 +54,33 @@ head_bin="$head_build/sdysta"
 
 mkdir -p "$work/reports"
 drifted=()
-for scn in scenarios/*.scn; do
-    name="$(basename "$scn" .scn)"
+
+# Run one scenario on both binaries and --diff the two reports.
+check_drift() {
+    local label="$1" scn="$2"
+    shift 2
     for side in base head; do
         bin="${side}_bin"
-        "${!bin}" "$scn" "${smoke[@]}" \
+        "${!bin}" "$scn" "$@" \
             --trace-cache "$work/tc-$side" \
-            --out "$work/reports/${name}_$side.json" >/dev/null
+            --out "$work/reports/${label}_$side.json" >/dev/null
     done
-    if "$head_bin" --diff "$work/reports/${name}_base.json" \
-        "$work/reports/${name}_head.json"; then
-        echo "scenario_drift: $name: zero drift"
+    if "$head_bin" --diff "$work/reports/${label}_base.json" \
+        "$work/reports/${label}_head.json"; then
+        echo "scenario_drift: $label: zero drift"
     else
-        drifted+=("$name")
+        drifted+=("$label")
     fi
+}
+
+for scn in scenarios/*.scn; do
+    check_drift "$(basename "$scn" .scn)" "$scn" "${smoke[@]}"
 done
+# tab05 again at the benchmark's depth (ready sets ~7 deep on average,
+# up to ~85): at the smoke size they stay ~3 deep, too shallow for
+# long Dysta-HW scans or its FIFO's host-side overflow.
+check_drift tab05-deep scenarios/tab05.scn \
+    --requests 1000 --seeds 20 --samples 60 --jobs 2
 
 # The built-in names must resolve to the same specs and list the same.
 for name in $("$base_bin" --list-scenarios |
