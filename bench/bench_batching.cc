@@ -39,21 +39,6 @@ rowFor(const ScenarioResult& result, const std::string& needle)
           "'");
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.p99Latency == b.p99Latency && a.goodput == b.goodput &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan &&
-           a.batching.formed == b.batching.formed &&
-           a.batching.joins == b.batching.joins &&
-           a.batching.steps == b.batching.steps &&
-           a.batching.meanOccupancy == b.batching.meanOccupancy &&
-           a.batching.stragglerTaxSec == b.batching.stragglerTaxSec;
-}
-
 } // namespace
 
 int
@@ -104,10 +89,16 @@ main(int argc, char** argv)
     const ScenarioRow& sparsity = rowFor(serial, "compose=sparsity");
 
     bool deterministic = true;
-    for (size_t i = 0; i < serial.rows.size(); ++i)
-        deterministic = deterministic &&
-                        sameMetrics(serial.rows[i].metrics,
-                                    repeat.rows[i].metrics);
+    for (size_t i = 0; i < serial.rows.size(); ++i) {
+        for (const std::string& path :
+             metricsDifferences(serial.rows[i].metrics,
+                                repeat.rows[i].metrics)) {
+            std::printf("bench_batching: 1-job vs 4-job differ in row "
+                        "%zu: %s\n",
+                        i, path.c_str());
+            deterministic = false;
+        }
+    }
 
     // Batching must actually bite on the batched slices, and the
     // unbatched slice must carry no batch stats at all (the zero-

@@ -44,20 +44,6 @@ sloGoodput(const Metrics& m)
     return attained / m.makespan;
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan &&
-           a.resilience.availability == b.resilience.availability &&
-           a.resilience.retries == b.resilience.retries &&
-           a.resilience.hedgeWins == b.resilience.hedgeWins &&
-           a.resilience.brownoutSheds == b.resilience.brownoutSheds;
-}
-
 } // namespace
 
 int
@@ -122,7 +108,12 @@ main(int argc, char** argv)
     const Metrics& m_bare = onlyRow(bare);
     const Metrics& m_full = onlyRow(full);
 
-    bool deterministic = sameMetrics(m_full, onlyRow(full_repeat));
+    std::vector<std::string> drift =
+        metricsDifferences(m_full, onlyRow(full_repeat));
+    for (const std::string& path : drift)
+        std::printf("bench_chaos: 1-job vs 4-job differ in %s\n",
+                    path.c_str());
+    bool deterministic = drift.empty();
     double goodput_bare = sloGoodput(m_bare);
     double goodput_full = sloGoodput(m_full);
     bool faults_bite = m_full.resilience.availability < 1.0 &&

@@ -37,16 +37,6 @@ rowMetrics(const ScenarioResult& result, const std::string& fleet,
           "' dispatcher '" + dispatcher + "'");
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
 } // namespace
 
 int
@@ -110,9 +100,16 @@ main(int argc, char** argv)
                                         "work-stealing");
 
     bool deterministic = fail_a.rows.size() == fail_b.rows.size();
-    for (size_t i = 0; deterministic && i < fail_a.rows.size(); ++i)
-        deterministic = sameMetrics(fail_a.rows[i].metrics,
-                                    fail_b.rows[i].metrics);
+    for (size_t i = 0; deterministic && i < fail_a.rows.size(); ++i) {
+        for (const std::string& path :
+             metricsDifferences(fail_a.rows[i].metrics,
+                                fail_b.rows[i].metrics)) {
+            std::printf("bench_hetero_cluster: failover repeat differs "
+                        "in row %zu: %s\n",
+                        i, path.c_str());
+            deterministic = false;
+        }
+    }
     bool stealing_wins = ws.p99Latency < rr.p99Latency &&
                          ws.violationRate <= rr.violationRate;
 

@@ -31,21 +31,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.throughput == b.throughput && a.stp == b.stp &&
-           a.p50Turnaround == b.p50Turnaround &&
-           a.p95Turnaround == b.p95Turnaround &&
-           a.p99Turnaround == b.p99Turnaround &&
-           a.p50Latency == b.p50Latency &&
-           a.p95Latency == b.p95Latency &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
 } // namespace
 
 int
@@ -107,13 +92,16 @@ main(int argc, char** argv)
                          parallel_results.size();
     for (size_t i = 0; deterministic && i < serial_results.size();
          ++i) {
-        deterministic =
-            sameMetrics(serial_results[i].metrics,
-                        parallel_results[i].metrics) &&
-            serial_results[i].decisions ==
-                parallel_results[i].decisions &&
-            serial_results[i].preemptions ==
-                parallel_results[i].preemptions;
+        const SweepCellResult& a = serial_results[i];
+        const SweepCellResult& b = parallel_results[i];
+        std::vector<std::string> drift =
+            metricsDifferences(a.metrics, b.metrics);
+        if (a.decisions != b.decisions || a.preemptions != b.preemptions)
+            drift.push_back("decisions/preemptions");
+        for (const std::string& path : drift)
+            std::printf("micro_sweep: cell %zu differs in %s\n", i,
+                        path.c_str());
+        deterministic = drift.empty();
     }
 
     double n = static_cast<double>(cells.size());

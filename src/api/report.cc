@@ -1,5 +1,6 @@
 #include "api/report.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/telemetry.hh"
@@ -84,6 +85,51 @@ Reporter::add(const ScenarioResult& result)
 
 namespace {
 
+/** Write `block`'s fields as JSON members, in table order. */
+template <typename Stats, size_t N>
+void
+writeFields(JsonWriter& json, const StatsField<Stats> (&fields)[N],
+            const Stats& block)
+{
+    for (const StatsField<Stats>& f : fields) {
+        if (f.count)
+            json.field(f.name, static_cast<uint64_t>(block.*f.count));
+        else
+            json.field(f.name, block.*f.real);
+    }
+}
+
+/** Append the CSV column of each field that has one. */
+template <typename Stats, size_t N>
+void
+appendColumns(std::vector<std::string>& header,
+              const StatsField<Stats> (&fields)[N],
+              const std::string& prefix = "")
+{
+    for (const StatsField<Stats>& f : fields) {
+        if (*f.csv != '\0')
+            header.push_back(prefix + f.csv);
+    }
+}
+
+/** Append `block`'s CSV cells; empty ones when it is null. */
+template <typename Stats, size_t N>
+void
+appendCells(std::vector<std::string>& cells,
+            const StatsField<Stats> (&fields)[N], const Stats* block)
+{
+    for (const StatsField<Stats>& f : fields) {
+        if (*f.csv == '\0')
+            continue;
+        if (block == nullptr)
+            cells.emplace_back();
+        else if (f.count)
+            cells.push_back(std::to_string(block->*f.count));
+        else
+            cells.push_back(jsonNumber(block->*f.real));
+    }
+}
+
 void
 writeRow(JsonWriter& json, const ScenarioRow& row)
 {
@@ -104,21 +150,7 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
         json.field("batcher", row.batcher);
     json.field("scheduler", row.scheduler);
     const Metrics& m = row.metrics;
-    json.field("antt", m.antt);
-    json.field("violation_rate", m.violationRate);
-    json.field("slo_miss_rate", m.sloMissRate);
-    json.field("throughput", m.throughput);
-    json.field("goodput", m.goodput);
-    json.field("stp", m.stp);
-    json.field("p50_turnaround", m.p50Turnaround);
-    json.field("p95_turnaround", m.p95Turnaround);
-    json.field("p99_turnaround", m.p99Turnaround);
-    json.field("p50_latency", m.p50Latency);
-    json.field("p95_latency", m.p95Latency);
-    json.field("p99_latency", m.p99Latency);
-    json.field("completed", static_cast<uint64_t>(m.completed));
-    json.field("shed", static_cast<uint64_t>(m.shed));
-    json.field("makespan", m.makespan);
+    writeFields(json, kMetricsFields, m);
     json.field("decisions", row.decisions);
     json.field("preemptions", row.preemptions);
     if (!m.estimators.empty()) {
@@ -126,12 +158,7 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
         for (const EstimatorAccuracy& est : m.estimators) {
             json.beginObject();
             json.field("estimator", est.estimator);
-            json.field("samples", est.samples);
-            json.field("bias", est.bias);
-            json.field("rmse", est.rmse);
-            json.field("isolated_samples", est.isolatedSamples);
-            json.field("isolated_bias", est.isolatedBias);
-            json.field("isolated_rmse", est.isolatedRmse);
+            writeFields(json, kEstimatorFields, est);
             json.endObject();
         }
         json.endArray();
@@ -139,26 +166,13 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
     // Resilience block only when a chaos-engine mechanism ran
     // (fault injection, retries, hedging, brown-out or tiers).
     if (m.resilience.active) {
-        const ResilienceStats& res = m.resilience;
         json.beginObject("resilience");
-        json.field("availability", res.availability);
-        json.field("mttr", res.mttr);
-        json.field("failures", res.failures);
-        json.field("timeouts", res.timeouts);
-        json.field("retries", res.retries);
-        json.field("retry_amplification", res.retryAmplification);
-        json.field("hedges", res.hedges);
-        json.field("hedge_wins", res.hedgeWins);
-        json.field("hedge_win_rate", res.hedgeWinRate);
-        json.field("brownout_sheds", res.brownoutSheds);
-        if (!res.tiers.empty()) {
+        writeFields(json, kResilienceFields, m.resilience);
+        if (!m.resilience.tiers.empty()) {
             json.beginArray("tiers");
-            for (const TierStats& tier : res.tiers) {
+            for (const TierStats& tier : m.resilience.tiers) {
                 json.beginObject();
-                json.field("completed", tier.completed);
-                json.field("violations", tier.violations);
-                json.field("shed", tier.shed);
-                json.field("goodput", tier.goodput);
+                writeFields(json, kTierFields, tier);
                 json.endObject();
             }
             json.endArray();
@@ -167,14 +181,8 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
     }
     // Batching block only when batch formation ran.
     if (m.batching.active) {
-        const BatchStats& bat = m.batching;
         json.beginObject("batching");
-        json.field("formed", bat.formed);
-        json.field("joins", bat.joins);
-        json.field("steps", bat.steps);
-        json.field("mean_occupancy", bat.meanOccupancy);
-        json.field("mean_fill_wait", bat.meanFillWaitSec);
-        json.field("straggler_tax", bat.stragglerTaxSec);
+        writeFields(json, kBatchFields, m.batching);
         json.endObject();
     }
     json.endObject();
@@ -189,33 +197,20 @@ Reporter::json() const
     json.beginObject();
     json.field("tool", tool);
 
+    auto write = [&json](const auto& fields) {
+        for (const auto& [key, value] : fields) {
+            switch (value.kind) {
+              case Value::Kind::Str: json.field(key, value.str); break;
+              case Value::Kind::Num: json.field(key, value.num); break;
+              case Value::Kind::Int: json.field(key, value.integer); break;
+              case Value::Kind::Bool: json.field(key, value.boolean); break;
+            }
+        }
+    };
     json.beginObject("meta");
-    for (const auto& [key, value] : metaFields) {
-        switch (value.kind) {
-          case Value::Kind::Str: json.field(key, value.str); break;
-          case Value::Kind::Num: json.field(key, value.num); break;
-          case Value::Kind::Int:
-            json.field(key, value.integer);
-            break;
-          case Value::Kind::Bool:
-            json.field(key, value.boolean);
-            break;
-        }
-    }
+    write(metaFields);
     json.endObject();
-
-    for (const auto& [key, value] : scalars) {
-        switch (value.kind) {
-          case Value::Kind::Str: json.field(key, value.str); break;
-          case Value::Kind::Num: json.field(key, value.num); break;
-          case Value::Kind::Int:
-            json.field(key, value.integer);
-            break;
-          case Value::Kind::Bool:
-            json.field(key, value.boolean);
-            break;
-        }
-    }
+    write(scalars);
 
     json.beginArray("scenarios");
     for (const ScenarioResult& run : runs) {
@@ -255,28 +250,20 @@ void
 Reporter::writeCsv(const std::string& path) const
 {
     // Union of probe names across all rows, first-appearance order,
-    // so heterogeneous scenarios share one header.
+    // so heterogeneous scenarios share one header. Resilience columns
+    // appear only when some row ran a chaos mechanism, keeping
+    // chaos-free CSVs byte-identical; batching columns likewise.
     std::vector<std::string> probes;
-    for (const ScenarioResult& run : runs) {
-        for (const ScenarioRow& row : run.rows) {
-            for (const EstimatorAccuracy& est :
-                 row.metrics.estimators) {
-                bool known = false;
-                for (const std::string& name : probes)
-                    known = known || name == est.estimator;
-                if (!known)
-                    probes.push_back(est.estimator);
-            }
-        }
-    }
-
-    // Resilience columns appear only when some row ran a chaos
-    // mechanism, keeping chaos-free CSVs byte-identical; batching
-    // columns follow the same rule.
     bool any_resilience = false;
     bool any_batch = false;
     for (const ScenarioResult& run : runs) {
         for (const ScenarioRow& row : run.rows) {
+            for (const EstimatorAccuracy& est :
+                 row.metrics.estimators) {
+                if (std::find(probes.begin(), probes.end(),
+                              est.estimator) == probes.end())
+                    probes.push_back(est.estimator);
+            }
             any_resilience =
                 any_resilience || row.metrics.resilience.active;
             any_batch = any_batch || row.metrics.batching.active;
@@ -285,39 +272,24 @@ Reporter::writeCsv(const std::string& path) const
 
     CsvWriter csv(path);
     std::vector<std::string> header = {
-        "scenario",       "workload",       "arrival",
-        "slo",            "fleet",          "dispatcher",
-        "admission_margin", "steal_ratio",
-        "scheduler",      "antt",           "violation_rate",
-        "slo_miss_rate",  "throughput",     "goodput",
-        "stp",
-        "p50_turnaround", "p95_turnaround", "p99_turnaround",
-        "p50_latency",    "p95_latency",    "p99_latency",
-        "completed",      "shed",           "makespan",
-        "decisions",      "preemptions",
+        "scenario", "workload",   "arrival",          "slo",
+        "fleet",    "dispatcher", "admission_margin", "steal_ratio",
     };
-    if (any_resilience) {
-        header.insert(header.begin() + 8, "chaos");
-        header.insert(header.end(),
-                      {"availability", "mttr", "failures",
-                       "timeouts", "retries", "retry_amplification",
-                       "hedges", "hedge_wins", "hedge_win_rate",
-                       "brownout_sheds"});
-    }
-    if (any_batch) {
-        // After steal_ratio (and chaos when present), before
-        // scheduler — the same slot the JSON rows use.
-        header.insert(header.begin() + (any_resilience ? 9 : 8),
-                      "batcher");
-        header.insert(header.end(),
-                      {"batch_formed", "batch_joins", "batch_steps",
-                       "batch_occupancy", "batch_fill_wait",
-                       "batch_straggler_tax"});
-    }
-    for (const std::string& name : probes) {
-        header.push_back("est_" + name + "_bias");
-        header.push_back("est_" + name + "_rmse");
-    }
+    // The chaos and batcher axes sit before scheduler, the slot the
+    // JSON rows use.
+    if (any_resilience)
+        header.push_back("chaos");
+    if (any_batch)
+        header.push_back("batcher");
+    header.push_back("scheduler");
+    appendColumns(header, kMetricsFields);
+    header.insert(header.end(), {"decisions", "preemptions"});
+    if (any_resilience)
+        appendColumns(header, kResilienceFields);
+    if (any_batch)
+        appendColumns(header, kBatchFields);
+    for (const std::string& name : probes)
+        appendColumns(header, kEstimatorFields, "est_" + name + "_");
     csv.writeRow(header);
 
     for (const ScenarioResult& run : runs) {
@@ -332,77 +304,29 @@ Reporter::writeCsv(const std::string& path) const
                 row.dispatcher,
                 jsonNumber(row.admissionMargin),
                 jsonNumber(row.stealRatio),
-                row.scheduler,
-                jsonNumber(m.antt),
             };
             if (any_resilience)
-                cells.insert(cells.begin() + 8, row.chaos);
+                cells.push_back(row.chaos);
             if (any_batch)
-                cells.insert(cells.begin() +
-                                 (any_resilience ? 9 : 8),
-                             row.batcher);
-            std::vector<std::string> tail = {
-                jsonNumber(m.violationRate),
-                jsonNumber(m.sloMissRate),
-                jsonNumber(m.throughput),
-                jsonNumber(m.goodput),
-                jsonNumber(m.stp),
-                jsonNumber(m.p50Turnaround),
-                jsonNumber(m.p95Turnaround),
-                jsonNumber(m.p99Turnaround),
-                jsonNumber(m.p50Latency),
-                jsonNumber(m.p95Latency),
-                jsonNumber(m.p99Latency),
-                std::to_string(m.completed),
-                std::to_string(m.shed),
-                jsonNumber(m.makespan),
-                jsonNumber(row.decisions),
-                jsonNumber(row.preemptions),
-            };
-            cells.insert(cells.end(), tail.begin(), tail.end());
-            if (any_resilience) {
-                const ResilienceStats& res = m.resilience;
-                // Rows of a chaos-free scenario sharing the file
-                // leave the resilience columns empty.
-                std::vector<std::string> extra(10, "");
-                if (res.active) {
-                    extra = {jsonNumber(res.availability),
-                             jsonNumber(res.mttr),
-                             jsonNumber(res.failures),
-                             jsonNumber(res.timeouts),
-                             jsonNumber(res.retries),
-                             jsonNumber(res.retryAmplification),
-                             jsonNumber(res.hedges),
-                             jsonNumber(res.hedgeWins),
-                             jsonNumber(res.hedgeWinRate),
-                             jsonNumber(res.brownoutSheds)};
-                }
-                cells.insert(cells.end(), extra.begin(),
-                             extra.end());
-            }
-            if (any_batch) {
-                const BatchStats& bat = m.batching;
-                // Unbatched rows sharing the file leave the batch
-                // columns empty.
-                std::vector<std::string> extra(6, "");
-                if (bat.active) {
-                    extra = {jsonNumber(bat.formed),
-                             jsonNumber(bat.joins),
-                             jsonNumber(bat.steps),
-                             jsonNumber(bat.meanOccupancy),
-                             jsonNumber(bat.meanFillWaitSec),
-                             jsonNumber(bat.stragglerTaxSec)};
-                }
-                cells.insert(cells.end(), extra.begin(),
-                             extra.end());
-            }
+                cells.push_back(row.batcher);
+            cells.push_back(row.scheduler);
+            appendCells(cells, kMetricsFields, &m);
+            cells.push_back(jsonNumber(row.decisions));
+            cells.push_back(jsonNumber(row.preemptions));
+            // Rows without a block leave its columns empty.
+            if (any_resilience)
+                appendCells(cells, kResilienceFields,
+                            m.resilience.active ? &m.resilience
+                                                : nullptr);
+            if (any_batch)
+                appendCells(cells, kBatchFields,
+                            m.batching.active ? &m.batching : nullptr);
             for (const std::string& name : probes) {
                 const EstimatorAccuracy* found = nullptr;
                 for (const EstimatorAccuracy& est : m.estimators)
                     if (est.estimator == name)
                         found = &est;
-                cells.push_back(found ? jsonNumber(found->bias) : "");
-                cells.push_back(found ? jsonNumber(found->rmse) : "");
+                appendCells(cells, kEstimatorFields, found);
             }
             csv.writeRow(cells);
         }

@@ -32,6 +32,33 @@ makeProbeSink(const BenchContext& ctx,
     return sink;
 }
 
+/**
+ * Average one stats block, `block(run)` of each run, field by field:
+ * each field sums over the runs in run order, then divides; counts
+ * take the truncating mean.
+ */
+template <typename Stats, size_t N, typename Block>
+void
+averageFields(const StatsField<Stats> (&fields)[N], Stats& avg,
+              const std::vector<Metrics>& runs, Block block)
+{
+    double n = static_cast<double>(runs.size());
+    for (const StatsField<Stats>& f : fields) {
+        if (f.count) {
+            size_t sum = 0;
+            for (const Metrics& m : runs)
+                sum += block(m)->*f.count;
+            avg.*f.count =
+                static_cast<size_t>(static_cast<double>(sum) / n);
+        } else {
+            double sum = 0.0;
+            for (const Metrics& m : runs)
+                sum += block(m)->*f.real;
+            avg.*f.real = sum / n;
+        }
+    }
+}
+
 } // namespace
 
 SweepCellResult
@@ -155,157 +182,72 @@ averageMetrics(const std::vector<Metrics>& runs)
 {
     fatalIf(runs.empty(), "averageMetrics: no runs");
     Metrics avg;
-    for (const Metrics& m : runs) {
-        avg.antt += m.antt;
-        avg.violationRate += m.violationRate;
-        avg.sloMissRate += m.sloMissRate;
-        avg.throughput += m.throughput;
-        avg.goodput += m.goodput;
-        avg.stp += m.stp;
-        avg.p50Turnaround += m.p50Turnaround;
-        avg.p95Turnaround += m.p95Turnaround;
-        avg.p99Turnaround += m.p99Turnaround;
-        avg.p50Latency += m.p50Latency;
-        avg.p95Latency += m.p95Latency;
-        avg.p99Latency += m.p99Latency;
-        avg.makespan += m.makespan;
-        avg.completed += m.completed;
-        avg.shed += m.shed;
-    }
-    double n = static_cast<double>(runs.size());
-    avg.antt /= n;
-    avg.violationRate /= n;
-    avg.sloMissRate /= n;
-    avg.throughput /= n;
-    avg.goodput /= n;
-    avg.stp /= n;
-    avg.p50Turnaround /= n;
-    avg.p95Turnaround /= n;
-    avg.p99Turnaround /= n;
-    avg.p50Latency /= n;
-    avg.p95Latency /= n;
-    avg.p99Latency /= n;
-    avg.makespan /= n;
-    avg.completed = static_cast<size_t>(
-        static_cast<double>(avg.completed) / n);
-    avg.shed =
-        static_cast<size_t>(static_cast<double>(avg.shed) / n);
+    averageFields(kMetricsFields, avg, runs,
+                  [](const Metrics& m) { return &m; });
 
     // Pool estimator-accuracy probes exactly: bias and rmse
     // reconstruct the underlying residual sums, so averaging seed
     // replicas equals one run over the union of their residuals.
     avg.estimators = runs[0].estimators;
-    for (EstimatorAccuracy& acc : avg.estimators) {
-        acc.samples = acc.bias = acc.rmse = 0.0;
-        acc.isolatedSamples = acc.isolatedBias = 0.0;
-        acc.isolatedRmse = 0.0;
-    }
     for (const Metrics& m : runs) {
-        panicIf(m.estimators.size() != avg.estimators.size(),
-                "averageMetrics: runs carry different probe sets");
-        for (size_t i = 0; i < m.estimators.size(); ++i) {
-            const EstimatorAccuracy& run_acc = m.estimators[i];
-            EstimatorAccuracy& acc = avg.estimators[i];
-            panicIf(run_acc.estimator != acc.estimator,
-                    "averageMetrics: runs carry different probe "
-                    "sets");
-            acc.samples += run_acc.samples;
-            acc.bias += run_acc.bias * run_acc.samples;
-            acc.rmse +=
-                run_acc.rmse * run_acc.rmse * run_acc.samples;
-            acc.isolatedSamples += run_acc.isolatedSamples;
-            acc.isolatedBias +=
-                run_acc.isolatedBias * run_acc.isolatedSamples;
-            acc.isolatedRmse += run_acc.isolatedRmse *
-                                run_acc.isolatedRmse *
-                                run_acc.isolatedSamples;
-        }
+        bool same = m.estimators.size() == avg.estimators.size();
+        for (size_t i = 0; same && i < m.estimators.size(); ++i)
+            same = m.estimators[i].estimator == avg.estimators[i].estimator;
+        panicIf(!same, "averageMetrics: runs carry different probe sets");
     }
-    for (EstimatorAccuracy& acc : avg.estimators) {
-        if (acc.samples > 0.0) {
-            acc.bias /= acc.samples;
-            acc.rmse = std::sqrt(acc.rmse / acc.samples);
-        }
-        if (acc.isolatedSamples > 0.0) {
-            acc.isolatedBias /= acc.isolatedSamples;
-            acc.isolatedRmse =
-                std::sqrt(acc.isolatedRmse / acc.isolatedSamples);
-        }
+    using Acc = EstimatorAccuracy;
+    for (size_t i = 0; i < avg.estimators.size(); ++i) {
+        Acc& acc = avg.estimators[i];
+        // One (samples, bias, rmse) series, weighted by samples.
+        auto pool = [&](double Acc::*samples, double Acc::*bias,
+                        double Acc::*rmse) {
+            double weight = 0.0;
+            double bias_sum = 0.0;
+            double square_sum = 0.0;
+            for (const Metrics& m : runs) {
+                const Acc& run = m.estimators[i];
+                weight += run.*samples;
+                bias_sum += run.*bias * run.*samples;
+                square_sum += run.*rmse * run.*rmse * run.*samples;
+            }
+            acc.*samples = weight;
+            acc.*bias = weight > 0.0 ? bias_sum / weight : bias_sum;
+            acc.*rmse = weight > 0.0 ? std::sqrt(square_sum / weight)
+                                     : square_sum;
+        };
+        pool(&Acc::samples, &Acc::bias, &Acc::rmse);
+        pool(&Acc::isolatedSamples, &Acc::isolatedBias,
+             &Acc::isolatedRmse);
     }
 
-    // Pool resilience stats field-wise (counts are doubles for
-    // exactly this). A grid point's replicas share one config, so
-    // either every run is active or none is.
+    // Resilience and batching stats average field-wise (counts are
+    // doubles for exactly this). A grid point's replicas share one
+    // config, so either every run is active or none is.
     if (runs[0].resilience.active) {
-        ResilienceStats& res = avg.resilience;
-        res.active = true;
-        res.availability = res.mttr = 0.0;
-        res.retryAmplification = res.hedgeWinRate = 0.0;
-        res.tiers.assign(runs[0].resilience.tiers.size(),
-                         TierStats{});
-        for (const Metrics& m : runs) {
-            const ResilienceStats& r = m.resilience;
-            panicIf(!r.active || r.tiers.size() != res.tiers.size(),
+        size_t tiers = runs[0].resilience.tiers.size();
+        for (const Metrics& m : runs)
+            panicIf(!m.resilience.active ||
+                        m.resilience.tiers.size() != tiers,
                     "averageMetrics: runs carry different "
                     "resilience configs");
-            res.availability += r.availability;
-            res.mttr += r.mttr;
-            res.failures += r.failures;
-            res.timeouts += r.timeouts;
-            res.retries += r.retries;
-            res.retryAmplification += r.retryAmplification;
-            res.hedges += r.hedges;
-            res.hedgeWins += r.hedgeWins;
-            res.hedgeWinRate += r.hedgeWinRate;
-            res.brownoutSheds += r.brownoutSheds;
-            for (size_t t = 0; t < res.tiers.size(); ++t) {
-                res.tiers[t].completed += r.tiers[t].completed;
-                res.tiers[t].violations += r.tiers[t].violations;
-                res.tiers[t].shed += r.tiers[t].shed;
-                res.tiers[t].goodput += r.tiers[t].goodput;
-            }
-        }
-        res.availability /= n;
-        res.mttr /= n;
-        res.failures /= n;
-        res.timeouts /= n;
-        res.retries /= n;
-        res.retryAmplification /= n;
-        res.hedges /= n;
-        res.hedgeWins /= n;
-        res.hedgeWinRate /= n;
-        res.brownoutSheds /= n;
-        for (TierStats& tier : res.tiers) {
-            tier.completed /= n;
-            tier.violations /= n;
-            tier.shed /= n;
-            tier.goodput /= n;
-        }
+        avg.resilience.active = true;
+        averageFields(kResilienceFields, avg.resilience, runs,
+                      [](const Metrics& m) { return &m.resilience; });
+        avg.resilience.tiers.resize(tiers);
+        for (size_t t = 0; t < tiers; ++t)
+            averageFields(kTierFields, avg.resilience.tiers[t], runs,
+                          [t](const Metrics& m) {
+                              return &m.resilience.tiers[t];
+                          });
     }
-
-    // Pool batching stats field-wise, same contract as resilience:
-    // a grid point's replicas share one batcher config, so either
-    // every run is active or none is.
     if (runs[0].batching.active) {
-        BatchStats& bat = avg.batching;
-        bat.active = true;
-        for (const Metrics& m : runs) {
+        for (const Metrics& m : runs)
             panicIf(!m.batching.active,
                     "averageMetrics: runs carry different batching "
                     "configs");
-            bat.formed += m.batching.formed;
-            bat.joins += m.batching.joins;
-            bat.steps += m.batching.steps;
-            bat.meanOccupancy += m.batching.meanOccupancy;
-            bat.meanFillWaitSec += m.batching.meanFillWaitSec;
-            bat.stragglerTaxSec += m.batching.stragglerTaxSec;
-        }
-        bat.formed /= n;
-        bat.joins /= n;
-        bat.steps /= n;
-        bat.meanOccupancy /= n;
-        bat.meanFillWaitSec /= n;
-        bat.stragglerTaxSec /= n;
+        avg.batching.active = true;
+        averageFields(kBatchFields, avg.batching, runs,
+                      [](const Metrics& m) { return &m.batching; });
     }
     return avg;
 }

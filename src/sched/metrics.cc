@@ -1,6 +1,7 @@
 #include "sched/metrics.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "util/logging.hh"
@@ -66,6 +67,45 @@ replayExact(const std::vector<Request>& requests, bool allow_shed)
             sink.recordCompleted(req);
     }
     return sink.finalize();
+}
+
+bool
+sameBits(double a, double b)
+{
+    uint64_t x = 0;
+    uint64_t y = 0;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+/** Append `prefix` + name of each field that differs bit for bit. */
+template <typename Stats, size_t N>
+void
+diffFields(const StatsField<Stats> (&fields)[N], const Stats& a,
+           const Stats& b, const std::string& prefix,
+           std::vector<std::string>& out)
+{
+    for (const StatsField<Stats>& f : fields) {
+        bool same = f.count ? a.*f.count == b.*f.count
+                            : sameBits(a.*f.real, b.*f.real);
+        if (!same)
+            out.push_back(prefix + f.name);
+    }
+}
+
+/** Element-wise diff of two lists; `path` alone on a length change. */
+template <typename Stats, size_t N>
+void
+diffList(const StatsField<Stats> (&fields)[N],
+         const std::vector<Stats>& a, const std::vector<Stats>& b,
+         const std::string& path, std::vector<std::string>& out)
+{
+    if (a.size() != b.size())
+        out.push_back(path);
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+        diffFields(fields, a[i], b[i],
+                   path + "[" + std::to_string(i) + "].", out);
 }
 
 } // namespace
@@ -232,6 +272,31 @@ StreamingMetrics::finalize()
 {
     return mode == MetricsKind::Exact ? finalizeExact()
                                       : finalizeSketch();
+}
+
+std::vector<std::string>
+metricsDifferences(const Metrics& a, const Metrics& b)
+{
+    std::vector<std::string> out;
+    diffFields(kMetricsFields, a, b, "", out);
+    diffList(kEstimatorFields, a.estimators, b.estimators, "estimators",
+             out);
+    for (size_t i = 0;
+         i < std::min(a.estimators.size(), b.estimators.size()); ++i) {
+        if (a.estimators[i].estimator != b.estimators[i].estimator)
+            out.push_back("estimators[" + std::to_string(i) +
+                          "].estimator");
+    }
+    if (a.resilience.active != b.resilience.active)
+        out.push_back("resilience.active");
+    diffFields(kResilienceFields, a.resilience, b.resilience,
+               "resilience.", out);
+    diffList(kTierFields, a.resilience.tiers, b.resilience.tiers,
+             "resilience.tiers", out);
+    if (a.batching.active != b.batching.active)
+        out.push_back("batching.active");
+    diffFields(kBatchFields, a.batching, b.batching, "batching.", out);
+    return out;
 }
 
 Metrics

@@ -3,6 +3,10 @@
  * Multi-DNN performance metrics (Sec. 6.1): average normalized
  * turnaround time (ANTT), latency-SLO violation rate, and system
  * throughput.
+ *
+ * Each stats block's fields are listed once, in the StatsField tables
+ * below; a new field is one table entry there. The perfbench digest
+ * (perfbench/src/digest.cc) keeps its own list.
  */
 
 #ifndef DYSTA_SCHED_METRICS_HH
@@ -171,6 +175,105 @@ struct Metrics
     /** Shed fraction of all offered requests, in [0, 1]. */
     double shedRate() const;
 };
+
+/**
+ * One numeric field of a stats block. The tables below list every
+ * field once, in report order: seed averaging (averageMetrics), the
+ * report's JSON rows and CSV columns (src/api/report.cc) and
+ * metricsDifferences() all walk them.
+ */
+template <typename Stats>
+struct StatsField
+{
+    constexpr StatsField(const char* key, double Stats::*member,
+                         const char* column = nullptr)
+        : name(key), csv(column ? column : key), real(member)
+    {
+    }
+    constexpr StatsField(const char* key, size_t Stats::*member)
+        : name(key), csv(key), count(member)
+    {
+    }
+
+    /** JSON key, and the step in a metricsDifferences() path. */
+    const char* name;
+    /** CSV column; "" when the field has none. */
+    const char* csv;
+    /** The member: a double, or a count (Metrics::completed, shed). */
+    double Stats::*real = nullptr;
+    size_t Stats::*count = nullptr;
+};
+
+inline constexpr StatsField<Metrics> kMetricsFields[] = {
+    {"antt", &Metrics::antt},
+    {"violation_rate", &Metrics::violationRate},
+    {"slo_miss_rate", &Metrics::sloMissRate},
+    {"throughput", &Metrics::throughput},
+    {"goodput", &Metrics::goodput},
+    {"stp", &Metrics::stp},
+    {"p50_turnaround", &Metrics::p50Turnaround},
+    {"p95_turnaround", &Metrics::p95Turnaround},
+    {"p99_turnaround", &Metrics::p99Turnaround},
+    {"p50_latency", &Metrics::p50Latency},
+    {"p95_latency", &Metrics::p95Latency},
+    {"p99_latency", &Metrics::p99Latency},
+    {"completed", &Metrics::completed},
+    {"shed", &Metrics::shed},
+    {"makespan", &Metrics::makespan},
+};
+
+/**
+ * Per-probe fields after the `estimator` name. The CSV carries bias
+ * and rmse as est_<name>_bias / est_<name>_rmse.
+ */
+inline constexpr StatsField<EstimatorAccuracy> kEstimatorFields[] = {
+    {"samples", &EstimatorAccuracy::samples, ""},
+    {"bias", &EstimatorAccuracy::bias},
+    {"rmse", &EstimatorAccuracy::rmse},
+    {"isolated_samples", &EstimatorAccuracy::isolatedSamples, ""},
+    {"isolated_bias", &EstimatorAccuracy::isolatedBias, ""},
+    {"isolated_rmse", &EstimatorAccuracy::isolatedRmse, ""},
+};
+
+/** ResilienceStats fields before `tiers`. */
+inline constexpr StatsField<ResilienceStats> kResilienceFields[] = {
+    {"availability", &ResilienceStats::availability},
+    {"mttr", &ResilienceStats::mttr},
+    {"failures", &ResilienceStats::failures},
+    {"timeouts", &ResilienceStats::timeouts},
+    {"retries", &ResilienceStats::retries},
+    {"retry_amplification", &ResilienceStats::retryAmplification},
+    {"hedges", &ResilienceStats::hedges},
+    {"hedge_wins", &ResilienceStats::hedgeWins},
+    {"hedge_win_rate", &ResilienceStats::hedgeWinRate},
+    {"brownout_sheds", &ResilienceStats::brownoutSheds},
+};
+
+inline constexpr StatsField<TierStats> kTierFields[] = {
+    {"completed", &TierStats::completed, ""},
+    {"violations", &TierStats::violations, ""},
+    {"shed", &TierStats::shed, ""},
+    {"goodput", &TierStats::goodput, ""},
+};
+
+inline constexpr StatsField<BatchStats> kBatchFields[] = {
+    {"formed", &BatchStats::formed, "batch_formed"},
+    {"joins", &BatchStats::joins, "batch_joins"},
+    {"steps", &BatchStats::steps, "batch_steps"},
+    {"mean_occupancy", &BatchStats::meanOccupancy, "batch_occupancy"},
+    {"mean_fill_wait", &BatchStats::meanFillWaitSec, "batch_fill_wait"},
+    {"straggler_tax", &BatchStats::stragglerTaxSec,
+     "batch_straggler_tax"},
+};
+
+/**
+ * Path of every field in which `a` and `b` differ bit for bit, block
+ * by block in report order, e.g. "antt", "estimators[0].rmse",
+ * "resilience.tiers[1].shed"; "estimators" or "resilience.tiers"
+ * when the list lengths differ. Empty means identical.
+ */
+std::vector<std::string> metricsDifferences(const Metrics& a,
+                                            const Metrics& b);
 
 /** How a run accumulates its metrics. */
 enum class MetricsKind : uint8_t

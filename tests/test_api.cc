@@ -51,17 +51,6 @@ smallWorkload(WorkloadKind kind = WorkloadKind::MultiAttNN)
     return wl;
 }
 
-bool
-identicalMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.throughput == b.throughput && a.stp == b.stp &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
 } // namespace
 
 // --- policy-spec grammar ---------------------------------------------
@@ -197,7 +186,8 @@ TEST(PolicyRegistry, RegistryMatchesHandConstructionBitExactly)
 
     SimResult a = runOne(ctx, wl, *from_registry);
     SimResult b = runOne(ctx, wl, by_hand);
-    EXPECT_TRUE(identicalMetrics(a.metrics, b.metrics));
+    EXPECT_EQ(metricsDifferences(a.metrics, b.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(a.decisions, b.decisions);
     EXPECT_EQ(a.preemptions, b.preemptions);
 
@@ -209,7 +199,8 @@ TEST(PolicyRegistry, RegistryMatchesHandConstructionBitExactly)
         "dysta:eta=0.125", ctx, wl.kind);
     SimResult c = runOne(ctx, wl, *dysta_reg);
     SimResult d = runOne(ctx, wl, dysta_hand);
-    EXPECT_TRUE(identicalMetrics(c.metrics, d.metrics));
+    EXPECT_EQ(metricsDifferences(c.metrics, d.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(c.decisions, d.decisions);
 }
 
@@ -433,12 +424,13 @@ TEST(Scenario, RunScenarioMatchesManualSweep)
         cell.workload.numRequests = 50;
         cell.workload.seed = spec.seed;
         cell.scheduler = spec.schedulers[i];
+        cell.probes = spec.probes;
         std::vector<Metrics> runs;
         for (const SweepCell& c : seedReplicas(cell, spec.seeds))
             runs.push_back(runSweepCell(ctx, c).metrics);
-        EXPECT_TRUE(identicalMetrics(result.rows[i].metrics,
-                                     averageMetrics(runs)))
-            << "row " << i;
+        EXPECT_EQ(metricsDifferences(result.rows[i].metrics,
+                                     averageMetrics(runs)),
+                  std::vector<std::string>{}) << "row " << i;
     }
 }
 
@@ -465,9 +457,8 @@ TEST(Scenario, ClusterRunsAreDeterministicAcrossJobs)
     ScenarioResult b = runScenario(spec, parallel);
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (size_t i = 0; i < a.rows.size(); ++i)
-        EXPECT_TRUE(identicalMetrics(a.rows[i].metrics,
-                                     b.rows[i].metrics))
-            << "row " << i;
+        EXPECT_EQ(metricsDifferences(a.rows[i].metrics, b.rows[i].metrics),
+                  std::vector<std::string>{}) << "row " << i;
 }
 
 // --- shipped scenario files ------------------------------------------

@@ -68,52 +68,6 @@ ctx()
     return *instance;
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.throughput == b.throughput && a.goodput == b.goodput &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
-bool
-sameBatching(const BatchStats& a, const BatchStats& b)
-{
-    return a.active == b.active && a.formed == b.formed &&
-           a.joins == b.joins && a.steps == b.steps &&
-           a.meanOccupancy == b.meanOccupancy &&
-           a.meanFillWaitSec == b.meanFillWaitSec &&
-           a.stragglerTaxSec == b.stragglerTaxSec;
-}
-
-/** Every Metrics field except the batching block, bit for bit. */
-void
-expectSameMetricsButBatching(const Metrics& a, const Metrics& b)
-{
-    EXPECT_EQ(a.antt, b.antt);
-    EXPECT_EQ(a.violationRate, b.violationRate);
-    EXPECT_EQ(a.sloMissRate, b.sloMissRate);
-    EXPECT_EQ(a.throughput, b.throughput);
-    EXPECT_EQ(a.goodput, b.goodput);
-    EXPECT_EQ(a.stp, b.stp);
-    EXPECT_EQ(a.p50Turnaround, b.p50Turnaround);
-    EXPECT_EQ(a.p95Turnaround, b.p95Turnaround);
-    EXPECT_EQ(a.p99Turnaround, b.p99Turnaround);
-    EXPECT_EQ(a.p50Latency, b.p50Latency);
-    EXPECT_EQ(a.p95Latency, b.p95Latency);
-    EXPECT_EQ(a.p99Latency, b.p99Latency);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.estimators.size(), b.estimators.size());
-    EXPECT_EQ(a.resilience.active, b.resilience.active);
-    EXPECT_EQ(a.resilience.availability, b.resilience.availability);
-    EXPECT_EQ(a.resilience.failures, b.resilience.failures);
-}
-
 /** What an equivalence run exercised (see expectBatchOfOneEquivalence). */
 struct Exercised
 {
@@ -168,7 +122,13 @@ expectBatchOfOneEquivalence(const std::vector<NodeProfile>& nodes,
     EXPECT_EQ(off.preemptions, one.preemptions) << policy;
     EXPECT_EQ(off.eventsProcessed, one.eventsProcessed) << policy;
     EXPECT_EQ(off.perNodeCompleted, one.perNodeCompleted) << policy;
-    expectSameMetricsButBatching(off.metrics, one.metrics);
+    // Only the size-1 run carries a batching block (checked above);
+    // every other field must match the unbatched run bit for bit.
+    Metrics off_rest = off.metrics;
+    Metrics one_rest = one.metrics;
+    off_rest.batching = one_rest.batching = BatchStats{};
+    EXPECT_EQ(metricsDifferences(off_rest, one_rest),
+              std::vector<std::string>{}) << policy;
     for (size_t i = 0; i < reqs[0].size(); ++i)
         EXPECT_EQ(reqs[0][i].finishTime, reqs[1][i].finishTime)
             << policy << " request " << i;
@@ -637,7 +597,8 @@ TEST(FleetSpecs, PerNodeSchedulerOverridesTheClusterDefault)
 
     SweepCellResult a = runSweepCell(ctx(), pinned);
     SweepCellResult b = runSweepCell(ctx(), uniform);
-    EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
+    EXPECT_EQ(metricsDifferences(a.metrics, b.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(a.decisions, b.decisions);
     EXPECT_EQ(a.preemptions, b.preemptions);
 
@@ -712,8 +673,8 @@ TEST(BatchDeterminism, SameSeedBatchRunsAreBitIdentical)
         batchCell("batcher:size=8,delay=2ms,compose=sparsity");
     SweepCellResult a = runSweepCell(ctx(), cell);
     SweepCellResult b = runSweepCell(ctx(), cell);
-    EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
-    EXPECT_TRUE(sameBatching(a.metrics.batching, b.metrics.batching));
+    EXPECT_EQ(metricsDifferences(a.metrics, b.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(a.decisions, b.decisions);
     // Batching actually bit: batches formed with real occupancy.
     EXPECT_TRUE(a.metrics.batching.active);
@@ -782,10 +743,8 @@ TEST(BatchDeterminism, BatchGridBitIdenticalAcrossJobs)
     std::vector<SweepCellResult> b = parallel.run(cells);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_TRUE(sameMetrics(a[i].metrics, b[i].metrics)) << i;
-        EXPECT_TRUE(sameBatching(a[i].metrics.batching,
-                                 b[i].metrics.batching))
-            << i;
+        EXPECT_EQ(metricsDifferences(a[i].metrics, b[i].metrics),
+                  std::vector<std::string>{}) << i;
     }
     // The off slice reports no batching; the batched slices do.
     EXPECT_FALSE(a[0].metrics.batching.active);

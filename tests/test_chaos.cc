@@ -71,36 +71,6 @@ ctx()
     return *instance;
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.throughput == b.throughput &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
-bool
-sameResilience(const ResilienceStats& a, const ResilienceStats& b)
-{
-    if (a.active != b.active || a.availability != b.availability ||
-        a.mttr != b.mttr || a.failures != b.failures ||
-        a.timeouts != b.timeouts || a.retries != b.retries ||
-        a.hedges != b.hedges || a.hedgeWins != b.hedgeWins ||
-        a.brownoutSheds != b.brownoutSheds ||
-        a.tiers.size() != b.tiers.size())
-        return false;
-    for (size_t t = 0; t < a.tiers.size(); ++t) {
-        if (a.tiers[t].completed != b.tiers[t].completed ||
-            a.tiers[t].violations != b.tiers[t].violations ||
-            a.tiers[t].shed != b.tiers[t].shed)
-            return false;
-    }
-    return true;
-}
-
 /** Drain `n` events from a failure process (asserts availability). */
 std::vector<NodeEvent>
 drawEvents(FailureProcess& proc, size_t n)
@@ -605,9 +575,8 @@ TEST(ChaosDeterminism, SameSeedChaosRunsAreBitIdentical)
     SweepCell cell = chaosCell("mtbf:up=exp@2,down=exp@0.5");
     SweepCellResult a = runSweepCell(ctx(), cell);
     SweepCellResult b = runSweepCell(ctx(), cell);
-    EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
-    EXPECT_TRUE(sameResilience(a.metrics.resilience,
-                               b.metrics.resilience));
+    EXPECT_EQ(metricsDifferences(a.metrics, b.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(a.decisions, b.decisions);
     // The chaos actually bit: this cell must observe faults.
     EXPECT_TRUE(a.metrics.resilience.active);
@@ -648,10 +617,8 @@ TEST(ChaosDeterminism, ChaosGridBitIdenticalAcrossJobs)
     std::vector<SweepCellResult> b = parallel.run(cells);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_TRUE(sameMetrics(a[i].metrics, b[i].metrics)) << i;
-        EXPECT_TRUE(sameResilience(a[i].metrics.resilience,
-                                   b[i].metrics.resilience))
-            << i;
+        EXPECT_EQ(metricsDifferences(a[i].metrics, b[i].metrics),
+                  std::vector<std::string>{}) << i;
     }
     // The off slice reports no chaos; the chaos slices do.
     EXPECT_FALSE(a[0].metrics.resilience.failures > 0.0);

@@ -65,17 +65,6 @@ ctx()
     return *instance;
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.throughput == b.throughput &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
 } // namespace
 
 // --- hardware classes and fleet specs --------------------------------------
@@ -360,7 +349,8 @@ TEST(NodeEvents, RecoverOnHealthyNodeIsANoOp)
     };
     SimResult base = run({});
     SimResult up = run({{0.5, 1, NodeEventKind::Recover}});
-    EXPECT_TRUE(sameMetrics(base.metrics, up.metrics));
+    EXPECT_EQ(metricsDifferences(base.metrics, up.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(base.perNodeCompleted, up.perNodeCompleted);
     // Recovering a draining node un-drains it: node 1 takes the
     // r3 arrival it would have refused while draining (r2 broke the
@@ -392,7 +382,8 @@ TEST(NodeEvents, BackToBackFailsActLikeASingleFailure)
     SimResult twice = run({{0.5, 1, NodeEventKind::Fail},
                            {0.7, 1, NodeEventKind::Fail},
                            {1.5, 1, NodeEventKind::Recover}});
-    EXPECT_TRUE(sameMetrics(once.metrics, twice.metrics));
+    EXPECT_EQ(metricsDifferences(once.metrics, twice.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(once.perNodeCompleted, twice.perNodeCompleted);
     EXPECT_DOUBLE_EQ(once.metrics.resilience.failures, 1.0);
     EXPECT_DOUBLE_EQ(twice.metrics.resilience.failures, 1.0);
@@ -518,7 +509,8 @@ TEST(DispatcherDeterminism, HeteroRunsAreSeedReproducible)
 
     SweepCellResult a = runSweepCell(ctx(), cell);
     SweepCellResult b = runSweepCell(ctx(), cell);
-    EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
+    EXPECT_EQ(metricsDifferences(a.metrics, b.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(a.decisions, b.decisions);
     EXPECT_EQ(a.preemptions, b.preemptions);
 }
@@ -546,7 +538,8 @@ TEST(DispatcherDeterminism, HeteroGridBitIdenticalAcrossJobs)
     std::vector<SweepCellResult> b = parallel.run(cells);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_TRUE(sameMetrics(a[i].metrics, b[i].metrics)) << i;
+        EXPECT_EQ(metricsDifferences(a[i].metrics, b[i].metrics),
+                  std::vector<std::string>{}) << i;
         EXPECT_EQ(a[i].decisions, b[i].decisions) << i;
     }
 }

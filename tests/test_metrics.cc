@@ -232,3 +232,104 @@ TEST(Metrics, RepeatedIdsSumInVectorOrder)
     EXPECT_EQ(m.antt, antt);
     EXPECT_EQ(m.stp, stp);
 }
+
+// --- metricsDifferences ----------------------------------------------------
+
+namespace {
+
+/** Every block populated: two probes, two tiers, batching. */
+Metrics
+fullMetrics()
+{
+    Metrics m;
+    m.antt = 1.5;
+    m.completed = 10;
+    m.estimators = {{"lut", 4.0, 0.1, 0.2, 2.0, 0.3, 0.4},
+                    {"dysta", 5.0, 0.5, 0.6, 3.0, 0.7, 0.8}};
+    m.resilience.active = true;
+    m.resilience.tiers = {{1.0, 2.0, 3.0, 4.0}, {5.0, 6.0, 7.0, 8.0}};
+    m.batching.active = true;
+    m.batching.meanOccupancy = 2.5;
+    return m;
+}
+
+} // namespace
+
+TEST(MetricsDifferences, NamesEachDifferingFieldByItsReportPath)
+{
+    const Metrics a = fullMetrics();
+    using Paths = std::vector<std::string>;
+    EXPECT_EQ(metricsDifferences(a, a), Paths{});
+
+    Metrics b = a;
+    b.antt = 1.25;
+    b.shed = 1;
+    b.estimators[0].rmse = 0.25;
+    b.estimators[1].estimator = "oracle";
+    b.resilience.tiers[1].shed = 0.0;
+    b.batching.meanOccupancy = 3.0;
+    EXPECT_EQ(metricsDifferences(a, b),
+              (Paths{"antt", "shed", "estimators[0].rmse",
+                     "estimators[1].estimator",
+                     "resilience.tiers[1].shed",
+                     "batching.mean_occupancy"}));
+
+    Metrics c = a;
+    c.estimators.pop_back();
+    c.resilience.tiers.clear();
+    c.batching.active = false;
+    EXPECT_EQ(metricsDifferences(a, c),
+              (Paths{"estimators", "resilience.tiers",
+                     "batching.active"}));
+
+    // Bits, not values: -0 differs from +0, and a NaN equals itself.
+    Metrics zero = a;
+    Metrics negative_zero = a;
+    negative_zero.makespan = -0.0;
+    EXPECT_EQ(metricsDifferences(zero, negative_zero), Paths{"makespan"});
+    Metrics nan = a;
+    nan.stp = std::nan("");
+    EXPECT_EQ(metricsDifferences(nan, nan), Paths{});
+}
+
+TEST(MetricsDifferences, EveryTableFieldIsCompared)
+{
+    const Metrics a = fullMetrics();
+    for (const StatsField<Metrics>& f : kMetricsFields) {
+        Metrics b = a;
+        if (f.count)
+            b.*f.count += 1;
+        else
+            b.*f.real += 1.0;
+        EXPECT_EQ(metricsDifferences(a, b),
+                  std::vector<std::string>{f.name});
+    }
+    for (const StatsField<EstimatorAccuracy>& f : kEstimatorFields) {
+        Metrics b = a;
+        b.estimators[1].*f.real += 1.0;
+        EXPECT_EQ(metricsDifferences(a, b),
+                  std::vector<std::string>{
+                      std::string("estimators[1].") + f.name});
+    }
+    for (const StatsField<ResilienceStats>& f : kResilienceFields) {
+        Metrics b = a;
+        b.resilience.*f.real += 1.0;
+        EXPECT_EQ(metricsDifferences(a, b),
+                  std::vector<std::string>{
+                      std::string("resilience.") + f.name});
+    }
+    for (const StatsField<TierStats>& f : kTierFields) {
+        Metrics b = a;
+        b.resilience.tiers[0].*f.real += 1.0;
+        EXPECT_EQ(metricsDifferences(a, b),
+                  std::vector<std::string>{
+                      std::string("resilience.tiers[0].") + f.name});
+    }
+    for (const StatsField<BatchStats>& f : kBatchFields) {
+        Metrics b = a;
+        b.batching.*f.real += 1.0;
+        EXPECT_EQ(metricsDifferences(a, b),
+                  std::vector<std::string>{
+                      std::string("batching.") + f.name});
+    }
+}

@@ -54,14 +54,6 @@ serve(const WorkloadConfig& wl, const ClusterRunConfig& cluster)
     return runSweepCell(ctx(), cell);
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.throughput == b.throughput && a.completed == b.completed &&
-           a.shed == b.shed && a.makespan == b.makespan;
-}
-
 } // namespace
 
 // --- node/engine semantics -------------------------------------------------
@@ -350,13 +342,15 @@ TEST(Cluster, DeterministicPerSeed)
 
     SimResult a = serve(wl, cluster);
     SimResult b = serve(wl, cluster);
-    EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
+    EXPECT_EQ(metricsDifferences(a.metrics, b.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(a.perNodeCompleted, b.perNodeCompleted);
     EXPECT_EQ(a.decisions, b.decisions);
 
     wl.seed = 8;
     SimResult c = serve(wl, cluster);
-    EXPECT_FALSE(sameMetrics(a.metrics, c.metrics));
+    EXPECT_NE(metricsDifferences(a.metrics, c.metrics),
+              std::vector<std::string>{});
 }
 
 TEST(Cluster, ThroughputScalesMonotonicallyUnderSaturation)

@@ -49,27 +49,6 @@ ctx()
     return *instance;
 }
 
-/** Bit-exact equality over every simulated Metrics field. */
-void
-expectMetricsBitEqual(const Metrics& a, const Metrics& b,
-                      const std::string& what)
-{
-    EXPECT_DOUBLE_EQ(a.antt, b.antt) << what;
-    EXPECT_DOUBLE_EQ(a.violationRate, b.violationRate) << what;
-    EXPECT_DOUBLE_EQ(a.sloMissRate, b.sloMissRate) << what;
-    EXPECT_DOUBLE_EQ(a.throughput, b.throughput) << what;
-    EXPECT_DOUBLE_EQ(a.stp, b.stp) << what;
-    EXPECT_DOUBLE_EQ(a.p50Turnaround, b.p50Turnaround) << what;
-    EXPECT_DOUBLE_EQ(a.p95Turnaround, b.p95Turnaround) << what;
-    EXPECT_DOUBLE_EQ(a.p99Turnaround, b.p99Turnaround) << what;
-    EXPECT_DOUBLE_EQ(a.p50Latency, b.p50Latency) << what;
-    EXPECT_DOUBLE_EQ(a.p95Latency, b.p95Latency) << what;
-    EXPECT_DOUBLE_EQ(a.p99Latency, b.p99Latency) << what;
-    EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.shed, b.shed) << what;
-}
-
 } // namespace
 
 // --- StreamingMetrics ------------------------------------------------------
@@ -113,8 +92,8 @@ TEST(StreamingMetrics, ExactModeMatchesComputeMetricsBitForBit)
             exact.recordCompleted(*req);
     }
     EXPECT_EQ(exact.retired(), reqs.size());
-    expectMetricsBitEqual(exact.finalize(), result.metrics,
-                          "exact streaming accumulator");
+    EXPECT_EQ(metricsDifferences(exact.finalize(), result.metrics),
+              std::vector<std::string>{}) << "exact streaming accumulator";
 }
 
 TEST(StreamingMetrics, SketchModeTracksExactWithinTolerance)
@@ -177,8 +156,8 @@ TEST(Streaming, SingleNodeBitIdenticalToMaterialized)
     auto policy_b = makeSchedulerByName("Dysta", ctx());
     SimResult streaming = engine.run(source, *policy_b);
 
-    expectMetricsBitEqual(streaming.metrics, materialized.metrics,
-                          "single-node streaming");
+    EXPECT_EQ(metricsDifferences(streaming.metrics, materialized.metrics),
+              std::vector<std::string>{}) << "single-node streaming";
     EXPECT_EQ(streaming.decisions, materialized.decisions);
     EXPECT_EQ(streaming.preemptions, materialized.preemptions);
     EXPECT_EQ(streaming.eventsProcessed,
@@ -223,8 +202,8 @@ TEST(Streaming, ClusterBitIdenticalAcrossCalendarsAndModes)
             std::string what =
                 std::string(streaming ? "streaming" : "materialized") +
                 " + " + toString(calendar);
-            expectMetricsBitEqual(run.metrics, reference.metrics,
-                                  what);
+            EXPECT_EQ(metricsDifferences(run.metrics, reference.metrics),
+                      std::vector<std::string>{}) << what;
             EXPECT_EQ(run.decisions, reference.decisions) << what;
             EXPECT_EQ(run.preemptions, reference.preemptions)
                 << what;
@@ -259,8 +238,9 @@ TEST(Streaming, SketchMetricsAgreeAcrossModes)
     cell.streaming = true;
     SimResult streaming = runSweepCell(ctx(), cell);
     EXPECT_GT(materialized.metrics.completed, 0u);
-    expectMetricsBitEqual(streaming.metrics, materialized.metrics,
-                          "sketch metrics, streaming vs materialized");
+    EXPECT_EQ(metricsDifferences(streaming.metrics, materialized.metrics),
+              std::vector<std::string>{})
+        << "sketch metrics, streaming vs materialized";
     EXPECT_EQ(streaming.eventsProcessed,
               materialized.eventsProcessed);
 }
@@ -306,8 +286,8 @@ TEST(Streaming, ArenaRecyclesUnderFailures)
         cluster, reqs, dispatcher2, [&](const NodeProfile&, int) {
             return makeSchedulerByName("Dysta", ctx());
         });
-    expectMetricsBitEqual(streamed.metrics, materialized.metrics,
-                          "arena streaming run");
+    EXPECT_EQ(metricsDifferences(streamed.metrics, materialized.metrics),
+              std::vector<std::string>{}) << "arena streaming run";
 }
 
 // --- RequestArena ----------------------------------------------------------

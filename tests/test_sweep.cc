@@ -50,26 +50,6 @@ tinyGrid(int requests = 40, int seeds = 2)
     return cells;
 }
 
-void
-expectSameMetrics(const Metrics& a, const Metrics& b)
-{
-    // Bit-identical, not approximately equal: the parallel runner
-    // must not perturb any cell's simulation.
-    EXPECT_EQ(a.antt, b.antt);
-    EXPECT_EQ(a.violationRate, b.violationRate);
-    EXPECT_EQ(a.throughput, b.throughput);
-    EXPECT_EQ(a.stp, b.stp);
-    EXPECT_EQ(a.p50Turnaround, b.p50Turnaround);
-    EXPECT_EQ(a.p95Turnaround, b.p95Turnaround);
-    EXPECT_EQ(a.p99Turnaround, b.p99Turnaround);
-    EXPECT_EQ(a.p50Latency, b.p50Latency);
-    EXPECT_EQ(a.p95Latency, b.p95Latency);
-    EXPECT_EQ(a.p99Latency, b.p99Latency);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.makespan, b.makespan);
-}
-
 } // namespace
 
 TEST(SweepRunner, ParallelMetricsIdenticalToSerial)
@@ -87,7 +67,8 @@ TEST(SweepRunner, ParallelMetricsIdenticalToSerial)
     ASSERT_EQ(a.size(), cells.size());
     ASSERT_EQ(b.size(), cells.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        expectSameMetrics(a[i].metrics, b[i].metrics);
+        EXPECT_EQ(metricsDifferences(a[i].metrics, b[i].metrics),
+                  std::vector<std::string>{});
         EXPECT_EQ(a[i].decisions, b[i].decisions);
         EXPECT_EQ(a[i].preemptions, b[i].preemptions);
     }
@@ -101,7 +82,8 @@ TEST(SweepRunner, RepeatedParallelRunsAreDeterministic)
     std::vector<SweepCellResult> a = runner.run(cells);
     std::vector<SweepCellResult> b = runner.run(cells);
     for (size_t i = 0; i < a.size(); ++i)
-        expectSameMetrics(a[i].metrics, b[i].metrics);
+        EXPECT_EQ(metricsDifferences(a[i].metrics, b[i].metrics),
+                  std::vector<std::string>{});
 }
 
 TEST(SweepRunner, MatchesRunAveraged)
@@ -121,7 +103,8 @@ TEST(SweepRunner, MatchesRunAveraged)
     Metrics grouped = averageGroups(results, 3)[0];
     Metrics reference =
         runAveraged(*ctx, cell.workload, "Dysta", 3);
-    expectSameMetrics(grouped, reference);
+    EXPECT_EQ(metricsDifferences(grouped, reference),
+              std::vector<std::string>{});
 }
 
 TEST(SweepRunner, ClusterCellsRun)
@@ -164,7 +147,8 @@ TEST(SweepRunner, PolicyFactoryCells)
     SweepRunner runner(*ctx, 2);
     std::vector<SweepCellResult> results =
         runner.run({byName, byFactory});
-    expectSameMetrics(results[0].metrics, results[1].metrics);
+    EXPECT_EQ(metricsDifferences(results[0].metrics, results[1].metrics),
+              std::vector<std::string>{});
 }
 
 // --- the single resolver ---------------------------------------------------
@@ -175,21 +159,7 @@ namespace {
 bool
 identicalResults(const SweepCellResult& a, const SweepCellResult& b)
 {
-    const Metrics& x = a.metrics;
-    const Metrics& y = b.metrics;
-    return x.antt == y.antt && x.violationRate == y.violationRate &&
-           x.sloMissRate == y.sloMissRate &&
-           x.throughput == y.throughput && x.goodput == y.goodput &&
-           x.stp == y.stp && x.p50Turnaround == y.p50Turnaround &&
-           x.p95Turnaround == y.p95Turnaround &&
-           x.p99Turnaround == y.p99Turnaround &&
-           x.p50Latency == y.p50Latency &&
-           x.p95Latency == y.p95Latency &&
-           x.p99Latency == y.p99Latency && x.makespan == y.makespan &&
-           x.completed == y.completed && x.shed == y.shed &&
-           x.estimators.size() == y.estimators.size() &&
-           x.resilience.active == y.resilience.active &&
-           x.batching.active == y.batching.active &&
+    return metricsDifferences(a.metrics, b.metrics).empty() &&
            a.decisions == b.decisions &&
            a.preemptions == b.preemptions &&
            a.eventsProcessed == b.eventsProcessed &&
@@ -375,7 +345,8 @@ TEST(TraceCache, ColdAndCachedContextsAreIdentical)
     auto policy_b = makeSchedulerByName("Dysta", *cached, wl.kind);
     SimResult ra = runOne(*cold, wl, *policy_a);
     SimResult rb = runOne(*cached, wl, *policy_b);
-    expectSameMetrics(ra.metrics, rb.metrics);
+    EXPECT_EQ(metricsDifferences(ra.metrics, rb.metrics),
+              std::vector<std::string>{});
     EXPECT_EQ(ra.decisions, rb.decisions);
     EXPECT_EQ(ra.preemptions, rb.preemptions);
 }

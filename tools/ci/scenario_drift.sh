@@ -5,7 +5,8 @@
 # working tree, runs every scenarios/*.scn of the working tree on both
 # binaries at the CI smoke size, plus tab05 at the benchmark's queue
 # depth, and compares each pair of reports with
-# `sdysta --diff` (which ignores the wall-clock 'meta' section). It also
+# `sdysta --diff` (which ignores the wall-clock 'meta' section) and each
+# pair of their CSV twins byte for byte. It also
 # compares, byte for byte, `sdysta <name> --print-spec` for every built-in
 # name and `sdysta --list-scenarios` stdout. Any difference fails the
 # gate: a change that means to move a result must say so and update this
@@ -55,21 +56,27 @@ head_bin="$head_build/sdysta"
 mkdir -p "$work/reports"
 drifted=()
 
-# Run one scenario on both binaries and --diff the two reports.
+# Run one scenario on both binaries, --diff the two reports and cmp
+# their CSV twins (sdysta writes <out>.csv beside every <out>.json).
 check_drift() {
     local label="$1" scn="$2"
+    local report="$work/reports/$label"
     shift 2
     for side in base head; do
         bin="${side}_bin"
         "${!bin}" "$scn" "$@" \
             --trace-cache "$work/tc-$side" \
-            --out "$work/reports/${label}_$side.json" >/dev/null
+            --out "${report}_$side.json" >/dev/null
     done
-    if "$head_bin" --diff "$work/reports/${label}_base.json" \
-        "$work/reports/${label}_head.json"; then
+    if "$head_bin" --diff "${report}_base.json" "${report}_head.json"; then
         echo "scenario_drift: $label: zero drift"
     else
         drifted+=("$label")
+    fi
+    if cmp -s "${report}_base.csv" "${report}_head.csv"; then
+        echo "scenario_drift: $label: same CSV"
+    else
+        drifted+=("$label.csv")
     fi
 }
 
