@@ -11,7 +11,6 @@
  * on the parallel SweepRunner; output is identical for any --jobs.
  *
  * Usage: ablation_granularity [--requests N] [--seeds K] [--jobs N]
- *                             [--trace-cache DIR]
  */
 
 #include <cstdio>
@@ -31,13 +30,11 @@ main(int argc, char** argv)
     args.addInt("--requests", 600, "requests per workload");
     args.addInt("--seeds", 3, "seed replicas");
     args.addJobs();
-    args.addTraceCache();
     args.parse(argc, argv);
     int requests = args.getInt("--requests");
     int seeds = args.getInt("--seeds");
 
-    auto ctx = makeBenchContext(BenchSetup{},
-                                args.getString("--trace-cache"));
+    auto ctx = makeBenchContext();
     SweepRunner runner(*ctx, args.getInt("--jobs"));
 
     const size_t blocks[] = {1, 2, 4, 8, 16, 64};

@@ -10,7 +10,6 @@
  * and the output is identical for any --jobs.
  *
  * Usage: ablation_hyperparams [--requests N] [--seeds K] [--jobs N]
- *                             [--trace-cache DIR]
  */
 
 #include <cstdio>
@@ -30,13 +29,11 @@ main(int argc, char** argv)
     args.addInt("--requests", 800, "requests per workload");
     args.addInt("--seeds", 3, "seed replicas");
     args.addJobs();
-    args.addTraceCache();
     args.parse(argc, argv);
     int requests = args.getInt("--requests");
     int seeds = args.getInt("--seeds");
 
-    auto ctx = makeBenchContext(BenchSetup{},
-                                args.getString("--trace-cache"));
+    auto ctx = makeBenchContext();
     SweepRunner runner(*ctx, args.getInt("--jobs"));
 
     const double etas[] = {0.0, 0.02, 0.05, 0.1, 0.3, 1.0};

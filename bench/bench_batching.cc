@@ -53,7 +53,6 @@ main(int argc, char** argv)
     args.addDouble("--rate", 120.0, "MMPP base arrival rate [req/s]");
     args.addInt("--seed", 42, "workload seed");
     args.addInt("--seeds", 2, "seed replicas to average");
-    args.addTraceCache();
     args.addString("--out", "BENCH_batching.json", "report path");
     args.parse(argc, argv);
 
@@ -67,8 +66,7 @@ main(int argc, char** argv)
         {WorkloadKind::MultiAttNN, args.getDouble("--rate")}};
 
     std::printf("Profiling AttNN models on Sanger...\n");
-    auto ctx = makeBenchContext(scenarioSetup(spec),
-                                args.getString("--trace-cache"));
+    auto ctx = makeBenchContext(scenarioSetup(spec));
 
     ScenarioRunOptions options;
     options.jobs = 1;

@@ -59,7 +59,6 @@ main(int argc, char** argv)
     args.addInt("--seeds", 2, "seed replicas to average");
     args.addString("--chaos", "mtbf:up=exp@5,down=exp@1",
                    "fault-process spec both chaos runs share");
-    args.addTraceCache();
     args.addString("--out", "BENCH_chaos.json", "report path");
     args.parse(argc, argv);
 
@@ -83,8 +82,7 @@ main(int argc, char** argv)
     healthy.chaos = {"none"};
 
     std::printf("Profiling AttNN models on Sanger...\n");
-    auto ctx = makeBenchContext(scenarioSetup(resilient),
-                                args.getString("--trace-cache"));
+    auto ctx = makeBenchContext(scenarioSetup(resilient));
 
     ScenarioRunOptions options;
     options.jobs = 1;

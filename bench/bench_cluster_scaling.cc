@@ -37,7 +37,6 @@ main(int argc, char** argv)
                  "SLO-aware admission control (sheds hopeless "
                  "requests)");
     args.addJobs();
-    args.addTraceCache();
     args.addString("--out", "BENCH_cluster_scaling.json",
                    "report path");
     args.parse(argc, argv);
@@ -52,7 +51,6 @@ main(int argc, char** argv)
 
     ScenarioRunOptions options;
     options.jobs = args.getInt("--jobs");
-    options.traceCache = args.getString("--trace-cache");
     ScenarioResult result = runScenario(spec, options);
     printScenarioTable(result);
     std::printf("Read: under saturating load, throughput tracks the "

@@ -8,10 +8,10 @@
  * Runs the built-in "hetero-cluster" grid (homogeneous vs mixed
  * fleets across capability-blind and capability-aware front-ends
  * plus work-stealing migration) and the "hetero-failover" scenario
- * twice with the same seed to verify the failure path is
+ * at 1 job and at --jobs to verify the failure path is
  * deterministic. Emits BENCH_hetero.json with the headline
  * round-robin vs work-stealing comparison and the determinism
- * check; exits non-zero when a repeat diverges.
+ * check; exits non-zero when the two failover runs diverge.
  */
 
 #include <cstdio>
@@ -55,7 +55,6 @@ main(int argc, char** argv)
     args.addString("--events", "fail@1.0:0,recover@3.0:0",
                    "failure-scenario availability timeline");
     args.addJobs();
-    args.addTraceCache();
     args.addString("--out", "BENCH_hetero.json", "report path");
     args.parse(argc, argv);
 
@@ -79,15 +78,18 @@ main(int argc, char** argv)
 
     // One Phase-1 profile serves all three runs (same model set).
     std::printf("Profiling AttNN models on Sanger...\n");
-    auto ctx = makeBenchContext(scenarioSetup(grid),
-                                args.getString("--trace-cache"));
+    auto ctx = makeBenchContext(scenarioSetup(grid));
 
     ScenarioRunOptions options;
     options.jobs = args.getInt("--jobs");
     options.ctx = ctx.get();
 
     ScenarioResult grid_result = runScenario(grid, options);
-    ScenarioResult fail_a = runScenario(failover, options);
+    // The jobs=1 vs --jobs gate: the thread-pooled failover run must
+    // replay the serial one bit-for-bit.
+    ScenarioRunOptions serial = options;
+    serial.jobs = 1;
+    ScenarioResult fail_a = runScenario(failover, serial);
     ScenarioResult fail_b = runScenario(failover, options);
 
     printScenarioTable(grid_result);
@@ -104,9 +106,9 @@ main(int argc, char** argv)
         for (const std::string& path :
              metricsDifferences(fail_a.rows[i].metrics,
                                 fail_b.rows[i].metrics)) {
-            std::printf("bench_hetero_cluster: failover repeat differs "
-                        "in row %zu: %s\n",
-                        i, path.c_str());
+            std::printf("bench_hetero_cluster: failover 1-job vs "
+                        "%d-job differ in row %zu: %s\n",
+                        options.jobs, i, path.c_str());
             deterministic = false;
         }
     }
@@ -116,11 +118,12 @@ main(int argc, char** argv)
     std::printf("Read: on the mixed fleet, work-stealing cuts p99 "
                 "latency %.2f -> %.2f ms and the violation rate "
                 "%.1f%% -> %.1f%% vs round-robin (%s); the "
-                "failure-injection runs are %s across repeats.\n",
+                "failure-injection runs are %s at 1 and %d jobs.\n",
                 rr.p99Latency * 1e3, ws.p99Latency * 1e3,
                 rr.violationRate * 100.0, ws.violationRate * 100.0,
                 stealing_wins ? "improves" : "REGRESSION",
-                deterministic ? "bit-identical" : "NOT reproducible");
+                deterministic ? "bit-identical" : "NOT reproducible",
+                options.jobs);
 
     Reporter report("bench_hetero_cluster");
     report.meta("jobs", options.jobs);

@@ -22,7 +22,7 @@
  * events/sec — plus the RSS accounting and verdict.
  *
  * Usage: bench_megascale [--requests N] [--rss-budget-mb N]
- *        [--trace-cache DIR] [--out BENCH_megascale.json]
+ *        [--out BENCH_megascale.json]
  */
 
 #include <chrono>
@@ -136,7 +136,6 @@ main(int argc, char** argv)
                 "full-size runs; exceeded => exit 1 (0 disables)");
     args.addInt("--samples", 0,
                 "override Phase-1 samples per model (0 = keep)");
-    args.addTraceCache();
     args.addString("--out", "BENCH_megascale.json",
                    "report path ('' = skip the JSON report)");
     args.parse(argc, argv);
@@ -156,8 +155,7 @@ main(int argc, char** argv)
 
     std::printf("Profiling models for scenario '%s'...\n",
                 spec.name.c_str());
-    auto ctx = makeBenchContext(scenarioSetup(spec),
-                                args.getString("--trace-cache"));
+    auto ctx = makeBenchContext(scenarioSetup(spec));
 
     // Warm-up at a small request count touches every allocation
     // class on both calendars; VmHWM afterwards is the baseline the

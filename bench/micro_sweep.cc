@@ -2,9 +2,8 @@
  * @file
  * Microbenchmark of the parallel sweep engine: cells/sec of the
  * Fig. 15 arrival-sweep grid (the built-in "fig15" scenario's
- * cells) executed serially (--jobs 1) vs on the thread pool, and
- * BenchContext build time cold (full Phase-1 profiling) vs from the
- * --trace-cache. Verifies on the way that the parallel run's
+ * cells) executed serially (--jobs 1) vs on the thread pool.
+ * Verifies on the way that the parallel run's
  * metrics are field-wise identical to the serial run's, and emits a
  * machine-readable BENCH_sweep.json for the perf trajectory.
  */
@@ -38,36 +37,21 @@ main(int argc, char** argv)
 {
     ArgParser args("micro_sweep",
                    "Sweep-engine microbenchmark: serial vs parallel "
-                   "cells/sec on the Fig. 15 grid, cold vs cached "
-                   "context build, and a jobs=1 vs jobs=N "
-                   "determinism check.");
+                   "cells/sec on the Fig. 15 grid and a jobs=1 vs "
+                   "jobs=N determinism check.");
     args.addInt("--requests", 200, "requests per workload");
     args.addInt("--seeds", 2, "seed replicas per grid point");
     args.addJobs();
-    args.addTraceCache();
     args.addString("--out", "BENCH_sweep.json", "report path");
     args.parse(argc, argv);
 
     int requests = args.getInt("--requests");
     int seeds = args.getInt("--seeds");
     int jobs = args.getInt("--jobs");
-    std::string cache_dir = args.getString("--trace-cache");
-    if (cache_dir.empty())
-        cache_dir = "micro-sweep-trace-cache";
     std::string out_path = args.getString("--out");
 
-    BenchSetup setup;
-
-    // Context build: cold profiling vs the setup-keyed trace cache.
-    std::printf("Building BenchContext cold (Phase-1 profiling)...\n");
-    auto t0 = std::chrono::steady_clock::now();
-    auto ctx = makeBenchContext(setup);
-    double cold_sec = secondsSince(t0);
-
-    makeBenchContext(setup, cache_dir); // populate the cache
-    t0 = std::chrono::steady_clock::now();
-    auto cached_ctx = makeBenchContext(setup, cache_dir);
-    double cached_sec = secondsSince(t0);
+    std::printf("Building BenchContext (Phase-1 profiling)...\n");
+    auto ctx = makeBenchContext();
 
     // Sweep execution: the Fig. 15 grid, serial vs thread-pooled.
     ScenarioSpec grid = builtinScenario("fig15");
@@ -76,7 +60,7 @@ main(int argc, char** argv)
     std::vector<SweepCell> cells = scenarioCells(grid);
     std::printf("Running %zu cells serially...\n", cells.size());
     SweepRunner serial(*ctx, 1);
-    t0 = std::chrono::steady_clock::now();
+    auto t0 = std::chrono::steady_clock::now();
     std::vector<SweepCellResult> serial_results = serial.run(cells);
     double serial_sec = secondsSince(t0);
 
@@ -112,14 +96,10 @@ main(int argc, char** argv)
                  std::to_string(cells.size()) + " Fig. 15 cells, " +
                  std::to_string(requests) + " requests x " +
                  std::to_string(seeds) + " seeds)");
-    t.setHeader({"measure", "serial / cold", "parallel / cached",
-                 "ratio"});
+    t.setHeader({"measure", "serial", "parallel", "ratio"});
     t.addRow({"cells/sec", AsciiTable::num(serial_rate, 1),
               AsciiTable::num(parallel_rate, 1),
               AsciiTable::num(parallel_rate / serial_rate, 2) + "x"});
-    t.addRow({"context build [ms]", AsciiTable::num(cold_sec * 1e3, 1),
-              AsciiTable::num(cached_sec * 1e3, 1),
-              AsciiTable::num(cold_sec / cached_sec, 2) + "x"});
     t.addRow({"metrics jobs=1 vs jobs=N", "-", "-",
               deterministic ? "identical" : "MISMATCH"});
     t.print();
@@ -136,9 +116,6 @@ main(int argc, char** argv)
     json.field("parallel_cells_per_sec", parallel_rate);
     json.field("parallel_speedup", parallel_rate / serial_rate);
     json.field("deterministic", deterministic);
-    json.field("context_cold_sec", cold_sec);
-    json.field("context_cached_sec", cached_sec);
-    json.field("context_cache_speedup", cold_sec / cached_sec);
     json.endObject();
     if (!json.writeFile(out_path)) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -146,6 +123,5 @@ main(int argc, char** argv)
     }
     std::printf("Wrote %s\n", out_path.c_str());
 
-    (void)cached_ctx;
     return deterministic ? 0 : 1;
 }

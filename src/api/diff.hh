@@ -5,7 +5,7 @@
  * Two runs of the same experiment should produce bit-identical
  * reports — the determinism guarantee CI leans on — except for the
  * "meta" section, which deliberately carries run-specific context
- * (command line, jobs, trace-cache path, wall-clock phase timings).
+ * (command line, jobs, wall-clock phase timings).
  * diffReports() walks two parsed report documents, skips the
  * top-level "meta" object, and records every divergence as a
  * readable path-labelled line ("scenarios[0].rows[3].antt: 1.25 vs

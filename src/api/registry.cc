@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "chaos/chaos.hh"
 #include "chaos/failure.hh"
@@ -38,8 +39,10 @@ double
 parseDoubleParam(const std::string& spec_name, const std::string& key,
                  const std::string& text)
 {
+    // strtod accepts "nan" and "inf"; no parameter means either, and
+    // a NaN dwell, period or overhead would hang or abort the run.
     double v = 0.0;
-    fatalIf(!tryParseDouble(text, v),
+    fatalIf(!tryParseDouble(text, v) || !std::isfinite(v),
             "PolicyRegistry: " + spec_name + ": parameter '" + key +
                 "' expects a number, got '" + text + "'");
     return v;

@@ -8,7 +8,7 @@
  *
  *  - scalar headline fields ("deterministic": true, speedups, ...),
  *  - any number of executed scenarios (spec + averaged result rows),
- *  - run metadata (jobs, trace cache, command line) kept in a
+ *  - run metadata (jobs, wall-clock timings, command line) kept in a
  *    separate "meta" object so two reports of the same experiment
  *    can be compared modulo metadata (the CI bit-identity check).
  *

@@ -493,6 +493,9 @@ validateScenario(const ScenarioSpec& spec)
     for (double ratio : spec.stealRatios)
         fatalIf(!(ratio > 1.0) || !std::isfinite(ratio),
                 where + "steal ratios must be > 1 and finite");
+    fatalIf(!(spec.cnnSparsityRate >= 0.0 && spec.cnnSparsityRate < 1.0),
+            where + "cnn_sparsity must be in [0, 1), got " +
+                shortestDouble(spec.cnnSparsityRate));
 
     const PolicyRegistry& registry = PolicyRegistry::global();
     for (const std::string& sched : spec.schedulers)
@@ -705,8 +708,7 @@ runScenario(const ScenarioSpec& spec,
     std::unique_ptr<BenchContext> owned;
     const BenchContext* ctx = options.ctx;
     if (ctx == nullptr) {
-        owned = makeBenchContext(scenarioSetup(spec),
-                                 options.traceCache);
+        owned = makeBenchContext(scenarioSetup(spec));
         ctx = owned.get();
     }
     out.profileSec = profile_timer.seconds();

@@ -186,7 +186,7 @@ std::string serializeScenario(const ScenarioSpec& spec);
  */
 void validateScenario(const ScenarioSpec& spec);
 
-/** The Phase-1 profile a scenario needs (cache-fingerprint input). */
+/** The Phase-1 profile a scenario needs. */
 BenchSetup scenarioSetup(const ScenarioSpec& spec);
 
 /**
@@ -230,7 +230,7 @@ struct ScenarioResult
 
     // --- wall-clock phase timings (report metadata only; excluded
     // --- from report comparison and never part of simulated data) --
-    /** Phase-1 profile (or trace-cache replay) duration, seconds. */
+    /** Phase-1 profile duration, seconds. */
     double profileSec = 0.0;
     /** Grid-execution duration, seconds. */
     double sweepSec = 0.0;
@@ -243,8 +243,6 @@ struct ScenarioRunOptions
 {
     /** Sweep worker threads; <= 0 selects hardware concurrency. */
     int jobs = 0;
-    /** Setup-keyed Phase-1 trace cache directory ("" = no cache). */
-    std::string traceCache;
     /**
      * Reuse an already-built context (e.g. across scenarios sharing
      * one profile) instead of profiling. Must cover every model the

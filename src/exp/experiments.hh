@@ -48,33 +48,14 @@ struct BenchSetup
      * Hardware configuration of the reference accelerators the
      * Phase-1 profile runs on. Per-node fleet mixes (NodeProfile
      * speed factors) are relative to these, so they parameterize
-     * the traces themselves and are part of the cache fingerprint.
+     * the traces themselves.
      */
     SangerConfig sangerHw;
     EyerissV2Config eyerissHw;
 };
 
-/**
- * Stable one-line fingerprint of a BenchSetup plus the trace format
- * version — the trace cache's manifest content. Any field change,
- * including the reference accelerator hardware configuration,
- * invalidates a cached Phase-1 profile.
- */
-std::string benchSetupFingerprint(const BenchSetup& setup);
-
 /** Profile all benchmark models and build the LUT. */
 std::unique_ptr<BenchContext> makeBenchContext(BenchSetup setup = {});
-
-/**
- * Like makeBenchContext, but persists the Phase-1 traces through a
- * setup-keyed cache directory (the bench binaries' `--trace-cache`):
- * when `<dir>/manifest.txt` matches benchSetupFingerprint(setup) the
- * registry is loaded from the saved CSVs instead of re-profiling;
- * otherwise the profile runs cold and the cache (traces + manifest)
- * is rewritten. An empty `trace_cache_dir` always profiles cold.
- */
-std::unique_ptr<BenchContext>
-makeBenchContext(BenchSetup setup, const std::string& trace_cache_dir);
 
 /** Baseline scheduler names in the paper's Table 5 order. */
 std::vector<std::string> table5Schedulers();

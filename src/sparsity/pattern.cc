@@ -16,20 +16,6 @@ toString(SparsityPattern pattern)
     panic("toString: unknown SparsityPattern");
 }
 
-SparsityPattern
-patternFromString(const std::string& name)
-{
-    if (name == "dense")
-        return SparsityPattern::Dense;
-    if (name == "random")
-        return SparsityPattern::RandomPointwise;
-    if (name == "block_nm")
-        return SparsityPattern::BlockNM;
-    if (name == "channel")
-        return SparsityPattern::ChannelWise;
-    fatal("patternFromString: unknown pattern '" + name + "'");
-}
-
 std::vector<SparsityPattern>
 cnnPatterns()
 {

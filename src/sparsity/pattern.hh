@@ -25,9 +25,6 @@ enum class SparsityPattern
 
 std::string toString(SparsityPattern pattern);
 
-/** Parse a canonical name; fatal() on unknown input. */
-SparsityPattern patternFromString(const std::string& name);
-
 /** The three CNN pruning patterns used by the benchmark. */
 std::vector<SparsityPattern> cnnPatterns();
 

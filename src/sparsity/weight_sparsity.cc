@@ -25,7 +25,7 @@ SparsifiedModel::SparsifiedModel(ModelDesc model, SparsityPattern pattern,
                                  double rate, uint64_t seed)
     : desc(std::move(model)), patt(pattern), targetRate(rate)
 {
-    fatalIf(rate < 0.0 || rate >= 1.0,
+    fatalIf(!(rate >= 0.0 && rate < 1.0),
             "SparsifiedModel: rate must be in [0, 1)");
 
     Rng rng(seed ^ 0xD1B54A32D192ED03ULL);

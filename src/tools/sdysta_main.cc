@@ -3,13 +3,13 @@
  * `sdysta` — the scenario driver.
  *
  * Runs any declarative scenario file end to end: parse, validate,
- * Phase-1 profile (or trace-cache replay), grid execution on the
- * thread-pooled SweepRunner, long-format result table, and a
- * unified JSON + CSV report. The built-in scenario names (shipped as
- * scenarios/<name>.scn) are accepted in place of a path.
+ * Phase-1 profile, grid execution on the thread-pooled SweepRunner,
+ * long-format result table, and a unified JSON + CSV report. The
+ * built-in scenario names (shipped as scenarios/<name>.scn) are
+ * accepted in place of a path.
  *
  * Usage:
- *   sdysta scenarios/tab05.scn --jobs 4 --trace-cache .cache
+ *   sdysta scenarios/tab05.scn --jobs 4
  *   sdysta fig12 --requests 100 --seeds 1
  *   sdysta scenarios/hetero-failover.scn --chrome-trace trace.json
  *   sdysta scenarios/hetero-failover.scn --gantt --cell 1
@@ -182,7 +182,6 @@ main(int argc, char** argv)
                    "override the event-calendar implementation: "
                    "'heap' or 'bucket' ('' = keep)");
     args.addJobs();
-    args.addTraceCache();
     args.addString("--out", "",
                    "report path (default: REPORT_<name>.json; a .csv "
                    "twin is always written next to it)");
@@ -303,7 +302,6 @@ main(int argc, char** argv)
     fatalIf(options.jobs < 0,
             "sdysta: --jobs must not be negative, got " +
                 std::to_string(options.jobs));
-    options.traceCache = args.getString("--trace-cache");
 
     const std::string chrome_out = args.getString("--chrome-trace");
     const std::string series_out = args.getString("--series-csv");
@@ -331,8 +329,7 @@ main(int argc, char** argv)
     double profile_sec = 0.0;
     if (want_trace) {
         WallTimer profile_timer;
-        ctx = makeBenchContext(scenarioSetup(spec),
-                               options.traceCache);
+        ctx = makeBenchContext(scenarioSetup(spec));
         profile_sec = profile_timer.seconds();
         options.ctx = ctx.get();
     }
@@ -381,7 +378,6 @@ main(int argc, char** argv)
     Reporter report("sdysta");
     report.meta("scenario_source", source);
     report.meta("jobs", result.jobs);
-    report.meta("trace_cache", options.traceCache);
     report.meta("profile_sec", result.profileSec);
     report.meta("sweep_sec", result.sweepSec);
     double cell_total = 0.0;

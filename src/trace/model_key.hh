@@ -8,8 +8,8 @@
  * the sorted keys of the table that holds it. Requests carry their
  * ModelKey, so every lookup on the run path is a vector index rather
  * than a string hash. Two tables over the same key set — a
- * TraceRegistry and the ModelInfoLut built from it, or a cold profile
- * and a trace-cache load — give every pair the same key.
+ * TraceRegistry and the ModelInfoLut built from it — give every pair
+ * the same key.
  */
 
 #ifndef DYSTA_TRACE_MODEL_KEY_HH

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "util/csv.hh"
 #include "util/logging.hh"
 
 namespace dysta {
@@ -127,77 +126,6 @@ std::string
 TraceSet::key() const
 {
     return makeKey(name, patt);
-}
-
-void
-TraceSet::save(const std::string& path) const
-{
-    CsvWriter out(path);
-    out.writeRow(std::vector<std::string>{
-        name, toString(fam), toString(patt),
-        std::to_string(layerCount())});
-    for (const auto& s : samples) {
-        std::vector<std::string> row;
-        row.reserve(2 + 2 * s.layers.size());
-        row.push_back(std::to_string(s.seqLen));
-        row.push_back(s.dark ? "1" : "0");
-        char buf[40];
-        // %.17g round-trips every double exactly, so a cache-loaded
-        // registry rebuilds bit-identical LUT entries and schedules.
-        for (const auto& layer : s.layers) {
-            std::snprintf(buf, sizeof(buf), "%.17g", layer.latency);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.17g",
-                          layer.monitoredSparsity);
-            row.push_back(buf);
-        }
-        out.writeRow(row);
-    }
-}
-
-TraceSet
-TraceSet::load(const std::string& path)
-{
-    CsvTable table = readCsv(path);
-    fatalIf(table.rows.empty(), "TraceSet::load: empty file " + path);
-    const auto& meta = table.rows[0];
-    fatalIf(meta.size() < 4, "TraceSet::load: malformed header");
-
-    ModelFamily fam =
-        meta[1] == "AttNN" ? ModelFamily::AttNN : ModelFamily::CNN;
-    TraceSet set(meta[0], fam, patternFromString(meta[2]));
-    size_t layers = static_cast<size_t>(std::stoul(meta[3]));
-
-    for (size_t r = 1; r < table.rows.size(); ++r) {
-        const auto& row = table.rows[r];
-        fatalIf(row.size() != 2 + 2 * layers,
-                "TraceSet::load: malformed sample row");
-        SampleTrace s;
-        s.seqLen = static_cast<int>(table.cell(r, 0));
-        s.dark = table.cell(r, 1) != 0.0;
-        s.layers.resize(layers);
-        for (size_t l = 0; l < layers; ++l) {
-            LayerTrace& layer = s.layers[l];
-            layer.latency = table.cell(r, 2 + 2 * l);
-            layer.monitoredSparsity = table.cell(r, 3 + 2 * l);
-            // strtod accepts "nan" and "inf"; either would silently
-            // poison every estimate or monitor reading built on the
-            // set, as would a negative latency or a sparsity above 1.
-            auto reject = [&](const char* what, size_t col) {
-                fatal("TraceSet::load: " + path + ": sample row " +
-                      std::to_string(r) + ", layer " +
-                      std::to_string(l) + ": invalid " + what + " '" +
-                      row[col] + "'");
-            };
-            if (!layer.validLatency())
-                reject("latency", 2 + 2 * l);
-            if (!layer.validSparsity())
-                reject("sparsity", 3 + 2 * l);
-        }
-        s.finalize();
-        set.add(std::move(s));
-    }
-    return set;
 }
 
 } // namespace dysta

@@ -6,14 +6,13 @@
  * a synthetic dataset and records, per input sample, the per-layer
  * latency and monitored sparsity on the target accelerator. Phase 2
  * (scheduling evaluation) replays these traces: a request is one
- * sampled trace. TraceSets can be persisted to CSV, mirroring the
- * paper's "save runtime information as files" step.
+ * sampled trace. The analytic profile is cheap enough that every run
+ * builds its traces in memory; none are written to files.
  */
 
 #ifndef DYSTA_TRACE_TRACE_HH
 #define DYSTA_TRACE_TRACE_HH
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,24 +37,6 @@ struct LayerTrace
     double monitoredSparsity = -1.0;
 
     bool monitored() const { return monitoredSparsity >= 0.0; }
-
-    /** Finite and non-negative. */
-    bool
-    validLatency() const
-    {
-        return std::isfinite(latency) && latency >= 0.0;
-    }
-
-    /**
-     * A zero fraction of at most 1, or the negative "unmonitored"
-     * marker; NaN and inf are neither.
-     */
-    bool
-    validSparsity() const
-    {
-        return std::isfinite(monitoredSparsity) &&
-               monitoredSparsity <= 1.0;
-    }
 };
 
 /** One input sample's end-to-end runtime record. */
@@ -119,12 +100,6 @@ class TraceSet
 
     /** Mean monitored sparsity of one layer across samples. */
     const std::vector<double>& avgLayerSparsity() const;
-
-    /** Write to CSV (meta header row + one row per sample). */
-    void save(const std::string& path) const;
-
-    /** Read back a CSV written by save(); fatal() on malformed data. */
-    static TraceSet load(const std::string& path);
 
     /** Canonical key for registries: "<model>/<pattern>". */
     std::string key() const;

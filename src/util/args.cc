@@ -119,13 +119,6 @@ ArgParser::addJobs()
 }
 
 void
-ArgParser::addTraceCache()
-{
-    addString("--trace-cache", "",
-              "directory for the setup-keyed Phase-1 trace cache");
-}
-
-void
 ArgParser::addPositional(const std::string& name,
                          const std::string& help, bool required)
 {

@@ -15,7 +15,6 @@
  *     ArgParser args("bench_chaos", "chaos-engine benchmark");
  *     args.addInt("--requests", 1000, "requests per workload");
  *     args.addJobs();
- *     args.addTraceCache();
  *     args.parse(argc, argv);
  *     int requests = args.getInt("--requests");
  *
@@ -52,8 +51,6 @@ class ArgParser
 
     /** The shared `--jobs N` flag (default: hardware concurrency). */
     void addJobs();
-    /** The shared `--trace-cache DIR` flag (default: no cache). */
-    void addTraceCache();
 
     /**
      * Declare a positional argument, in declaration order. Optional

@@ -1,7 +1,6 @@
 #include "util/csv.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/logging.hh"
 
@@ -58,68 +57,6 @@ CsvWriter::close()
 {
     if (out.is_open())
         out.close();
-}
-
-double
-CsvTable::cell(size_t row, size_t col) const
-{
-    fatalIf(row >= rows.size(), "CsvTable: row out of range");
-    fatalIf(col >= rows[row].size(), "CsvTable: col out of range");
-    const std::string& s = rows[row][col];
-    char* end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
-        fatal("CsvTable: non-numeric cell '" + s + "'");
-    return v;
-}
-
-std::vector<std::string>
-parseCsvLine(const std::string& line)
-{
-    std::vector<std::string> fields;
-    std::string cur;
-    bool in_quotes = false;
-    for (size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (in_quotes) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cur += '"';
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cur += c;
-            }
-        } else if (c == '"') {
-            in_quotes = true;
-        } else if (c == ',') {
-            fields.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    fields.push_back(cur);
-    return fields;
-}
-
-CsvTable
-readCsv(const std::string& path)
-{
-    std::ifstream in(path);
-    fatalIf(!in.is_open(), "readCsv: cannot open " + path);
-    CsvTable table;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
-        table.rows.push_back(parseCsvLine(line));
-    }
-    return table;
 }
 
 } // namespace dysta

@@ -1,7 +1,6 @@
 /**
  * @file
- * Minimal CSV reader/writer used to persist Phase-1 traces (the paper's
- * "save runtime information as files" step) and to export bench series
+ * Minimal CSV writer for report CSV twins and bench series exported
  * for external plotting.
  */
 
@@ -35,21 +34,6 @@ class CsvWriter
 
     static std::string escape(const std::string& field);
 };
-
-/** In-memory CSV parse result: rows of string fields. */
-struct CsvTable
-{
-    std::vector<std::vector<std::string>> rows;
-
-    /** Parse field (row, col) as double; fatal() on malformed input. */
-    double cell(size_t row, size_t col) const;
-};
-
-/** Read and parse an entire CSV file; fatal() if unreadable. */
-CsvTable readCsv(const std::string& path);
-
-/** Parse a single CSV line honouring double-quote escapes. */
-std::vector<std::string> parseCsvLine(const std::string& line);
 
 } // namespace dysta
 

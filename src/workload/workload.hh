@@ -86,35 +86,6 @@ class TraceRegistry
     /** Keys of all registered trace sets, in ModelKey (sorted) order. */
     const std::vector<std::string>& keys() const { return sets.names(); }
 
-    /**
-     * Persist every trace set as "<dir>/<model>_<pattern>.csv",
-     * mirroring the paper's Phase-1 "save runtime information as
-     * files" step. The directory is created if missing.
-     */
-    void saveAll(const std::string& dir) const;
-
-    /**
-     * Load every "*.csv" trace file previously written by saveAll;
-     * fatal() naming both files when two hold the same key.
-     */
-    static TraceRegistry loadAll(const std::string& dir);
-
-    /**
-     * Pack every set into one flat binary file — the trace cache's
-     * fast path. CSV text is the durable, inspectable format; the
-     * packed blob exists because parsing ~10^6 decimal doubles costs
-     * more than re-running the analytic Phase-1 profile.
-     */
-    void saveAllBinary(const std::string& path) const;
-
-    /**
-     * Load a saveAllBinary blob into `out`. Returns false (leaving
-     * `out` unspecified) on a missing file, a magic/version mismatch
-     * or corrupt content, so callers can fall back to the CSVs.
-     */
-    static bool loadAllBinary(const std::string& path,
-                              TraceRegistry& out);
-
   private:
     /**
      * One heap node per set, as in a map: a set keeps its address

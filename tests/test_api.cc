@@ -344,6 +344,33 @@ TEST(Scenario, MalformedLinesAreRejected)
                         "'")
             << panel;
     }
+
+    // Values that parse as numbers but that no run can use are caught
+    // at validation, naming the value. Unchecked, each of these hung,
+    // aborted in the event calendar, died mid-run without naming the
+    // key, or wrote a report.
+    const std::string fleet = "workload = attnn@30\nscheduler = FCFS\n"
+                              "fleet = sanger:2\n"
+                              "dispatcher = round-robin\n";
+    for (std::string rate : {"nan", "-0.5", "1.5"}) {
+        EXPECT_EXIT(validateScenario(parseScenario(
+                        fleet + "cnn_sparsity = " + rate + "\n")),
+                    ::testing::ExitedWithCode(1),
+                    "cnn_sparsity must be in \\[0, 1\\), got " + rate)
+            << rate;
+    }
+    for (std::string line :
+         {"arrival = mmpp:base_dwell=nan", "arrival = mmpp:burst=nan",
+          "arrival = mmpp:burst=inf", "arrival = diurnal:amplitude=nan",
+          "arrival = diurnal:period=nan", "arrival = diurnal:period=inf",
+          "batcher = batcher:size=4,overhead=nan",
+          "chaos = mtbf:start=nan", "chaos = mtbf:start=-inf"}) {
+        std::string value = line.substr(line.rfind('=') + 1);
+        EXPECT_EXIT(validateScenario(parseScenario(fleet + line + "\n")),
+                    ::testing::ExitedWithCode(1),
+                    "expects a number, got '" + value + "'")
+            << line;
+    }
 }
 
 TEST(Scenario, UnknownPolicyIsRejectedAtValidation)

@@ -1,16 +1,12 @@
 /**
  * @file
  * Tests for the parallel sweep engine: jobs=1 vs jobs=N determinism,
- * seed replication and group averaging, cluster-mode cells, the
- * single cell resolver (every spec field reaches the run), and the
- * setup-keyed Phase-1 trace cache (hit, miss, stale manifest).
+ * seed replication and group averaging, cluster-mode cells, and the
+ * single cell resolver (every spec field reaches the run).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 
 #include "exp/sweep.hh"
@@ -293,245 +289,4 @@ TEST(SweepHelpers, SeedReplicasAndGroupAverages)
     ASSERT_EQ(avg.size(), 2u);
     EXPECT_DOUBLE_EQ(avg[0].antt, 2.0);
     EXPECT_DOUBLE_EQ(avg[1].antt, 15.0);
-}
-
-// --- trace cache ------------------------------------------------------------
-
-namespace {
-
-struct CacheDir
-{
-    std::string dir = "/tmp/dysta_test_trace_cache";
-    CacheDir() { std::filesystem::remove_all(dir); }
-    ~CacheDir() { std::filesystem::remove_all(dir); }
-};
-
-} // namespace
-
-TEST(TraceCache, ColdAndCachedContextsAreIdentical)
-{
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-
-    auto cold = makeBenchContext(setup, cache.dir);
-    ASSERT_TRUE(std::filesystem::exists(cache.dir + "/manifest.txt"));
-    ASSERT_TRUE(std::filesystem::exists(cache.dir + "/traces.bin"));
-    auto cached = makeBenchContext(setup, cache.dir);
-
-    // Identical registries and LUT entries...
-    ASSERT_EQ(cached->registry.size(), cold->registry.size());
-    EXPECT_EQ(cached->registry.keys(), cold->registry.keys());
-    ASSERT_EQ(cached->lut.size(), cold->lut.size());
-    for (const char* model : {"bert", "gpt2", "bart"}) {
-        const ModelInfo& a =
-            cold->lut.lookup(model, SparsityPattern::Dense);
-        const ModelInfo& b =
-            cached->lut.lookup(model, SparsityPattern::Dense);
-        EXPECT_EQ(a.avgLatency, b.avgLatency);
-        EXPECT_EQ(a.avgNetworkSparsity, b.avgNetworkSparsity);
-        EXPECT_EQ(a.avgLayerLatency, b.avgLayerLatency);
-        EXPECT_EQ(a.avgLayerSparsity, b.avgLayerSparsity);
-        EXPECT_EQ(a.remainingFrom, b.remainingFrom);
-    }
-    ASSERT_EQ(cached->models.size(), cold->models.size());
-    for (size_t i = 0; i < cold->models.size(); ++i)
-        EXPECT_EQ(cached->models[i].name, cold->models[i].name);
-
-    // ...and identical simulation results through runOne.
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.numRequests = 50;
-    auto policy_a = makeSchedulerByName("Dysta", *cold, wl.kind);
-    auto policy_b = makeSchedulerByName("Dysta", *cached, wl.kind);
-    SimResult ra = runOne(*cold, wl, *policy_a);
-    SimResult rb = runOne(*cached, wl, *policy_b);
-    EXPECT_EQ(metricsDifferences(ra.metrics, rb.metrics),
-              std::vector<std::string>{});
-    EXPECT_EQ(ra.decisions, rb.decisions);
-    EXPECT_EQ(ra.preemptions, rb.preemptions);
-}
-
-TEST(TraceCache, StaleManifestTriggersRegeneration)
-{
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-    makeBenchContext(setup, cache.dir);
-
-    // A different setup must ignore the stale cache and regenerate.
-    BenchSetup changed = setup;
-    changed.samplesPerModel = setup.samplesPerModel + 5;
-    EXPECT_NE(benchSetupFingerprint(setup),
-              benchSetupFingerprint(changed));
-    auto regenerated = makeBenchContext(changed, cache.dir);
-    EXPECT_EQ(
-        regenerated->registry.get("bert", SparsityPattern::Dense)
-            .size(),
-        static_cast<size_t>(changed.samplesPerModel));
-
-    // The rewritten cache now serves the changed setup.
-    std::ifstream manifest(cache.dir + "/manifest.txt");
-    std::string content((std::istreambuf_iterator<char>(manifest)),
-                        std::istreambuf_iterator<char>());
-    EXPECT_EQ(content, benchSetupFingerprint(changed));
-    auto cached = makeBenchContext(changed, cache.dir);
-    EXPECT_EQ(
-        cached->registry.get("bert", SparsityPattern::Dense).size(),
-        static_cast<size_t>(changed.samplesPerModel));
-}
-
-TEST(TraceCache, HardwareConfigChangeInvalidatesCache)
-{
-    // The regression this pins: the manifest fingerprint must cover
-    // the reference accelerator hardware, or a cached Phase-1
-    // profile silently survives a hw change and every latency in
-    // the simulation is wrong.
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-    auto original = makeBenchContext(setup, cache.dir);
-
-    BenchSetup changed = setup;
-    changed.sangerHw.clockHz = setup.sangerHw.clockHz * 2.0;
-    EXPECT_NE(benchSetupFingerprint(setup),
-              benchSetupFingerprint(changed));
-
-    // The faster clock must show up in the regenerated profile: a
-    // stale cache hit would replay the old latencies unchanged.
-    auto regenerated = makeBenchContext(changed, cache.dir);
-    const ModelInfo& before =
-        original->lut.lookup("bert", SparsityPattern::Dense);
-    const ModelInfo& after =
-        regenerated->lut.lookup("bert", SparsityPattern::Dense);
-    EXPECT_LT(after.avgLatency, before.avgLatency);
-
-    // The rewritten manifest now serves the changed hw config.
-    std::ifstream manifest(cache.dir + "/manifest.txt");
-    std::string content((std::istreambuf_iterator<char>(manifest)),
-                        std::istreambuf_iterator<char>());
-    EXPECT_EQ(content, benchSetupFingerprint(changed));
-    auto cached = makeBenchContext(changed, cache.dir);
-    EXPECT_EQ(cached->lut.lookup("bert", SparsityPattern::Dense)
-                  .avgLatency,
-              after.avgLatency);
-
-    // The Eyeriss config is covered too (CNN-free setups still
-    // fingerprint it: the setup describes the hardware, not the
-    // model mix).
-    BenchSetup eyeriss_changed = setup;
-    eyeriss_changed.eyerissHw.peCount = 64;
-    EXPECT_NE(benchSetupFingerprint(setup),
-              benchSetupFingerprint(eyeriss_changed));
-}
-
-TEST(TraceCache, CorruptBinaryFallsBackToCsv)
-{
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-    auto cold = makeBenchContext(setup, cache.dir);
-
-    // Clobber the packed blob; the CSVs must still serve the cache.
-    std::ofstream bad(cache.dir + "/traces.bin",
-                      std::ios::binary | std::ios::trunc);
-    bad << "garbage";
-    bad.close();
-
-    auto cached = makeBenchContext(setup, cache.dir);
-    ASSERT_EQ(cached->registry.size(), cold->registry.size());
-    const ModelInfo& a = cold->lut.lookup("bert",
-                                          SparsityPattern::Dense);
-    const ModelInfo& b = cached->lut.lookup("bert",
-                                            SparsityPattern::Dense);
-    EXPECT_EQ(a.avgLatency, b.avgLatency);
-    EXPECT_EQ(a.avgLayerLatency, b.avgLayerLatency);
-}
-
-TEST(TraceCache, ModelKeysMatchAcrossColdCsvAndBinaryLoads)
-{
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-    setup.includeCnn = true; // CNN patterns give keys past the models
-    setup.samplesPerModel = 4;
-    auto cold = makeBenchContext(setup, cache.dir);
-    auto binary = makeBenchContext(setup, cache.dir);
-    std::filesystem::remove(cache.dir + "/traces.bin");
-    auto csv = makeBenchContext(setup, cache.dir);
-
-    const std::vector<std::string>& keys = cold->registry.keys();
-    ASSERT_EQ(keys.size(), 4u * cnnPatterns().size() + 3u);
-    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-    for (const BenchContext* ctx : {binary.get(), csv.get()}) {
-        EXPECT_EQ(ctx->registry.keys(), keys);
-        ASSERT_EQ(ctx->lut.size(), keys.size());
-        for (uint32_t i = 0; i < keys.size(); ++i) {
-            ModelKey key{i};
-            const TraceSet& set = ctx->registry.get(key);
-            EXPECT_EQ(set.key(), keys[i]);
-            EXPECT_EQ(ctx->registry.key(set.modelName(), set.pattern()),
-                      key);
-            EXPECT_EQ(ctx->lut.key(set.modelName(), set.pattern()), key);
-            EXPECT_EQ(ctx->lut.lookup(key).avgLayerLatency,
-                      cold->lut.lookup(key).avgLayerLatency);
-        }
-    }
-
-    // Generated requests carry the same keys on every path.
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiCNN;
-    wl.numRequests = 60;
-    std::vector<Request> a = generateWorkload(wl, cold->registry);
-    std::vector<Request> b = generateWorkload(wl, csv->registry);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].model, b[i].model) << i;
-}
-
-namespace {
-
-/** Rewrite `<dir>/<file>` with `extra` copies of its last layer. */
-void
-padCachedTraceLayers(const std::string& dir, const std::string& file,
-                     size_t extra)
-{
-    std::string path = dir + "/" + file;
-    TraceSet loaded = TraceSet::load(path);
-    TraceSet padded(loaded.modelName(), loaded.family(),
-                    loaded.pattern());
-    for (SampleTrace s : loaded.all()) {
-        for (size_t i = 0; i < extra; ++i)
-            s.layers.push_back(s.layers.back());
-        s.finalize();
-        padded.add(std::move(s));
-    }
-    padded.save(path);
-    std::filesystem::remove(dir + "/traces.bin");
-}
-
-} // namespace
-
-TEST(TraceCache, LayerCountMismatchIsFatal)
-{
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-    auto cold = makeBenchContext(setup, cache.dir);
-    size_t layers = cold->registry.get("bart", SparsityPattern::Dense)
-                        .layerCount();
-    padCachedTraceLayers(cache.dir, "bart_dense.csv", 40);
-    EXPECT_EXIT(makeBenchContext(setup, cache.dir),
-                ::testing::ExitedWithCode(1),
-                "makeBenchContext: trace cache '" + cache.dir +
-                    "': traces for 'bart/dense' have " +
-                    std::to_string(layers + 40) +
-                    " layers, model bart has " + std::to_string(layers));
-}
-
-TEST(TraceCache, MissingCachedSetIsFatal)
-{
-    CacheDir cache;
-    BenchSetup setup = tinySetup();
-    makeBenchContext(setup, cache.dir);
-    std::filesystem::remove(cache.dir + "/gpt2_dense.csv");
-    std::filesystem::remove(cache.dir + "/traces.bin");
-    EXPECT_EXIT(makeBenchContext(setup, cache.dir),
-                ::testing::ExitedWithCode(1),
-                "makeBenchContext: trace cache '" + cache.dir +
-                    "' has no traces for 'gpt2/dense'");
 }

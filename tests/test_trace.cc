@@ -1,17 +1,12 @@
 /**
  * @file
  * Unit tests for the Phase-1 trace infrastructure: sample records,
- * trace-set statistics with conditional monitoring, CSV persistence
- * and the profiler drivers; plus the ModelInfoLut built on top.
+ * trace-set statistics with conditional monitoring and the profiler
+ * drivers; plus the ModelInfoLut built on top.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <limits>
 #include <string>
 
 #include "core/model_info.hh"
@@ -132,102 +127,6 @@ TEST(TraceSet, InconsistentLayerCountPanics)
     TraceSet set = tinySet();
     EXPECT_DEATH(set.add(makeSample({0.1}, {0.5})),
                  "inconsistent layer count");
-}
-
-TEST(TraceSet, SaveLoadRoundTrip)
-{
-    std::string path = "/tmp/dysta_test_traces.csv";
-    TraceSet set = tinySet();
-    set.save(path);
-    TraceSet loaded = TraceSet::load(path);
-
-    EXPECT_EQ(loaded.modelName(), "toy");
-    EXPECT_EQ(loaded.pattern(), SparsityPattern::RandomPointwise);
-    EXPECT_EQ(loaded.family(), ModelFamily::CNN);
-    ASSERT_EQ(loaded.size(), set.size());
-    for (size_t i = 0; i < set.size(); ++i) {
-        for (size_t l = 0; l < set.layerCount(); ++l) {
-            EXPECT_NEAR(loaded.sample(i).layers[l].latency,
-                        set.sample(i).layers[l].latency, 1e-12);
-            EXPECT_NEAR(loaded.sample(i).layers[l].monitoredSparsity,
-                        set.sample(i).layers[l].monitoredSparsity,
-                        1e-12);
-        }
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(TraceSet, LoadMissingFileIsFatal)
-{
-    EXPECT_EXIT(TraceSet::load("/nonexistent/file.csv"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-namespace {
-
-/**
- * A two-layer, two-sample trace CSV whose last layer reads `latency`
- * and `sparsity`.
- */
-void
-writeCsvWithLastLayer(const std::string& path,
-                      const std::string& latency,
-                      const std::string& sparsity = "0.6")
-{
-    std::ofstream out(path);
-    out << "toy,CNN," << toString(SparsityPattern::RandomPointwise)
-        << ",2\n"
-        << "0,0,0.1,0.5,0.2,0.6\n"
-        << "0,0,0.1,0.5," << latency << "," << sparsity << "\n";
-}
-
-} // namespace
-
-TEST(TraceSet, LoadRejectsNonFiniteOrNegativeLatency)
-{
-    std::string path = "/tmp/dysta_bad_latency.csv";
-    writeCsvWithLastLayer(path, "0.2");
-    EXPECT_EQ(TraceSet::load(path).size(), 2u); // the control loads
-
-    // The message names the file, the sample row, the layer and the
-    // value as written.
-    writeCsvWithLastLayer(path, "nan");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "dysta_bad_latency.csv: sample row 2, layer 1: "
-                "invalid latency 'nan'");
-    writeCsvWithLastLayer(path, "-1");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "sample row 2, layer 1: invalid latency '-1'");
-    writeCsvWithLastLayer(path, "inf");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "invalid latency 'inf'");
-    std::filesystem::remove(path);
-}
-
-TEST(TraceSet, LoadRejectsNonFiniteOrAboveOneSparsity)
-{
-    std::string path = "/tmp/dysta_bad_sparsity.csv";
-    // A negative reading is the "unmonitored" marker; 0 and 1 bound
-    // a real zero fraction.
-    for (const char* ok : {"-1", "0", "1"}) {
-        writeCsvWithLastLayer(path, "0.2", ok);
-        EXPECT_EQ(TraceSet::load(path).size(), 2u) << ok;
-    }
-
-    writeCsvWithLastLayer(path, "0.2", "nan");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "dysta_bad_sparsity.csv: sample row 2, layer 1: "
-                "invalid sparsity 'nan'");
-    writeCsvWithLastLayer(path, "0.2", "inf");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "sample row 2, layer 1: invalid sparsity 'inf'");
-    writeCsvWithLastLayer(path, "0.2", "-inf");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "invalid sparsity '-inf'");
-    writeCsvWithLastLayer(path, "0.2", "1.5");
-    EXPECT_EXIT(TraceSet::load(path), ::testing::ExitedWithCode(1),
-                "invalid sparsity '1.5'");
-    std::filesystem::remove(path);
 }
 
 TEST(Profiler, CnnTraceShapeAndDeterminism)
@@ -361,141 +260,6 @@ TEST(ModelInfoLut, EmptyTraceSetIsFatal)
                 "empty trace set");
 }
 
-// --- TraceRegistry persistence ---------------------------------------------
-
-TEST(TraceRegistry, SaveAllCreatesDirectoryAndRoundTrips)
-{
-    namespace fs = std::filesystem;
-    // Nested path that does not exist yet: saveAll must create it.
-    std::string dir = "/tmp/dysta_registry_roundtrip/nested/out";
-    fs::remove_all("/tmp/dysta_registry_roundtrip");
-    ASSERT_FALSE(fs::exists(dir));
-
-    TraceRegistry registry;
-    registry.add(tinySet());
-    registry.saveAll(dir);
-    ASSERT_TRUE(fs::is_directory(dir));
-
-    TraceRegistry loaded = TraceRegistry::loadAll(dir);
-    ASSERT_EQ(loaded.size(), registry.size());
-    EXPECT_EQ(loaded.keys(), registry.keys());
-    const TraceSet& orig =
-        registry.get("toy", SparsityPattern::RandomPointwise);
-    const TraceSet& back =
-        loaded.get("toy", SparsityPattern::RandomPointwise);
-    ASSERT_EQ(back.size(), orig.size());
-    for (size_t i = 0; i < orig.size(); ++i) {
-        for (size_t l = 0; l < orig.layerCount(); ++l) {
-            EXPECT_NEAR(back.sample(i).layers[l].latency,
-                        orig.sample(i).layers[l].latency, 1e-12);
-            EXPECT_NEAR(back.sample(i).layers[l].monitoredSparsity,
-                        orig.sample(i).layers[l].monitoredSparsity,
-                        1e-12);
-        }
-    }
-    fs::remove_all("/tmp/dysta_registry_roundtrip");
-}
-
-TEST(TraceRegistry, BinaryRoundTripIsExact)
-{
-    namespace fs = std::filesystem;
-    std::string path = "/tmp/dysta_registry_bin_test.bin";
-    fs::remove(path);
-
-    TraceRegistry registry;
-    registry.add(tinySet());
-    registry.saveAllBinary(path);
-
-    TraceRegistry loaded;
-    ASSERT_TRUE(TraceRegistry::loadAllBinary(path, loaded));
-    ASSERT_EQ(loaded.size(), registry.size());
-    const TraceSet& orig =
-        registry.get("toy", SparsityPattern::RandomPointwise);
-    const TraceSet& back =
-        loaded.get("toy", SparsityPattern::RandomPointwise);
-    EXPECT_EQ(back.family(), orig.family());
-    ASSERT_EQ(back.size(), orig.size());
-    for (size_t i = 0; i < orig.size(); ++i) {
-        EXPECT_EQ(back.sample(i).seqLen, orig.sample(i).seqLen);
-        EXPECT_EQ(back.sample(i).dark, orig.sample(i).dark);
-        for (size_t l = 0; l < orig.layerCount(); ++l) {
-            // Raw doubles round-trip bit-exactly.
-            EXPECT_DOUBLE_EQ(back.sample(i).layers[l].latency,
-                             orig.sample(i).layers[l].latency);
-            EXPECT_DOUBLE_EQ(
-                back.sample(i).layers[l].monitoredSparsity,
-                orig.sample(i).layers[l].monitoredSparsity);
-        }
-    }
-    EXPECT_DOUBLE_EQ(back.avgTotalLatency(), orig.avgTotalLatency());
-    fs::remove(path);
-}
-
-TEST(TraceRegistry, BinaryLoadRejectsMissingAndCorrupt)
-{
-    TraceRegistry out;
-    EXPECT_FALSE(
-        TraceRegistry::loadAllBinary("/nonexistent/traces.bin", out));
-
-    std::string path = "/tmp/dysta_registry_bad.bin";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const char junk[] = "not a trace blob";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
-    EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out));
-    std::filesystem::remove(path);
-}
-
-TEST(TraceRegistry, BinaryLoadRejectsBadLatency)
-{
-    // A blob that decodes cleanly but carries a NaN or negative layer
-    // latency is corrupt: the load fails and the caller falls back
-    // to the CSVs, which reject the same value by name.
-    std::string path = "/tmp/dysta_registry_nan.bin";
-    for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
-        TraceSet set("toy", ModelFamily::CNN,
-                     SparsityPattern::RandomPointwise);
-        set.add(makeSample({0.1, 0.2}, {0.5, 0.7}));
-        set.add(makeSample({0.1, bad}, {0.5, 0.7}));
-        TraceRegistry registry;
-        registry.add(std::move(set));
-        registry.saveAllBinary(path);
-
-        TraceRegistry out;
-        EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out)) << bad;
-        EXPECT_EQ(out.size(), 0u);
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(TraceRegistry, BinaryLoadRejectsBadSparsity)
-{
-    // The CSV loader's sparsity rule, applied to the blob: NaN, inf
-    // and fractions above 1 mark it corrupt; a negative reading is
-    // the "unmonitored" marker and loads.
-    std::string path = "/tmp/dysta_registry_bad_sparsity.bin";
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    for (double sparsity :
-         {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 1.5,
-          -1.0}) {
-        TraceSet set("toy", ModelFamily::CNN,
-                     SparsityPattern::RandomPointwise);
-        set.add(makeSample({0.1, 0.2}, {0.5, 0.7}));
-        set.add(makeSample({0.1, 0.2}, {0.5, sparsity}));
-        TraceRegistry registry;
-        registry.add(std::move(set));
-        registry.saveAllBinary(path);
-
-        TraceRegistry out;
-        bool unmonitored = sparsity == -1.0;
-        EXPECT_EQ(TraceRegistry::loadAllBinary(path, out), unmonitored)
-            << sparsity;
-        EXPECT_EQ(out.size(), unmonitored ? 1u : 0u);
-    }
-    std::filesystem::remove(path);
-}
-
 // --- interned ModelKeys -----------------------------------------------------
 
 namespace {
@@ -512,22 +276,6 @@ namedSet(const std::string& model, SparsityPattern pattern,
     s.finalize();
     set.add(std::move(s));
     return set;
-}
-
-/** Raw bytes of a file. */
-std::string
-readBytes(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-}
-
-void
-writeBytes(const std::string& path, const std::string& bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
 }
 
 } // namespace
@@ -603,71 +351,4 @@ TEST(ModelKey, RequestsCarryTheirSetsKey)
     EXPECT_EQ(registry.get(req.model).modelName(), "toy");
     EXPECT_EQ(req.trace, &set.sample(1));
     EXPECT_DOUBLE_EQ(req.deadline, 0.5 + 4.0 * set.avgTotalLatency());
-}
-
-// --- trace-cache loader checks ----------------------------------------------
-
-TEST(TraceRegistry, DuplicateCsvKeyIsFatalNamingBothFiles)
-{
-    namespace fs = std::filesystem;
-    std::string dir = "/tmp/dysta_registry_dup_csv";
-    fs::remove_all(dir);
-    TraceRegistry registry;
-    registry.add(tinySet());
-    registry.saveAll(dir);
-    // A second file holding the same (model, pattern) key.
-    fs::copy_file(dir + "/toy_random.csv", dir + "/zz_toy_copy.csv");
-    EXPECT_EXIT(TraceRegistry::loadAll(dir), ::testing::ExitedWithCode(1),
-                "TraceRegistry::loadAll: .*/toy_random.csv and "
-                ".*/zz_toy_copy.csv both hold traces for 'toy/random'");
-    fs::remove_all(dir);
-}
-
-TEST(TraceRegistry, BinaryLoadRejectsOutOfRangeEnumBytes)
-{
-    // Layout: magic (8), set count (8), name length (8), name, then
-    // the family byte and the pattern byte.
-    std::string path = "/tmp/dysta_registry_enum.bin";
-    TraceRegistry registry;
-    registry.add(tinySet());
-    registry.saveAllBinary(path);
-    const std::string good = readBytes(path);
-    const size_t family_byte = 24 + std::string("toy").size();
-    ASSERT_EQ(good[family_byte], static_cast<char>(ModelFamily::CNN));
-    ASSERT_EQ(good[family_byte + 1],
-              static_cast<char>(SparsityPattern::RandomPointwise));
-
-    for (size_t offset : {family_byte, family_byte + 1}) {
-        std::string bad = good;
-        bad[offset] = 9;
-        writeBytes(path, bad);
-        TraceRegistry out;
-        EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out)) << offset;
-        EXPECT_EQ(out.size(), 0u);
-    }
-    writeBytes(path, good);
-    TraceRegistry out;
-    EXPECT_TRUE(TraceRegistry::loadAllBinary(path, out));
-    std::filesystem::remove(path);
-}
-
-TEST(TraceRegistry, BinaryLoadRejectsDuplicateKey)
-{
-    // Two sets whose names differ in one byte; renaming the second
-    // to the first makes the blob carry one key twice.
-    std::string path = "/tmp/dysta_registry_dup.bin";
-    TraceRegistry registry;
-    registry.add(namedSet("toya", SparsityPattern::Dense));
-    registry.add(namedSet("toyb", SparsityPattern::Dense));
-    registry.saveAllBinary(path);
-    std::string bytes = readBytes(path);
-    size_t second = bytes.find("toyb");
-    ASSERT_NE(second, std::string::npos);
-    bytes[second + 3] = 'a';
-    writeBytes(path, bytes);
-
-    TraceRegistry out;
-    EXPECT_FALSE(TraceRegistry::loadAllBinary(path, out));
-    EXPECT_EQ(out.size(), 0u);
-    std::filesystem::remove(path);
 }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <limits>
 #include <set>
 #include <string>
@@ -209,43 +208,6 @@ TEST(Workload, KindNames)
 {
     EXPECT_EQ(toString(WorkloadKind::MultiAttNN), "multi-AttNN");
     EXPECT_EQ(toString(WorkloadKind::MultiCNN), "multi-CNN");
-}
-
-TEST(Workload, RegistrySaveLoadRoundTrip)
-{
-    namespace fs = std::filesystem;
-    std::string dir = "/tmp/dysta_registry_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    ctx().registry.saveAll(dir);
-    TraceRegistry loaded = TraceRegistry::loadAll(dir);
-
-    EXPECT_EQ(loaded.size(), ctx().registry.size());
-    EXPECT_EQ(loaded.keys(), ctx().registry.keys());
-    const TraceSet& orig =
-        ctx().registry.get("bert", SparsityPattern::Dense);
-    const TraceSet& back =
-        loaded.get("bert", SparsityPattern::Dense);
-    ASSERT_EQ(back.size(), orig.size());
-    EXPECT_NEAR(back.avgTotalLatency(), orig.avgTotalLatency(),
-                1e-12);
-    for (size_t l = 0; l < orig.layerCount(); ++l) {
-        EXPECT_NEAR(back.avgLayerSparsity()[l],
-                    orig.avgLayerSparsity()[l], 1e-9);
-    }
-    fs::remove_all(dir);
-}
-
-TEST(Workload, LoadAllEmptyDirIsFatal)
-{
-    namespace fs = std::filesystem;
-    std::string dir = "/tmp/dysta_registry_empty";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    EXPECT_EXIT(TraceRegistry::loadAll(dir),
-                ::testing::ExitedWithCode(1), "no \\*.csv trace files");
-    fs::remove_all(dir);
 }
 
 // --- arrival processes -----------------------------------------------------

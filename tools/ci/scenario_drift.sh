@@ -17,8 +17,8 @@
 #
 # <build-dir> (default: build) holds the working tree's build; it is
 # configured if needed and `sdysta` is (re)built there. The base
-# worktree, its build, trace caches and reports go to a temporary
-# directory that is removed on exit.
+# worktree, its build and the reports go to a temporary directory that
+# is removed on exit.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -64,9 +64,7 @@ check_drift() {
     shift 2
     for side in base head; do
         bin="${side}_bin"
-        "${!bin}" "$scn" "$@" \
-            --trace-cache "$work/tc-$side" \
-            --out "${report}_$side.json" >/dev/null
+        "${!bin}" "$scn" "$@" --out "${report}_$side.json" >/dev/null
     done
     if "$head_bin" --diff "${report}_base.json" "${report}_head.json"; then
         echo "scenario_drift: $label: zero drift"
