@@ -2,7 +2,7 @@
  * @file
  * Megascale streaming endurance bench: pushes the megascale scenario
  * (>=10M requests, diurnal + MMPP arrivals, 4-node fleet) through
- * the streaming engine on both event calendars, measuring sustained
+ * the streaming engine, measuring sustained
  * events/sec and *asserting* the core memory claim — peak RSS is
  * independent of the request count.
  *
@@ -17,7 +17,7 @@
  * would allocate the full request vector up front, which is exactly
  * what the budget would catch.
  *
- * Results go to BENCH_megascale.json: per (arrival, calendar) run —
+ * Results go to BENCH_megascale.json: per arrival-process run —
  * requests, completed/shed, calendar events, wall seconds and
  * events/sec — plus the RSS accounting and verdict.
  *
@@ -75,7 +75,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 struct RunRecord
 {
     std::string arrival;
-    std::string calendar;
     int requests = 0;
     SweepCellResult result;
     double wallSec = 0.0;
@@ -90,17 +89,14 @@ struct RunRecord
     }
 };
 
-/** Run every grid cell of `spec` on `calendar`, timed. */
+/** Run every grid cell of `spec`, timed. */
 std::vector<RunRecord>
-runAll(const BenchContext& ctx, const ScenarioSpec& spec,
-       CalendarKind calendar)
+runAll(const BenchContext& ctx, const ScenarioSpec& spec)
 {
     std::vector<RunRecord> records;
-    for (SweepCell cell : scenarioCells(spec)) {
-        cell.calendar = calendar;
+    for (const SweepCell& cell : scenarioCells(spec)) {
         RunRecord rec;
         rec.arrival = toString(cell.workload.arrival.kind);
-        rec.calendar = toString(calendar);
         rec.requests = cell.workload.numRequests;
         auto t0 = std::chrono::steady_clock::now();
         rec.result = runSweepCell(ctx, cell);
@@ -124,8 +120,7 @@ main(int argc, char** argv)
 {
     ArgParser args("bench_megascale",
                    "Streaming endurance run of the megascale "
-                   "scenario on both event calendars, with a flat "
-                   "peak-RSS assertion.");
+                   "scenario, with a flat peak-RSS assertion.");
     args.addInt("--requests", 10000000,
                 "full-size request count per grid cell (CI uses "
                 "1000000)");
@@ -158,34 +153,27 @@ main(int argc, char** argv)
     auto ctx = makeBenchContext(scenarioSetup(spec));
 
     // Warm-up at a small request count touches every allocation
-    // class on both calendars; VmHWM afterwards is the baseline the
-    // full-size runs must stay near.
+    // class; VmHWM afterwards is the baseline the full-size runs must
+    // stay near.
     ScenarioSpec warm = spec;
     warm.requests = warmup;
-    std::printf("Warm-up: %d requests per cell on both "
-                "calendars...\n",
-                warmup);
-    runAll(*ctx, warm, CalendarKind::Bucket);
-    runAll(*ctx, warm, CalendarKind::Heap);
+    std::printf("Warm-up: %d requests per cell...\n", warmup);
+    runAll(*ctx, warm);
     long warm_kb = peakRssKb();
 
     std::printf("Full-size: %d requests per cell...\n", requests);
-    std::vector<RunRecord> records;
-    for (CalendarKind calendar :
-         {CalendarKind::Bucket, CalendarKind::Heap})
-        for (RunRecord& rec : runAll(*ctx, spec, calendar))
-            records.push_back(rec);
+    std::vector<RunRecord> records = runAll(*ctx, spec);
     long peak_kb = peakRssKb();
     long growth_kb = peak_kb - warm_kb;
 
     AsciiTable table("Megascale streaming throughput (" +
                      std::to_string(requests) +
                      " requests per cell)");
-    table.setHeader({"arrival", "calendar", "completed", "shed",
+    table.setHeader({"arrival", "completed", "shed",
                      "events", "wall", "events/sec"});
     for (const RunRecord& rec : records)
         table.addRow(
-            {rec.arrival, rec.calendar,
+            {rec.arrival,
              std::to_string(rec.result.metrics.completed),
              std::to_string(rec.result.metrics.shed),
              std::to_string(rec.result.eventsProcessed),
@@ -219,7 +207,6 @@ main(int argc, char** argv)
         for (const RunRecord& rec : records) {
             json.beginObject();
             json.field("arrival", rec.arrival);
-            json.field("calendar", rec.calendar);
             json.field("requests", rec.requests);
             json.field("completed",
                        static_cast<uint64_t>(

@@ -93,7 +93,7 @@ diffValues(const JsonValue& a, const JsonValue& b,
  * "meta" object and each scenario's serialized "spec". The diff
  * compares *results*; two runs that produced identical rows compare
  * equal even when their specs differ in execution-model knobs
- * (streaming on/off, calendar choice, CLI overrides).
+ * (streaming on/off, metrics kind, CLI overrides).
  */
 JsonValue
 stripMeta(const JsonValue& doc)

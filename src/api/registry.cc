@@ -466,13 +466,6 @@ PolicyRegistry::hasScheduler(const std::string& name) const
     return findEntry(schedulers, parsePolicySpec(name).name) != nullptr;
 }
 
-bool
-PolicyRegistry::hasDispatcher(const std::string& name) const
-{
-    return findEntry(dispatchers, parsePolicySpec(name).name) !=
-           nullptr;
-}
-
 void
 PolicyRegistry::requireScheduler(const std::string& spec) const
 {
@@ -492,13 +485,6 @@ PolicyRegistry::requireEstimator(const std::string& spec) const
     requireEntry(estimators, "estimator", parsePolicySpec(spec).name);
 }
 
-void
-PolicyRegistry::requireFailureProcess(const std::string& spec) const
-{
-    requireEntry(failures, "failure process",
-                 parsePolicySpec(spec).name);
-}
-
 std::vector<std::string>
 PolicyRegistry::schedulerNames() const
 {
@@ -509,24 +495,6 @@ std::vector<std::string>
 PolicyRegistry::dispatcherNames() const
 {
     return entryNames(dispatchers);
-}
-
-std::vector<std::string>
-PolicyRegistry::estimatorNames() const
-{
-    return entryNames(estimators);
-}
-
-std::vector<std::string>
-PolicyRegistry::arrivalNames() const
-{
-    return entryNames(arrivals);
-}
-
-std::vector<std::string>
-PolicyRegistry::failureProcessNames() const
-{
-    return entryNames(failures);
 }
 
 std::vector<PolicyInfo>

@@ -243,7 +243,6 @@ class PolicyRegistry
 
     // --- introspection -----------------------------------------------
     bool hasScheduler(const std::string& name) const;
-    bool hasDispatcher(const std::string& name) const;
 
     /**
      * Validate just the policy *name* of a spec — fatal(), listing
@@ -254,14 +253,10 @@ class PolicyRegistry
     void requireScheduler(const std::string& spec) const;
     void requireDispatcher(const std::string& spec) const;
     void requireEstimator(const std::string& spec) const;
-    void requireFailureProcess(const std::string& spec) const;
 
     /** Canonical names, registration order. */
     std::vector<std::string> schedulerNames() const;
     std::vector<std::string> dispatcherNames() const;
-    std::vector<std::string> estimatorNames() const;
-    std::vector<std::string> arrivalNames() const;
-    std::vector<std::string> failureProcessNames() const;
 
     /** Rows for --list-policies, grouped kind by kind. */
     std::vector<PolicyInfo> schedulerTable() const;

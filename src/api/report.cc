@@ -336,13 +336,6 @@ Reporter::writeCsv(const std::string& path) const
     std::printf("Wrote %s\n", path.c_str());
 }
 
-void
-Reporter::printTables() const
-{
-    for (const ScenarioResult& run : runs)
-        printScenarioTable(run);
-}
-
 namespace {
 
 template <typename Fn>

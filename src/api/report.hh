@@ -14,8 +14,8 @@
  *
  * JSON goes through util/json.hh, so scenario names, fleet specs and
  * policy parameters are escaped correctly no matter what they
- * contain. printTables() renders the long-format result table of
- * each scenario: one row per averaged grid point, with the columns
+ * contain. printScenarioTable() renders the long-format result
+ * table of one scenario: one row per averaged grid point, with the columns
  * of single-valued axes elided. writeCsv() writes the same rows in
  * long format for spreadsheet/pandas consumption, estimator-probe
  * columns flattened to est_<name>_bias / est_<name>_rmse.
@@ -70,8 +70,6 @@ class Reporter
      */
     void writeCsv(const std::string& path) const;
 
-    /** Print the long-format result table of every scenario. */
-    void printTables() const;
 
   private:
     struct Value

@@ -122,7 +122,6 @@ const char* const kScenarioKeys[] = {
     "brownout",   "tiers",           "batcher",
     "probes",     "samples",         "profile_seed",
     "cnn_sparsity", "streaming",     "metrics",
-    "calendar",
 };
 
 std::string
@@ -207,8 +206,6 @@ applyKey(ScenarioSpec& spec, const std::string& key,
         spec.streaming = parseBoolStrict(key, value);
     } else if (key == "metrics") {
         spec.metricsKind = metricsKindFromName(value);
-    } else if (key == "calendar") {
-        spec.calendar = calendarKindFromName(value);
     } else {
         fatal("parseScenario: unknown key '" + key +
               "'; valid keys: " + validKeyList());
@@ -459,7 +456,6 @@ serializeScenario(const ScenarioSpec& spec)
     kv("cnn_sparsity", shortestDouble(spec.cnnSparsityRate));
     kv("streaming", spec.streaming ? "1" : "0");
     kv("metrics", toString(spec.metricsKind));
-    kv("calendar", toString(spec.calendar));
     return out;
 }
 
@@ -658,7 +654,6 @@ scenarioCells(const ScenarioSpec& spec)
         cell.workload.seed = spec.seed;
         cell.probes = spec.probes;
         cell.streaming = spec.streaming;
-        cell.calendar = spec.calendar;
         cell.metricsKind = spec.metricsKind;
         if (spec.cluster()) {
             cell.clusterMode = true;

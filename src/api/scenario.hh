@@ -136,8 +136,6 @@ struct ScenarioSpec
     bool streaming = false;
     /** Metrics accumulation ("exact" | "sketch"), streaming or not. */
     MetricsKind metricsKind = MetricsKind::Exact;
-    /** Event-calendar implementation ("heap" | "bucket"). */
-    CalendarKind calendar = CalendarKind::Heap;
 
     // --- telemetry ---------------------------------------------------
     /**

@@ -154,7 +154,6 @@ runSweepCell(const BenchContext& ctx, const SweepCell& cell)
         };
     }
     sim.telemetry = sink;
-    sim.calendar = cell.calendar;
     sim.metricsKind = cell.metricsKind;
 
     if (cell.streaming) {

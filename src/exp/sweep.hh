@@ -65,8 +65,12 @@ struct SweepCell
      * and cluster cells.
      */
     bool streaming = false;
-    /** Calendar implementation (see SimConfig::calendar). */
-    CalendarKind calendar = CalendarKind::Heap;
+    /**
+     * Unread by runSweepCell; the benchmark harness copies it into
+     * SimConfig::calendar. Deleted together with that copy in the
+     * next benchmark-touching change.
+     */
+    CalendarKind calendar{};
     /** Metrics accumulation, streaming or not (see SimConfig). */
     MetricsKind metricsKind = MetricsKind::Exact;
 };

@@ -14,17 +14,6 @@ toString(ModelFamily family)
     panic("toString: unknown ModelFamily");
 }
 
-std::string
-toString(Scenario scenario)
-{
-    switch (scenario) {
-      case Scenario::DataCenter: return "DataCenter";
-      case Scenario::MobilePhone: return "MobilePhone";
-      case Scenario::ARVRWearable: return "ARVRWearable";
-    }
-    panic("toString: unknown Scenario");
-}
-
 uint64_t
 ModelDesc::totalMacs(int seq_len) const
 {

@@ -31,7 +31,6 @@ enum class Scenario
     ARVRWearable,
 };
 
-std::string toString(Scenario scenario);
 
 /**
  * A benchmark model: an ordered list of schedulable layers plus

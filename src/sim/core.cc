@@ -98,7 +98,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         admission_est = owned_estimator.get();
     }
 
-    std::unique_ptr<Calendar> calendar = makeCalendar(cfg.calendar);
+    EventQueue calendar;
 
     // Dense run slots (Request::slot) index every scheduler's and
     // estimator's per-request state. A request holds one from the
@@ -126,7 +126,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         ev.time = req->arrival;
         ev.kind = SimEventKind::Arrival;
         ev.req = req;
-        calendar->push(ev);
+        calendar.push(ev);
     };
     if (Request* first = source.next())
         pushArrival(first);
@@ -143,7 +143,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         ev.kind = SimEventKind::NodeChange;
         ev.node = nev.node;
         ev.nodeEvent = nev.kind;
-        calendar->push(ev);
+        calendar.push(ev);
     }
 
     // The stochastic fault pump: exactly one chaos NodeChange lives
@@ -173,7 +173,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         ev.node = nev.node;
         ev.nodeEvent = nev.kind;
         ev.chaos = true;
-        calendar->push(ev);
+        calendar.push(ev);
     };
     if (cfg.chaos != nullptr) {
         cfg.chaos->reset(cfg.nodes, cfg.chaosSeed);
@@ -196,7 +196,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         ev.kind = SimEventKind::LayerComplete;
         ev.node = node.id();
         ev.epoch = node.epoch();
-        calendar->push(ev);
+        calendar.push(ev);
     };
 
     // At most one pending BatchRelease per node. The hold window can
@@ -213,7 +213,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         ev.time = at;
         ev.kind = SimEventKind::BatchRelease;
         ev.node = node.id();
-        calendar->push(ev);
+        calendar.push(ev);
     };
 
     // Start a step on an idle node with queued work, unless its
@@ -240,7 +240,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         SimEvent decide;
         decide.time = now;
         decide.kind = SimEventKind::Decision;
-        calendar->push(decide);
+        calendar.push(decide);
         decision_pending = true;
     };
 
@@ -418,7 +418,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             hev.req = req;
             hev.rid = req->id;
             hev.epoch = req->cancelEpoch;
-            calendar->push(hev);
+            calendar.push(hev);
         }
         // Dispatch after every arrival of this instant has been
         // placed (admit-then-select): the Decision kind sorts
@@ -437,7 +437,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         ev.req = req;
         ev.rid = req->id;
         ev.epoch = req->cancelEpoch;
-        calendar->push(ev);
+        calendar.push(ev);
     };
 
     // Validate and apply the moves of a rebalancing dispatcher. The
@@ -519,10 +519,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     double sim_now = 0.0;
 
     while (finished + shed_count < total) {
-        panicIf(calendar->empty(),
+        panicIf(calendar.empty(),
                 "runSimulation: empty calendar with unfinished "
                 "requests");
-        SimEvent ev = calendar->pop();
+        SimEvent ev = calendar.pop();
         double now = ev.time;
         sim_now = now;
         ++result.eventsProcessed;

@@ -40,6 +40,15 @@ namespace dysta {
 class Telemetry;
 class FailureProcess;
 
+/**
+ * The one event calendar there is (a one-value remnant; see
+ * SimConfig::calendar).
+ */
+enum class CalendarKind : uint8_t
+{
+    Heap = 0,
+};
+
 /** One scheduled availability change of one node. */
 struct NodeEvent
 {
@@ -127,13 +136,12 @@ struct SimConfig
      */
     Telemetry* telemetry = nullptr;
     /**
-     * Calendar implementation. Both honour the same deterministic
-     * tie-break contract, so the schedule is identical; Bucket
-     * trades the heap's O(log n) operations for near-O(1) under
-     * large steady-state event populations (bench/micro_calendar.cc
-     * measures the crossover).
+     * Unread: the run loop always uses its one EventQueue. Kept only
+     * because the benchmark harness (perfbench/src/tracing.cc) still
+     * copies SweepCell::calendar into it; deleted together with that
+     * line in the next benchmark-touching change.
      */
-    CalendarKind calendar = CalendarKind::Heap;
+    CalendarKind calendar{};
     /**
      * Metrics accumulation of both overloads: Exact keeps one small
      * record per completed request, Sketch is O(1) memory for

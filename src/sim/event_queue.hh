@@ -20,7 +20,8 @@
  *  - Timeout: a request's per-attempt deadline allowance expired
  *    (chaos engine; retried or shed by the core);
  *  - Hedge: the hedged-dispatch delay of a request elapsed — the
- *    core duplicates it onto a second node if still unfinished.
+ *    core duplicates it onto a second node if still unfinished;
+ *  - BatchRelease: a held batch formation's fill wait expired.
  *
  * The chaos kinds sort *after* every seed kind at the same instant,
  * so runs that never push them keep the exact pre-chaos pop order —
@@ -31,14 +32,18 @@
  * decisions, completions by lowest node id — so a fixed workload
  * seed always reproduces the same schedule, independent of fleet
  * size or policy cost.
+ *
+ * There is one calendar implementation, EventQueue, which the run
+ * loop holds by value. The lazy arrival pump keeps one arrival
+ * pending at a time, so the calendar stays a few dozen events deep
+ * at most; at that depth a binary heap beats a bucket calendar queue,
+ * which only paid off from ~1e4 pending events.
  */
 
 #ifndef DYSTA_SIM_EVENT_QUEUE_HH
 #define DYSTA_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "sched/request.hh"
@@ -106,49 +111,36 @@ struct SimEvent
 };
 
 /**
- * The calendar contract every implementation must honour: push
- * assigns monotonically increasing `seq` numbers, pop returns the
- * minimum under the (time, kind, node, seq) total order. Two
- * implementations fed the same push sequence therefore produce the
- * same pop sequence — the property tests/test_streaming.cc checks —
- * so the simulation schedule is independent of the calendar choice.
- */
-class Calendar
-{
-  public:
-    virtual ~Calendar() = default;
-
-    virtual bool empty() const = 0;
-    virtual size_t size() const = 0;
-    /** Drop all events and reset the seq counter. */
-    virtual void clear() = 0;
-
-    /** Schedule an event (its `seq` is overwritten). */
-    virtual void push(SimEvent ev) = 0;
-
-    /** Remove and return the earliest event. @pre !empty() */
-    virtual SimEvent pop() = 0;
-};
-
-/**
- * Binary min-heap of events under operator< with a deferred pop, the
- * storage of both calendars.
+ * Deterministic binary min-heap calendar with a deferred pop.
+ *
+ * push assigns monotonically increasing `seq` numbers and pop returns
+ * the minimum under the (time, kind, node, seq) total order, so a
+ * fixed push sequence always yields the same pop sequence.
  *
  * pop() hands out the root and leaves its slot vacant; the next
  * push() refills the vacancy with one hole-based sift-down from the
  * root, so the hold pattern of a discrete-event loop (pop one event,
  * push its successor) costs one sift instead of a pop_heap plus a
- * push_heap. Any other access — top(), a second pop(), drainInto() —
- * first settles the vacancy (last element to the root, sift down).
- * size() and empty() never count the vacant slot.
+ * push_heap. Any other access — top() or a second pop() — first
+ * settles the vacancy (last element to the root, sift down). size()
+ * and empty() never count the vacant slot.
+ *
+ * The hot operations are defined inline below, so they inline into
+ * the run loop, which holds its queue by value.
  */
-class EventHeap
+class EventQueue
 {
   public:
     bool empty() const { return size() == 0; }
     size_t size() const { return heap.size() - (vacant ? 1 : 0); }
+    /** Drop all events and reset the seq counter. */
     void clear();
 
+    /**
+     * Schedule an event (its `seq` is overwritten). panic()s on a
+     * NaN or negative time: a NaN breaks the total order, and nothing
+     * may be scheduled before time zero.
+     */
     void push(SimEvent ev);
 
     /** Earliest event. @pre !empty() */
@@ -157,114 +149,106 @@ class EventHeap
     /** Remove and return the earliest event. @pre !empty() */
     SimEvent pop();
 
-    /** Append every pending event to `out` (any order) and clear. */
-    void drainInto(std::vector<SimEvent>& out);
-
   private:
     std::vector<SimEvent> heap;
     /** heap[0] was handed out by pop() and awaits a refill. */
     bool vacant = false;
+    uint64_t nextSeq = 0;
 
     void settle();
     /** Place `ev` at the root hole and sift it down to its slot. */
     void siftDownFromRoot(const SimEvent& ev);
+    [[noreturn]] static void rejectEventTime(const SimEvent& ev);
+    [[noreturn]] static void emptyAccess(const char* op);
 };
-
-/** Deterministic min-heap calendar. */
-class EventQueue final : public Calendar
-{
-  public:
-    bool empty() const override { return heap.empty(); }
-    size_t size() const override { return heap.size(); }
-    void clear() override;
-
-    void push(SimEvent ev) override;
-
-    /** Earliest event. @pre !empty() */
-    const SimEvent& top();
-
-    SimEvent pop() override;
-
-  private:
-    EventHeap heap;
-    uint64_t nextSeq = 0;
-};
-
-/**
- * Bucket (calendar-queue) implementation: events hash into
- * fixed-width time buckets, each an EventHeap under the full event
- * order; pop scans forward from the current bucket's time window —
- * one O(1) front probe per bucket, since the front is always the
- * bucket's earliest year — wrapping around "years" for events far in
- * the future, and the bucket array resizes itself (Brown's
- * calendar-queue scheme, with the width tuned to the head-local
- * event density) to keep ~O(1) events per bucket. The bucket count
- * is always a power of two, so a window maps to its bucket with a
- * mask, and the window of a time is one multiply by the stored
- * reciprocal width. Same deterministic tie-break contract as the
- * heap — pop sequences are identical event for event — but with
- * near-O(1) push/pop under the hold-model access pattern of large
- * steady-state runs, where a binary heap pays O(log n) per
- * operation.
- */
-class BucketCalendar final : public Calendar
-{
-  public:
-    BucketCalendar();
-
-    bool empty() const override { return count == 0; }
-    size_t size() const override { return count; }
-    void clear() override;
-
-    void push(SimEvent ev) override;
-    SimEvent pop() override;
-
-    /** Current bucket-array size (introspection for the bench). */
-    size_t bucketCount() const { return buckets.size(); }
-
-  private:
-    std::vector<EventHeap> buckets;
-    size_t count = 0;
-    uint64_t nextSeq = 0;
-    /**
-     * Reciprocal of the bucket time width (1/s): windowOf multiplies
-     * by it instead of dividing by the width.
-     */
-    double invWidth = 1.0;
-    /** Absolute (unwrapped) index of the current time window. */
-    uint64_t currentWindow = 0;
-
-    uint64_t windowOf(double time) const;
-    EventHeap& bucketOf(uint64_t window)
-    {
-        return buckets[window & (buckets.size() - 1)];
-    }
-    void insert(const SimEvent& ev);
-    void resize(size_t new_bucket_count);
-    void maybeGrow();
-    void maybeShrink();
-};
-
-/** The calendar implementations runSimulation can run on. */
-enum class CalendarKind : uint8_t
-{
-    Heap = 0,   ///< binary heap (the seed behaviour)
-    Bucket = 1, ///< self-resizing bucket/calendar queue
-};
-
-std::string toString(CalendarKind kind);
-
-/**
- * Parse "heap" / "bucket" (case-sensitive, the serialized forms of
- * toString). fatal() on anything else, naming the valid values.
- */
-CalendarKind calendarKindFromName(const std::string& name);
-
-/** Construct an empty calendar of the given kind. */
-std::unique_ptr<Calendar> makeCalendar(CalendarKind kind);
 
 /** Calendar ordering: time, kind, node, push order. */
-bool operator<(const SimEvent& a, const SimEvent& b);
+inline bool
+operator<(const SimEvent& a, const SimEvent& b)
+{
+    if (a.time != b.time)
+        return a.time < b.time;
+    if (a.kind != b.kind)
+        return a.kind < b.kind;
+    if (a.node != b.node)
+        return a.node < b.node;
+    return a.seq < b.seq;
+}
+
+inline void
+EventQueue::siftDownFromRoot(const SimEvent& ev)
+{
+    const size_t n = heap.size();
+    size_t hole = 0;
+    for (;;) {
+        size_t child = 2 * hole + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < ev))
+            break;
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = ev;
+}
+
+inline void
+EventQueue::settle()
+{
+    vacant = false;
+    SimEvent last = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        siftDownFromRoot(last);
+}
+
+inline void
+EventQueue::push(SimEvent ev)
+{
+    if (!(ev.time >= 0.0))
+        rejectEventTime(ev);
+    ev.seq = nextSeq++;
+    if (vacant) {
+        // The hold fast path: the successor of the event just popped
+        // takes its root slot with a single sift-down.
+        vacant = false;
+        siftDownFromRoot(ev);
+        return;
+    }
+    size_t hole = heap.size();
+    heap.push_back(ev);
+    while (hole > 0) {
+        size_t parent = (hole - 1) / 2;
+        if (!(ev < heap[parent]))
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = ev;
+}
+
+inline const SimEvent&
+EventQueue::top()
+{
+    if (vacant)
+        settle();
+    if (heap.empty())
+        emptyAccess("top");
+    return heap.front();
+}
+
+inline SimEvent
+EventQueue::pop()
+{
+    if (vacant)
+        settle();
+    if (heap.empty())
+        emptyAccess("pop");
+    vacant = true;
+    return heap.front();
+}
 
 } // namespace dysta
 

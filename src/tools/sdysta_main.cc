@@ -178,9 +178,6 @@ main(int argc, char** argv)
                    "override the scenario's execution mode: 'on' "
                    "pulls requests lazily (flat RSS), 'off' "
                    "materializes the workload ('' = keep)");
-    args.addString("--calendar", "",
-                   "override the event-calendar implementation: "
-                   "'heap' or 'bucket' ('' = keep)");
     args.addJobs();
     args.addString("--out", "",
                    "report path (default: REPORT_<name>.json; a .csv "
@@ -286,9 +283,6 @@ main(int argc, char** argv)
                     streaming + "'");
         spec.streaming = on;
     }
-    if (!args.getString("--calendar").empty())
-        spec.calendar =
-            calendarKindFromName(args.getString("--calendar"));
 
     if (args.getBool("--print-spec")) {
         std::printf("%s", serializeScenario(spec).c_str());

@@ -139,12 +139,6 @@ Rng::poisson(double mean)
     return v < 0.0 ? 0 : static_cast<uint64_t>(v + 0.5);
 }
 
-double
-Rng::logNormal(double mu, double sigma)
-{
-    return std::exp(normal(mu, sigma));
-}
-
 bool
 Rng::bernoulli(double p)
 {

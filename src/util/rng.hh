@@ -62,9 +62,6 @@ class Rng
     /** Poisson-distributed count with the given mean. */
     uint64_t poisson(double mean);
 
-    /** Log-normal: exp(normal(mu, sigma)). */
-    double logNormal(double mu, double sigma);
-
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p);
 

@@ -334,6 +334,10 @@ TEST(Scenario, MalformedLinesAreRejected)
                 "unknown workload kind 'hybrid'.*attnn, cnn");
     EXPECT_EXIT(parseScenario("slo = ten\n"),
                 ::testing::ExitedWithCode(1), "expects a number");
+    // There is one event calendar; the key that chose it is gone
+    // (spaces around '=' are optional).
+    EXPECT_EXIT(parseScenario("calendar=bucket\n"),
+                ::testing::ExitedWithCode(1), "unknown key 'calendar'");
     // Unchecked, a NaN rate would abort in the event calendar and an
     // infinite one would run to a meaningless report.
     for (std::string rate : {"nan", "inf", "-inf", "0", "-3"}) {
@@ -678,14 +682,14 @@ TEST(Scenario, IncludeInheritsAndOverrides)
                  "name = child\n"
                  "requests = 11\n"
                  "streaming = 1\n"
-                 "calendar = bucket\n");
+                 "metrics = sketch\n");
 
     ScenarioSpec child = parseScenarioFile(child_path);
     // Overridden by the child...
     EXPECT_EQ(child.name, "child");
     EXPECT_EQ(child.requests, 11);
     EXPECT_TRUE(child.streaming);
-    EXPECT_EQ(child.calendar, CalendarKind::Bucket);
+    EXPECT_EQ(child.metricsKind, MetricsKind::Sketch);
     // ...inherited from the base.
     EXPECT_EQ(child.seeds, 3);
     ASSERT_EQ(child.fleets.size(), 1u);

@@ -2,11 +2,10 @@
  * @file
  * Tests for the streaming megascale core: StreamingMetrics (exact
  * replay and P² sketch), streaming-vs-materialized bit-identity on
- * single-node and cluster runs under both metrics kinds (including failures/migration, which
- * exercise arena recycling), the RequestArena free list, and the
- * BucketCalendar's event-order equivalence with the binary heap, and
- * both calendars against an independent std::multiset reference,
- * including the deferred-pop vacancy edges of their shared EventHeap.
+ * single-node and cluster runs under both metrics kinds (including
+ * failures/migration, which exercise arena recycling), the
+ * RequestArena free list, and the EventQueue against an independent
+ * std::multiset reference, including its deferred-pop vacancy edges.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <limits>
 #include <memory>
 #include <set>
-#include <type_traits>
 #include <string>
 #include <vector>
 
@@ -167,12 +165,12 @@ TEST(Streaming, SingleNodeBitIdenticalToMaterialized)
     EXPECT_EQ(source.arena().live(), 0u);
 }
 
-TEST(Streaming, ClusterBitIdenticalAcrossCalendarsAndModes)
+TEST(Streaming, ClusterBitIdenticalAcrossModes)
 {
-    // The full matrix — {materialized, streaming} x {heap, bucket} —
-    // on a cluster with admission shedding and a mid-run failure plus
-    // recovery (restarted requests migrate through the dispatcher),
-    // must produce one single schedule.
+    // Materialized and streaming runs of a cluster with admission
+    // shedding and a mid-run failure plus recovery (restarted requests
+    // migrate through the dispatcher) must produce one single
+    // schedule.
     WorkloadConfig wl;
     wl.kind = WorkloadKind::MultiAttNN;
     wl.arrivalRate = 60.0;
@@ -193,27 +191,18 @@ TEST(Streaming, ClusterBitIdenticalAcrossCalendarsAndModes)
     EXPECT_GT(reference.metrics.completed, 0u);
 
     for (bool streaming : {false, true}) {
-        for (CalendarKind calendar :
-             {CalendarKind::Heap, CalendarKind::Bucket}) {
-            SweepCell cell = base;
-            cell.streaming = streaming;
-            cell.calendar = calendar;
-            SimResult run = runSweepCell(ctx(), cell);
-            std::string what =
-                std::string(streaming ? "streaming" : "materialized") +
-                " + " + toString(calendar);
-            EXPECT_EQ(metricsDifferences(run.metrics, reference.metrics),
-                      std::vector<std::string>{}) << what;
-            EXPECT_EQ(run.decisions, reference.decisions) << what;
-            EXPECT_EQ(run.preemptions, reference.preemptions)
-                << what;
-            EXPECT_EQ(run.eventsProcessed,
-                      reference.eventsProcessed)
-                << what;
-            EXPECT_EQ(run.perNodeCompleted,
-                      reference.perNodeCompleted)
-                << what;
-        }
+        SweepCell cell = base;
+        cell.streaming = streaming;
+        SimResult run = runSweepCell(ctx(), cell);
+        std::string what = streaming ? "streaming" : "materialized";
+        EXPECT_EQ(metricsDifferences(run.metrics, reference.metrics),
+                  std::vector<std::string>{}) << what;
+        EXPECT_EQ(run.decisions, reference.decisions) << what;
+        EXPECT_EQ(run.preemptions, reference.preemptions) << what;
+        EXPECT_EQ(run.eventsProcessed, reference.eventsProcessed)
+            << what;
+        EXPECT_EQ(run.perNodeCompleted, reference.perNodeCompleted)
+            << what;
     }
 }
 
@@ -317,141 +306,7 @@ TEST(RequestArena, RecyclesSlotsWithStableAddresses)
     EXPECT_EQ(arena.peakLive(), 3u);
 }
 
-// --- BucketCalendar --------------------------------------------------------
-
-TEST(BucketCalendar, OrdersByTimeKindNodeSeq)
-{
-    BucketCalendar q;
-    auto push = [&](double t, SimEventKind k, int node) {
-        SimEvent ev;
-        ev.time = t;
-        ev.kind = k;
-        ev.node = node;
-        q.push(ev);
-    };
-    push(2.0, SimEventKind::Decision, -1);
-    push(1.0, SimEventKind::LayerComplete, 3);
-    push(1.0, SimEventKind::LayerComplete, 1);
-    push(1.0, SimEventKind::Arrival, -1);
-    push(1.0, SimEventKind::Decision, -1);
-    push(0.5, SimEventKind::LayerComplete, 0);
-
-    EXPECT_EQ(q.pop().time, 0.5);
-    EXPECT_EQ(q.pop().kind, SimEventKind::Arrival);
-    SimEvent c1 = q.pop();
-    EXPECT_EQ(c1.kind, SimEventKind::LayerComplete);
-    EXPECT_EQ(c1.node, 1);
-    EXPECT_EQ(q.pop().node, 3);
-    EXPECT_EQ(q.pop().kind, SimEventKind::Decision);
-    EXPECT_EQ(q.pop().time, 2.0);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(BucketCalendar, MatchesHeapOnRandomOpSequences)
-{
-    // Property test of the calendar contract: any causal push/pop
-    // interleaving (pushes never schedule before the current time,
-    // as in a discrete-event run) pops identically from both
-    // implementations — times, kinds, nodes and seq numbers.
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-        Rng rng(seed * 9176);
-        EventQueue heap;
-        BucketCalendar bucket;
-        double now = 0.0;
-        size_t pops = 0;
-        for (int op = 0; op < 6000; ++op) {
-            bool do_push = heap.empty() || rng.uniform() < 0.55;
-            if (do_push) {
-                SimEvent ev;
-                double roll = rng.uniform();
-                if (roll < 0.15)
-                    ev.time = now; // exact tie
-                else if (roll < 0.9)
-                    ev.time = now + rng.exponential(2.0);
-                else
-                    ev.time = now + rng.uniform(100.0, 2000.0);
-                ev.kind = static_cast<SimEventKind>(
-                    rng.uniformInt(0, 3));
-                ev.node = static_cast<int>(rng.uniformInt(-1, 7));
-                heap.push(ev);
-                bucket.push(ev);
-                ASSERT_EQ(heap.size(), bucket.size());
-            } else {
-                SimEvent a = heap.pop();
-                SimEvent b = bucket.pop();
-                ASSERT_DOUBLE_EQ(a.time, b.time)
-                    << "seed " << seed << " pop " << pops;
-                ASSERT_EQ(a.kind, b.kind)
-                    << "seed " << seed << " pop " << pops;
-                ASSERT_EQ(a.node, b.node)
-                    << "seed " << seed << " pop " << pops;
-                ASSERT_EQ(a.seq, b.seq)
-                    << "seed " << seed << " pop " << pops;
-                ASSERT_GE(a.time, now);
-                now = a.time;
-                ++pops;
-            }
-        }
-        while (!heap.empty()) {
-            SimEvent a = heap.pop();
-            SimEvent b = bucket.pop();
-            ASSERT_DOUBLE_EQ(a.time, b.time);
-            ASSERT_EQ(a.seq, b.seq);
-        }
-        EXPECT_TRUE(bucket.empty());
-    }
-}
-
-TEST(BucketCalendar, ResizesUnderLoadAndSurvivesClear)
-{
-    BucketCalendar q;
-    size_t initial_buckets = q.bucketCount();
-    Rng rng(31);
-    double t = 0.0;
-    // Every grow and shrink keeps the count a power of two, which the
-    // mask indexing of windows relies on.
-    size_t last_count = initial_buckets;
-    int resizes = 0;
-    auto checkResize = [&] {
-        size_t n = q.bucketCount();
-        if (n == last_count)
-            return;
-        ++resizes;
-        EXPECT_EQ(n & (n - 1), 0u) << n << " buckets";
-        last_count = n;
-    };
-    for (int i = 0; i < 20000; ++i) {
-        SimEvent ev;
-        t += rng.exponential(50.0);
-        ev.time = t;
-        q.push(ev);
-        checkResize();
-    }
-    EXPECT_EQ(q.size(), 20000u);
-    EXPECT_GT(q.bucketCount(), initial_buckets); // grew
-    int grows = resizes;
-    EXPECT_GT(grows, 0);
-
-    double last = -1.0;
-    for (int i = 0; i < 20000; ++i) {
-        SimEvent ev = q.pop();
-        EXPECT_GE(ev.time, last);
-        last = ev.time;
-        checkResize();
-    }
-    EXPECT_TRUE(q.empty());
-    EXPECT_GT(resizes, grows); // shrank
-    EXPECT_EQ(q.bucketCount(), initial_buckets);
-
-    q.clear();
-    SimEvent ev;
-    ev.time = 5.0;
-    q.push(ev);
-    EXPECT_EQ(q.pop().seq, 0u); // clear reset the seq counter
-    EXPECT_TRUE(q.empty());
-}
-
-// --- both calendars vs a std::multiset reference ----------------------------
+// --- EventQueue vs a std::multiset reference ------------------------------
 
 namespace {
 
@@ -467,18 +322,16 @@ makeEvent(double time, SimEventKind kind = SimEventKind::LayerComplete,
 }
 
 /**
- * Drive one calendar through a causal random interleaving of push,
- * pop, top (EventQueue only: the Calendar interface has no top) and
- * clear, and require every pop and top to match the minimum of a
+ * Drive the calendar through a causal random interleaving of push,
+ * pop, top and clear, and require every pop and top to match the minimum of a
  * std::multiset holding every pending event under operator<. Times
  * sit on a coarse grid and kinds and nodes on small ranges, so exact
  * (time, kind, node) ties are common and only seq separates them.
  */
-template <typename Cal>
 void
 checkAgainstReference(uint64_t seed)
 {
-    Cal cal;
+    EventQueue cal;
     std::multiset<SimEvent> ref;
     uint64_t seq = 0;
     Rng rng(seed);
@@ -512,11 +365,9 @@ checkAgainstReference(uint64_t seed)
             now = got.time;
             ++pops;
         } else if (roll < 0.995) {
-            if constexpr (std::is_same_v<Cal, EventQueue>) {
-                const SimEvent& top = cal.top();
-                ASSERT_EQ(top.seq, ref.begin()->seq)
-                    << "seed " << seed << " top after pop " << pops;
-            }
+            const SimEvent& top = cal.top();
+            ASSERT_EQ(top.seq, ref.begin()->seq)
+                << "seed " << seed << " top after pop " << pops;
         } else {
             cal.clear();
             ref.clear();
@@ -532,12 +383,17 @@ checkAgainstReference(uint64_t seed)
     EXPECT_TRUE(cal.empty());
 }
 
-/** The deferred-pop vacancy edges, the same on both calendars. */
-template <typename Cal>
-void
-checkVacancyEdges()
+} // namespace
+
+TEST(Calendars, MatchMultisetReferenceOnRandomInterleavings)
 {
-    Cal cal;
+    for (uint64_t seed = 1; seed <= 6; ++seed)
+        checkAgainstReference(seed * 7919);
+}
+
+TEST(Calendars, DeferredPopVacancyEdges)
+{
+    EventQueue cal;
     // size() and empty() never count the vacant slot.
     cal.push(makeEvent(1.0));
     EXPECT_EQ(cal.pop().time, 1.0);
@@ -574,58 +430,16 @@ checkVacancyEdges()
     EXPECT_EQ(ev.time, 7.0);
     EXPECT_EQ(ev.seq, 0u);
     EXPECT_TRUE(cal.empty());
-}
-
-} // namespace
-
-TEST(Calendars, MatchMultisetReferenceOnRandomInterleavings)
-{
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
-        checkAgainstReference<EventQueue>(seed * 7919);
-        checkAgainstReference<BucketCalendar>(seed * 7919);
-    }
-}
-
-TEST(Calendars, DeferredPopVacancyEdges)
-{
-    checkVacancyEdges<EventQueue>();
-    checkVacancyEdges<BucketCalendar>();
 
     // pop -> top settles the vacancy and returns the next minimum.
-    EventQueue heap;
-    heap.push(makeEvent(2.0));
-    heap.push(makeEvent(1.0));
-    heap.push(makeEvent(3.0));
-    EXPECT_EQ(heap.pop().time, 1.0);
-    EXPECT_EQ(heap.top().time, 2.0);
-    EXPECT_EQ(heap.size(), 2u);
-    EXPECT_EQ(heap.pop().time, 2.0);
-    EXPECT_EQ(heap.top().time, 3.0);
-}
-
-TEST(Calendars, BucketResizesWhileABucketIsVacant)
-{
-    // Until the first resize the width is 1 s and there are 8
-    // buckets, so time t lands in bucket floor(t) mod 8.
-    BucketCalendar q;
-    ASSERT_EQ(q.bucketCount(), 8u);
-    for (int i = 0; i < 16; ++i)
-        q.push(makeEvent(i + 0.1)); // two events per bucket
-    EXPECT_EQ(q.pop().time, 0.1);   // bucket 0 is now vacant
-    q.push(makeEvent(3.5));         // bucket 3
-    q.push(makeEvent(5.5));         // bucket 5: 17 > 2 * 8, grow
-    EXPECT_EQ(q.bucketCount(), 16u);
-    EXPECT_EQ(q.size(), 17u);
-
-    // Every shrink runs right after a pop, so it always drains a
-    // vacant bucket too.
-    std::vector<double> want = {1.1, 2.1, 3.1, 3.5,  4.1,  5.1,
-                                5.5, 6.1, 7.1, 8.1,  9.1,  10.1,
-                                11.1, 12.1, 13.1, 14.1, 15.1};
-    for (double t : want)
-        EXPECT_EQ(q.pop().time, t);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.bucketCount(), 8u);
+    cal.push(makeEvent(2.0));
+    cal.push(makeEvent(1.0));
+    cal.push(makeEvent(3.0));
+    EXPECT_EQ(cal.pop().time, 1.0);
+    EXPECT_EQ(cal.top().time, 2.0);
+    EXPECT_EQ(cal.size(), 2u);
+    EXPECT_EQ(cal.pop().time, 2.0);
+    EXPECT_EQ(cal.top().time, 3.0);
 }
 
 TEST(Calendars, RejectNaNOrNegativeEventTimes)
@@ -635,11 +449,6 @@ TEST(Calendars, RejectNaNOrNegativeEventTimes)
                  "EventQueue: event time -?nan of kind LayerComplete");
     EXPECT_DEATH(EventQueue().push(makeEvent(-1.0, SimEventKind::Hedge)),
                  "EventQueue: event time -1.0+ of kind Hedge");
-    EXPECT_DEATH(BucketCalendar().push(makeEvent(nan)),
-                 "BucketCalendar: event time -?nan of kind LayerComplete");
-    EXPECT_DEATH(
-        BucketCalendar().push(makeEvent(-0.5, SimEventKind::Arrival)),
-        "BucketCalendar: event time -0.50+ of kind Arrival");
 }
 
 // --- parse helpers ---------------------------------------------------------
@@ -650,12 +459,6 @@ TEST(StreamingNames, KindParsersRoundTrip)
     EXPECT_EQ(toString(MetricsKind::Sketch), "sketch");
     EXPECT_EQ(metricsKindFromName("exact"), MetricsKind::Exact);
     EXPECT_EQ(metricsKindFromName("sketch"), MetricsKind::Sketch);
-    EXPECT_EQ(toString(CalendarKind::Heap), "heap");
-    EXPECT_EQ(toString(CalendarKind::Bucket), "bucket");
-    EXPECT_EQ(calendarKindFromName("heap"), CalendarKind::Heap);
-    EXPECT_EQ(calendarKindFromName("bucket"), CalendarKind::Bucket);
-    EXPECT_EXIT(calendarKindFromName("splay"),
-                ::testing::ExitedWithCode(1), "heap, bucket");
     EXPECT_EXIT(metricsKindFromName("hdr"),
                 ::testing::ExitedWithCode(1), "exact, sketch");
 }

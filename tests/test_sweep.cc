@@ -187,9 +187,9 @@ TEST(SweepResolver, EverySpecFieldReachesTheRun)
     // runSweepCell is the one place a cell becomes a SimConfig: each
     // field, moved off its default alone, must change what the cell
     // reports. A field dropped in the resolver would leave the
-    // result equal to the base. (The fields that must NOT change it,
-    // calendar and Exact streaming, are pinned by
-    // Streaming.ClusterBitIdenticalAcrossCalendarsAndModes.)
+    // result equal to the base. (The field that must NOT change it,
+    // Exact streaming, is pinned by
+    // Streaming.ClusterBitIdenticalAcrossModes.)
     auto ctx = makeBenchContext(tinySetup());
     const SweepCell base = resolverBaseCell();
     const SweepCellResult reference = runSweepCell(*ctx, base);
