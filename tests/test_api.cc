@@ -310,6 +310,75 @@ TEST(Scenario, ParseSerializeParseIsBitIdentical)
     EXPECT_EQ(twice.onFailure, "shed");
 }
 
+TEST(Scenario, EveryKeyRoundTripsAtANonDefaultValue)
+{
+    // Every key the grammar knows, each away from its ScenarioSpec
+    // default, in canonical order: the parse of each value, the print
+    // of each field and the key order of --print-spec are all pinned.
+    const std::string text =
+        "name = every-key\n"
+        "workload = attnn@30 | cnn@2.5\n"
+        "arrival = poisson | mmpp:burst=8\n"
+        "slo = 10 | 37.5\n"
+        "scheduler = Dysta | dysta:eta=0.1,beta=0.25\n"
+        "fleet = sanger:2,eyeriss-xl:1 | sanger:1\n"
+        "dispatcher = round-robin | work-stealing:ratio=4\n"
+        "requests = 123\n"
+        "seeds = 2\n"
+        "seed = 99\n"
+        "events = fail@1.5:0,recover@4.0:0\n"
+        "admission = 1\n"
+        "admission_margin = 1.25 | 2\n"
+        "steal_ratio = 1.5 | 4\n"
+        "admission_estimator = lut\n"
+        "on_failure = shed\n"
+        "chaos = none | mtbf:up=exp@20,down=exp@2\n"
+        "retry = retry:max=2,backoff=2\n"
+        "hedge = hedge:quantile=0.95\n"
+        "brownout = brownout:step=0.5\n"
+        "tiers = 0.5,0.3,0.2\n"
+        "batcher = none | batcher:size=4\n"
+        "probes = dysta\n"
+        "samples = 50\n"
+        "profile_seed = 11\n"
+        "cnn_sparsity = 0.25\n"
+        "streaming = 1\n"
+        "metrics = sketch\n";
+    ScenarioSpec spec = parseScenario(text);
+    validateScenario(spec);
+    const std::string canonical = serializeScenario(spec);
+    EXPECT_EQ(canonical, text);
+    EXPECT_EQ(serializeScenario(parseScenario(canonical)), canonical);
+
+    // Every key differs from a default spec's, one line per key.
+    const std::string defaults = serializeScenario(ScenarioSpec{});
+    std::istringstream got(canonical), base(defaults);
+    std::string got_line, base_line;
+    int lines = 0;
+    while (std::getline(got, got_line) && std::getline(base, base_line)) {
+        EXPECT_NE(got_line, base_line);
+        ++lines;
+    }
+    EXPECT_EQ(lines, 28);
+
+    bool threw = setFatalThrows(true);
+    std::string message;
+    try {
+        parseScenario("workloads = attnn@30\n");
+    } catch (const FatalError& err) {
+        message = err.what();
+    }
+    setFatalThrows(threw);
+    EXPECT_EQ(message,
+              "parseScenario: unknown key 'workloads'; valid keys: "
+              "include, name, workload, arrival, slo, scheduler, fleet, "
+              "dispatcher, requests, seeds, seed, events, admission, "
+              "admission_margin, steal_ratio, admission_estimator, "
+              "on_failure, chaos, retry, hedge, brownout, tiers, "
+              "batcher, probes, samples, profile_seed, cnn_sparsity, "
+              "streaming, metrics");
+}
+
 TEST(Scenario, UnknownKeyIsRejectedNamingValidKeys)
 {
     EXPECT_EXIT(parseScenario("workloads = attnn@30\n"),
