@@ -164,7 +164,7 @@ PolicyParams::getBool(const std::string& key, bool fallback)
     bool parsed = false;
     fatalIf(!tryParseBool(*v, parsed),
             "PolicyRegistry: " + name + ": parameter '" + key +
-                "' expects 0/1/true/false, got '" + *v + "'");
+                "' expects " + kBoolSpellings + ", got '" + *v + "'");
     return parsed;
 }
 

@@ -37,189 +37,216 @@ splitAxis(const std::string& key, const std::string& value)
     std::vector<std::string> out;
     if (trimmed(value).empty())
         return out;
-    size_t pos = 0;
-    while (pos <= value.size()) {
-        size_t bar = value.find('|', pos);
-        std::string item = trimmed(value.substr(
-            pos, bar == std::string::npos ? std::string::npos
-                                          : bar - pos));
-        fatalIf(item.empty(), "parseScenario: empty element in the '" +
-                                  key + "' list");
-        out.push_back(item);
-        if (bar == std::string::npos)
-            break;
-        pos = bar + 1;
+    for (size_t pos = 0, bar = 0; bar != std::string::npos; pos = bar + 1) {
+        bar = value.find('|', pos);
+        out.push_back(trimmed(value.substr(pos, bar - pos)));
+        fatalIf(out.back().empty(), "parseScenario: empty element in "
+                                    "the '" + key + "' list");
     }
     return out;
 }
 
-double
-parseDoubleStrict(const std::string& key, const std::string& text)
+// --- one parse/print pair per ScenarioSpec field type ---------------
+
+/** fatal() unless `ok`, naming the key, the expected form and text. */
+void
+expect(bool ok, const std::string& key, const char* what,
+       const std::string& text)
 {
-    double v = 0.0;
-    fatalIf(!tryParseDouble(text, v),
-            "parseScenario: '" + key + "' expects a number, got '" +
-                text + "'");
-    return v;
+    if (!ok)
+        fatal("parseScenario: '" + key + "' expects " + what +
+              ", got '" + text + "'");
 }
 
-int
-parseIntStrict(const std::string& key, const std::string& text)
+void
+parseValue(const std::string& key, const std::string& text, int& out)
 {
-    int v = 0;
-    fatalIf(!tryParseInt(text, v),
-            "parseScenario: '" + key + "' expects an integer, got '" +
-                text + "'");
-    return v;
-}
-
-uint64_t
-parseU64Strict(const std::string& key, const std::string& text)
-{
-    uint64_t v = 0;
-    fatalIf(!tryParseU64(text, v),
-            "parseScenario: '" + key +
-                "' expects a non-negative integer, got '" + text + "'");
-    return v;
-}
-
-bool
-parseBoolStrict(const std::string& key, const std::string& text)
-{
-    bool v = false;
-    fatalIf(!tryParseBool(text, v),
-            "parseScenario: '" + key +
-                "' expects 0/1/true/false, got '" + text + "'");
-    return v;
+    expect(tryParseInt(text, out), key, "an integer", text);
 }
 
 std::string
-kindShortName(WorkloadKind kind)
+printValue(int v)
 {
-    return kind == WorkloadKind::MultiCNN ? "cnn" : "attnn";
+    return std::to_string(v);
 }
 
-WorkloadKind
-kindFromShortName(const std::string& name)
+void
+parseValue(const std::string& key, const std::string& text,
+           uint64_t& out)
 {
-    if (name == "attnn" || name == "multi-attnn")
-        return WorkloadKind::MultiAttNN;
-    if (name == "cnn" || name == "multi-cnn")
-        return WorkloadKind::MultiCNN;
-    fatal("workloadPanelFromSpec: unknown workload kind '" + name +
-          "'; valid kinds: attnn, cnn");
+    expect(tryParseU64(text, out), key, "a non-negative integer", text);
 }
 
-/** The scenario-file keys, in canonical serialization order. */
-const char* const kScenarioKeys[] = {
-    "include",    "name",            "workload",
-    "arrival",    "slo",             "scheduler",
-    "fleet",      "dispatcher",      "requests",
-    "seeds",      "seed",            "events",
-    "admission",  "admission_margin", "steal_ratio",
-    "admission_estimator", "on_failure",
-    "chaos",      "retry",           "hedge",
-    "brownout",   "tiers",           "batcher",
-    "probes",     "samples",         "profile_seed",
-    "cnn_sparsity", "streaming",     "metrics",
+std::string
+printValue(uint64_t v)
+{
+    return std::to_string(v);
+}
+
+void
+parseValue(const std::string& key, const std::string& text, double& out)
+{
+    expect(tryParseDouble(text, out), key, "a number", text);
+}
+
+std::string
+printValue(double v)
+{
+    return shortestDouble(v);
+}
+
+void
+parseValue(const std::string& key, const std::string& text, bool& out)
+{
+    expect(tryParseBool(text, out), key, kBoolSpellings, text);
+}
+
+std::string
+printValue(bool v)
+{
+    return v ? "1" : "0";
+}
+
+void
+parseValue(const std::string&, const std::string& text, std::string& out)
+{
+    out = text;
+}
+
+std::string
+printValue(const std::string& v)
+{
+    return v;
+}
+
+void
+parseValue(const std::string&, const std::string& text, MetricsKind& out)
+{
+    out = metricsKindFromName(text);
+}
+
+std::string
+printValue(MetricsKind v)
+{
+    return toString(v);
+}
+
+void
+parseValue(const std::string&, const std::string& text, WorkloadPanel& out)
+{
+    out = workloadPanelFromSpec(text);
+}
+
+std::string
+printValue(const WorkloadPanel& v)
+{
+    return v.label();
+}
+
+/** A '|' axis: each element parses and prints as one T. */
+template <typename T>
+void
+parseValue(const std::string& key, const std::string& text,
+           std::vector<T>& out)
+{
+    out.clear();
+    for (const std::string& item : splitAxis(key, text))
+        parseValue(key, item, out.emplace_back());
+}
+
+template <typename T>
+std::string
+printValue(const std::vector<T>& items)
+{
+    std::string out;
+    for (const T& item : items)
+        out += (out.empty() ? "" : " | ") + printValue(item);
+    return out;
+}
+
+/** One scenario-file key and the ScenarioSpec field it sets. */
+struct SpecKey
+{
+    const char* name;
+    void (*parse)(ScenarioSpec& spec, const std::string& key,
+                  const std::string& text);
+    std::string (*print)(const ScenarioSpec& spec);
+    /** Must print as on a default spec unless there is a 'fleet'. */
+    bool clusterOnly;
+    /** An empty value is rejected. */
+    bool required;
 };
 
-std::string
-validKeyList()
+enum : unsigned { kClusterOnly = 1, kRequired = 2 };
+
+template <auto Field>
+constexpr SpecKey
+specKey(const char* name, unsigned flags = 0)
 {
-    return joinComma(std::vector<std::string>(
-        std::begin(kScenarioKeys), std::end(kScenarioKeys)));
+    return {name,
+            [](ScenarioSpec& spec, const std::string& key,
+               const std::string& text) {
+                parseValue(key, text, spec.*Field);
+            },
+            [](const ScenarioSpec& spec) { return printValue(spec.*Field); },
+            (flags & kClusterOnly) != 0, (flags & kRequired) != 0};
 }
+
+/**
+ * Every scenario-file key but `include`, in canonical serialization
+ * order. Parsing, serializeScenario(), the unknown-key message and
+ * the fleet-only check of validateScenario() all walk this table.
+ */
+constexpr SpecKey kSpecKeys[] = {
+    specKey<&ScenarioSpec::name>("name", kRequired),
+    specKey<&ScenarioSpec::workloads>("workload"),
+    specKey<&ScenarioSpec::arrivals>("arrival"),
+    specKey<&ScenarioSpec::sloMultipliers>("slo"),
+    specKey<&ScenarioSpec::schedulers>("scheduler"),
+    specKey<&ScenarioSpec::fleets>("fleet"),
+    specKey<&ScenarioSpec::dispatchers>("dispatcher", kClusterOnly),
+    specKey<&ScenarioSpec::requests>("requests"),
+    specKey<&ScenarioSpec::seeds>("seeds"),
+    specKey<&ScenarioSpec::seed>("seed"),
+    specKey<&ScenarioSpec::events>("events", kClusterOnly),
+    specKey<&ScenarioSpec::admission>("admission", kClusterOnly),
+    specKey<&ScenarioSpec::admissionMargins>("admission_margin",
+                                             kClusterOnly | kRequired),
+    specKey<&ScenarioSpec::stealRatios>("steal_ratio", kClusterOnly),
+    specKey<&ScenarioSpec::admissionEstimator>("admission_estimator",
+                                               kClusterOnly),
+    specKey<&ScenarioSpec::onFailure>("on_failure", kClusterOnly),
+    specKey<&ScenarioSpec::chaos>("chaos", kClusterOnly),
+    specKey<&ScenarioSpec::retry>("retry", kClusterOnly),
+    specKey<&ScenarioSpec::hedge>("hedge", kClusterOnly),
+    specKey<&ScenarioSpec::brownout>("brownout", kClusterOnly),
+    specKey<&ScenarioSpec::tiers>("tiers", kClusterOnly),
+    specKey<&ScenarioSpec::batchers>("batcher", kClusterOnly),
+    specKey<&ScenarioSpec::probes>("probes"),
+    specKey<&ScenarioSpec::samples>("samples"),
+    specKey<&ScenarioSpec::profileSeed>("profile_seed"),
+    specKey<&ScenarioSpec::cnnSparsityRate>("cnn_sparsity"),
+    specKey<&ScenarioSpec::streaming>("streaming"),
+    specKey<&ScenarioSpec::metricsKind>("metrics"),
+};
 
 void
 applyKey(ScenarioSpec& spec, const std::string& key,
          const std::string& value)
 {
-    if (key == "name") {
-        fatalIf(value.empty(), "parseScenario: 'name' must not be "
-                               "empty");
-        spec.name = value;
-    } else if (key == "workload") {
-        spec.workloads.clear();
-        for (const std::string& item : splitAxis(key, value))
-            spec.workloads.push_back(workloadPanelFromSpec(item));
-    } else if (key == "arrival") {
-        spec.arrivals = splitAxis(key, value);
-    } else if (key == "slo") {
-        spec.sloMultipliers.clear();
-        for (const std::string& item : splitAxis(key, value))
-            spec.sloMultipliers.push_back(
-                parseDoubleStrict(key, item));
-    } else if (key == "scheduler") {
-        spec.schedulers = splitAxis(key, value);
-    } else if (key == "fleet") {
-        spec.fleets = splitAxis(key, value);
-    } else if (key == "dispatcher") {
-        spec.dispatchers = splitAxis(key, value);
-    } else if (key == "requests") {
-        spec.requests = parseIntStrict(key, value);
-    } else if (key == "seeds") {
-        spec.seeds = parseIntStrict(key, value);
-    } else if (key == "seed") {
-        spec.seed = parseU64Strict(key, value);
-    } else if (key == "events") {
-        spec.events = value;
-    } else if (key == "admission") {
-        spec.admission = parseBoolStrict(key, value);
-    } else if (key == "admission_margin") {
-        spec.admissionMargins.clear();
-        for (const std::string& item : splitAxis(key, value))
-            spec.admissionMargins.push_back(
-                parseDoubleStrict(key, item));
-        fatalIf(spec.admissionMargins.empty(),
-                "parseScenario: 'admission_margin' needs at least "
-                "one value");
-    } else if (key == "steal_ratio") {
-        spec.stealRatios.clear();
-        for (const std::string& item : splitAxis(key, value))
-            spec.stealRatios.push_back(parseDoubleStrict(key, item));
-    } else if (key == "admission_estimator") {
-        spec.admissionEstimator = value;
-    } else if (key == "on_failure") {
-        spec.onFailure = value;
-    } else if (key == "chaos") {
-        spec.chaos = splitAxis(key, value);
-    } else if (key == "retry") {
-        spec.retry = value;
-    } else if (key == "hedge") {
-        spec.hedge = value;
-    } else if (key == "brownout") {
-        spec.brownout = value;
-    } else if (key == "tiers") {
-        spec.tiers = value;
-    } else if (key == "batcher") {
-        spec.batchers = splitAxis(key, value);
-    } else if (key == "probes") {
-        spec.probes = splitAxis(key, value);
-    } else if (key == "samples") {
-        spec.samples = parseIntStrict(key, value);
-    } else if (key == "profile_seed") {
-        spec.profileSeed = parseU64Strict(key, value);
-    } else if (key == "cnn_sparsity") {
-        spec.cnnSparsityRate = parseDoubleStrict(key, value);
-    } else if (key == "streaming") {
-        spec.streaming = parseBoolStrict(key, value);
-    } else if (key == "metrics") {
-        spec.metricsKind = metricsKindFromName(value);
-    } else {
-        fatal("parseScenario: unknown key '" + key +
-              "'; valid keys: " + validKeyList());
+    for (const SpecKey& row : kSpecKeys) {
+        if (key != row.name)
+            continue;
+        if (row.required && value.empty())
+            fatal("parseScenario: '" + key + "' must not be empty");
+        row.parse(spec, key, value);
+        return;
     }
-}
-
-template <typename T, typename Fn>
-std::string
-joinAxis(const std::vector<T>& items, Fn to_string)
-{
-    std::string out;
-    for (const T& item : items)
-        out += (out.empty() ? "" : " | ") + to_string(item);
-    return out;
+    std::string valid = "include";
+    for (const SpecKey& row : kSpecKeys)
+        valid += std::string(", ") + row.name;
+    fatal("parseScenario: unknown key '" + key + "'; valid keys: " +
+          valid);
 }
 
 } // namespace
@@ -227,7 +254,8 @@ joinAxis(const std::vector<T>& items, Fn to_string)
 std::string
 WorkloadPanel::label() const
 {
-    return kindShortName(kind) + "@" + shortestDouble(rate);
+    return (kind == WorkloadKind::MultiCNN ? "cnn@" : "attnn@") +
+           shortestDouble(rate);
 }
 
 WorkloadPanel
@@ -239,8 +267,13 @@ workloadPanelFromSpec(const std::string& spec)
             "workloadPanelFromSpec: malformed workload panel '" + spec +
                 "' (want kind@rate, e.g. attnn@30)");
     WorkloadPanel panel;
-    panel.kind = kindFromShortName(spec.substr(0, at));
-    panel.rate = parseDoubleStrict("workload", spec.substr(at + 1));
+    std::string kind = spec.substr(0, at);
+    if (kind == "cnn" || kind == "multi-cnn")
+        panel.kind = WorkloadKind::MultiCNN;
+    else if (kind != "attnn" && kind != "multi-attnn")
+        fatal("workloadPanelFromSpec: unknown workload kind '" + kind +
+              "'; valid kinds: attnn, cnn");
+    parseValue("workload", spec.substr(at + 1), panel.rate);
     fatalIf(!(panel.rate > 0.0) || !std::isfinite(panel.rate),
             "workloadPanelFromSpec: rate must be positive and finite "
             "in '" + spec + "'");
@@ -405,57 +438,22 @@ parseScenarioFile(const std::string& path)
 std::string
 serializeScenario(const ScenarioSpec& spec)
 {
-    auto identity = [](const std::string& s) { return s; };
     std::string out;
-    auto kv = [&out](const std::string& key,
-                     const std::string& value) {
+    for (const SpecKey& key : kSpecKeys) {
+        std::string value = key.print(spec);
         // The file grammar has no quoting: '#' starts a comment and
         // a newline ends the value, so neither may appear in an
         // emitted value or the parse->serialize->parse identity
         // silently breaks.
-        fatalIf(value.find_first_of("#\n") != std::string::npos,
-                "serializeScenario: '" + key + "' value contains '#' "
-                "or a newline, which the scenario-file grammar "
-                "cannot represent: '" + value + "'");
-        out += key;
+        if (value.find_first_of("#\n") != std::string::npos)
+            fatal("serializeScenario: '" + std::string(key.name) +
+                  "' value contains '#' or a newline, which the "
+                  "scenario-file grammar cannot represent: '" + value +
+                  "'");
+        out += key.name;
         out += value.empty() ? " =" : " = " + value;
         out += "\n";
-    };
-    kv("name", spec.name);
-    kv("workload",
-       joinAxis(spec.workloads,
-                [](const WorkloadPanel& p) { return p.label(); }));
-    kv("arrival", joinAxis(spec.arrivals, identity));
-    kv("slo", joinAxis(spec.sloMultipliers,
-                       [](double v) { return shortestDouble(v); }));
-    kv("scheduler", joinAxis(spec.schedulers, identity));
-    kv("fleet", joinAxis(spec.fleets, identity));
-    kv("dispatcher", joinAxis(spec.dispatchers, identity));
-    kv("requests", std::to_string(spec.requests));
-    kv("seeds", std::to_string(spec.seeds));
-    kv("seed", std::to_string(spec.seed));
-    kv("events", spec.events);
-    kv("admission", spec.admission ? "1" : "0");
-    kv("admission_margin",
-       joinAxis(spec.admissionMargins,
-                [](double v) { return shortestDouble(v); }));
-    kv("steal_ratio",
-       joinAxis(spec.stealRatios,
-                [](double v) { return shortestDouble(v); }));
-    kv("admission_estimator", spec.admissionEstimator);
-    kv("on_failure", spec.onFailure);
-    kv("chaos", joinAxis(spec.chaos, identity));
-    kv("retry", spec.retry);
-    kv("hedge", spec.hedge);
-    kv("brownout", spec.brownout);
-    kv("tiers", spec.tiers);
-    kv("batcher", joinAxis(spec.batchers, identity));
-    kv("probes", joinAxis(spec.probes, identity));
-    kv("samples", std::to_string(spec.samples));
-    kv("profile_seed", std::to_string(spec.profileSeed));
-    kv("cnn_sparsity", shortestDouble(spec.cnnSparsityRate));
-    kv("streaming", spec.streaming ? "1" : "0");
-    kv("metrics", toString(spec.metricsKind));
+    }
     return out;
 }
 
@@ -514,28 +512,12 @@ validateScenario(const ScenarioSpec& spec)
             where + "'brownout' requires 'admission = 1'");
 
     if (!spec.cluster()) {
-        fatalIf(!spec.dispatchers.empty(),
-                where + "'dispatcher' requires a 'fleet' (single-"
-                        "accelerator scenarios have no front-end)");
-        fatalIf(!spec.events.empty(),
-                where + "'events' requires a 'fleet'");
-        fatalIf(spec.admission,
-                where + "'admission' requires a 'fleet'");
-        fatalIf(!spec.admissionEstimator.empty(),
-                where + "'admission_estimator' requires a 'fleet'");
-        fatalIf(spec.admissionMargins.size() > 1,
-                where + "an 'admission_margin' axis requires a "
-                        "'fleet'");
-        fatalIf(!spec.stealRatios.empty(),
-                where + "'steal_ratio' requires a 'fleet'");
-        fatalIf(!spec.chaos.empty(),
-                where + "'chaos' requires a 'fleet'");
-        fatalIf(!spec.batchers.empty(),
-                where + "'batcher' requires a 'fleet'");
-        fatalIf(!spec.retry.empty() || !spec.hedge.empty() ||
-                    !spec.brownout.empty() || !spec.tiers.empty(),
-                where + "'retry'/'hedge'/'brownout'/'tiers' require "
-                        "a 'fleet'");
+        // Single-accelerator scenarios have no front end: every
+        // cluster-only key must stay as a default spec prints it.
+        const ScenarioSpec defaults;
+        for (const SpecKey& key : kSpecKeys)
+            if (key.clusterOnly && key.print(spec) != key.print(defaults))
+                fatal(where + "'" + key.name + "' requires a 'fleet'");
         return;
     }
 

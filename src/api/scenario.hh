@@ -18,10 +18,11 @@
  * List-valued keys are sweep axes split on '|' (policy specs and
  * fleet specs keep their internal ','). runScenario() expands the
  * axes into SweepCells in a fixed canonical order — workload,
- * arrival, slo, fleet, dispatcher, scheduler, then seeds innermost —
- * and executes them on the thread-pooled SweepRunner, so every
- * figure/table of the paper (and any scenario a user writes) is a
- * data file instead of a compiled main().
+ * arrival, slo, fleet, dispatcher, admission margin, steal ratio,
+ * chaos, batcher, scheduler, then seeds innermost — and executes
+ * them on the thread-pooled SweepRunner, so every figure/table of
+ * the paper (and any scenario a user writes) is a data file instead
+ * of a compiled main().
  *
  * Parsing is strict: unknown keys, duplicate keys, malformed panel
  * or axis values and unknown policy names are fatal() errors naming

@@ -275,10 +275,7 @@ main(int argc, char** argv)
     const std::string streaming = args.getString("--streaming");
     if (!streaming.empty()) {
         bool on = false;
-        fatalIf(!tryParseBool(streaming == "on" ? "1"
-                              : streaming == "off" ? "0"
-                                                   : streaming,
-                              on),
+        fatalIf(!tryParseBool(streaming, on),
                 "sdysta: --streaming expects on/off, got '" +
                     streaming + "'");
         spec.streaming = on;

@@ -43,8 +43,8 @@ parseBoolValue(const std::string& flag, const std::string& text)
 {
     bool v = false;
     fatalIf(!tryParseBool(text, v),
-            "ArgParser: " + flag + " expects 0/1/true/false, got '" +
-                text + "'");
+            "ArgParser: " + flag + " expects " + kBoolSpellings +
+                ", got '" + text + "'");
     return v;
 }
 

@@ -27,8 +27,11 @@ bool tryParseDouble(const std::string& text, double& out);
 /** Whole-token unsigned 64-bit value; signs are rejected. */
 bool tryParseU64(const std::string& text, uint64_t& out);
 
-/** 0/1/true/false/yes/no/on/off — one token set for every grammar. */
+/** kBoolSpellings — one token set for every grammar. */
 bool tryParseBool(const std::string& text, bool& out);
+
+/** The tokens tryParseBool() accepts, as error messages name them. */
+inline constexpr const char* kBoolSpellings = "0/1/true/false/yes/no/on/off";
 
 /**
  * Shortest decimal form of `v` that strtod parses back bit-exactly;

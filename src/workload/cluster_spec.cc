@@ -72,6 +72,9 @@ nodeOfClass(const std::string& cls, size_t index)
                              hwClassByName(cls));
 }
 
+/** Largest fleet a spec may describe. */
+constexpr long kMaxFleetNodes = 1 << 16;
+
 std::vector<NodeProfile>
 fleetFromSpec(const std::string& spec)
 {
@@ -113,6 +116,11 @@ fleetFromSpec(const std::string& spec)
                     "fleetFromSpec: malformed count in '" + part +
                         "'");
         }
+        // Bound the fleet before building it: an oversized count
+        // would otherwise allocate until memory runs out.
+        if (count > kMaxFleetNodes - static_cast<long>(fleet.size()))
+            fatal("fleetFromSpec: fleet '" + spec + "' has more than " +
+                  std::to_string(kMaxFleetNodes) + " nodes");
         for (long i = 0; i < count; ++i) {
             NodeProfile profile =
                 nodeOfClass(cls, next_index[cls]++);

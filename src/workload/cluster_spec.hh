@@ -54,7 +54,8 @@ NodeProfile nodeOfClass(const std::string& cls, size_t index);
  * optional "@domain" suffix assigns every node of the segment to a
  * correlated fault domain ("sanger:2@rack0,sanger:2@rack1"): a
  * domain-scoped FailureProcess takes all members down together.
- * fatal() on malformed specs, unknown classes or zero total nodes.
+ * fatal() on malformed specs, unknown classes, zero total nodes or
+ * more than 65536.
  */
 std::vector<NodeProfile> fleetFromSpec(const std::string& spec);
 

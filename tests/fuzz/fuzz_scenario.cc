@@ -7,9 +7,11 @@
  * small set of include fixtures (a valid base file, a two-file cycle,
  * a too-deep chain), so inputs containing `include = base.scn` or
  * `include = loop_a.scn` exercise resolution, cycle detection, and
- * the depth cap without ever touching real files. fatal() is routed
- * through FatalError (see util/logging.hh), so a parse *rejection* is
- * a graceful outcome; any other escape — panic(), a stray
+ * the depth cap without ever touching real files. Each parsed spec
+ * also goes through validateScenario() and must serialize to a
+ * byte-for-byte fixed point. fatal() is routed through FatalError
+ * (see util/logging.hh), so a parse or validation *rejection* is a
+ * graceful outcome; any other escape — panic(), a stray
  * std::exception, a signal — is a crash worth reporting.
  */
 
@@ -91,21 +93,28 @@ LLVMFuzzerTestOneInput(const uint8_t* data, size_t size)
     try {
         spec = dysta::parseScenario(text);
         parsed = true;
+        dysta::validateScenario(spec);
     } catch (const dysta::FatalError&) {
-        // Rejected input: the graceful outcome.
+        // Rejected input, at parse or at validation: the graceful
+        // outcome.
     }
     if (parsed) {
-        // A spec that parses must also serialize and re-parse: the
-        // round trip is the --emit-scenario contract. Rejection here
-        // is a real bug, so escalate it to a crash.
+        // A spec that parses must serialize to a fixed point: the
+        // round trip is the --print-spec contract. A rejection or a
+        // changed byte here is a real bug, so escalate it to a crash.
+        std::string canonical;
+        std::string again;
         try {
-            dysta::ScenarioSpec again =
-                dysta::parseScenario(dysta::serializeScenario(spec));
-            (void)again;
+            canonical = dysta::serializeScenario(spec);
+            again = dysta::serializeScenario(
+                dysta::parseScenario(canonical));
         } catch (const dysta::FatalError& err) {
             dysta::panic(std::string("scenario round-trip broke: ") +
                          err.what());
         }
+        if (again != canonical)
+            dysta::panic("scenario round-trip is not a fixed point:\n" +
+                         canonical + "---\n" + again);
     }
     return 0;
 }

@@ -469,6 +469,20 @@ TEST(Scenario, ClusterKeysRequireAFleet)
     spec.admission = true;
     EXPECT_EXIT(validateScenario(spec), ::testing::ExitedWithCode(1),
                 "'admission' requires a 'fleet'");
+
+    // Any cluster-only key away from its default is rejected by name;
+    // set to its default it is accepted.
+    const std::string single = "workload = attnn@30\nscheduler = Dysta\n";
+    for (std::string line : {"on_failure = shed", "admission_margin = 1.5",
+                             "retry = retry:max=2"}) {
+        std::string key = line.substr(0, line.find(' '));
+        EXPECT_EXIT(validateScenario(parseScenario(single + line + "\n")),
+                    ::testing::ExitedWithCode(1),
+                    "'" + key + "' requires a 'fleet'")
+            << line;
+    }
+    validateScenario(parseScenario(
+        single + "on_failure = restart\nadmission_margin = 1.0\n"));
 }
 
 TEST(Scenario, CellExpansionFollowsTheCanonicalOrder)

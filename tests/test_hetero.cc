@@ -113,6 +113,10 @@ TEST(NodeHwTest, RepeatedClassSegmentsKeepNamesUnique)
 TEST(NodeHwTest, MalformedSpecsAreFatal)
 {
     EXPECT_DEATH(fleetFromSpec("sanger:0"), "malformed count");
+    EXPECT_DEATH(fleetFromSpec("sanger:2000000000"),
+                 "has more than 65536 nodes");
+    EXPECT_DEATH(fleetFromSpec("sanger:65536,sanger:1"),
+                 "has more than 65536 nodes");
     EXPECT_DEATH(nodeEventsFromSpec("fail@:0"), "malformed time");
     EXPECT_DEATH(nodeEventsFromSpec("fail@1.0:x"), "malformed node");
 }
