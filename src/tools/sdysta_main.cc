@@ -276,8 +276,9 @@ main(int argc, char** argv)
     if (!streaming.empty()) {
         bool on = false;
         fatalIf(!tryParseBool(streaming, on),
-                "sdysta: --streaming expects on/off, got '" +
-                    streaming + "'");
+                "sdysta: --streaming expects " +
+                    std::string(kBoolSpellings) + ", got '" + streaming +
+                    "'");
         spec.streaming = on;
     }
 
