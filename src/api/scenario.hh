@@ -62,7 +62,10 @@ struct WorkloadPanel
 /** Parse "attnn@30" / "cnn@3.5". fatal() on malformed panels. */
 WorkloadPanel workloadPanelFromSpec(const std::string& spec);
 
-/** A declarative experiment grid. */
+/**
+ * A declarative experiment grid. Each field is one scenario-file key,
+ * a row of the key table in scenario.cc.
+ */
 struct ScenarioSpec
 {
     /** Scenario name (report files, table titles). */
