@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "sched/engine.hh"
 #include "sched/fcfs.hh"
 #include "sched/sjf.hh"
+#include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "test_helpers.hh"
 
 using namespace dysta;
@@ -252,6 +257,182 @@ TEST(Engine, EventsCoverEveryLayerExactlyOnce)
     for (auto& [id, layers] : layers_seen) {
         for (size_t k = 0; k < layers.size(); ++k)
             EXPECT_EQ(layers[k], k) << "request " << id;
+    }
+}
+
+namespace {
+
+/**
+ * Counters and the full schedule of one run, one line per executed
+ * layer: "n<node> r<request> L<layer> <start>-<end>" in ms.
+ */
+std::string
+scheduleLog(const SimResult& r)
+{
+    std::string log = "events=" + std::to_string(r.eventsProcessed) +
+                      " decisions=" + std::to_string(r.decisions) +
+                      " preemptions=" +
+                      std::to_string(r.preemptions) + "\n";
+    char line[96];
+    for (const ClusterEvent& e : r.events) {
+        std::snprintf(line, sizeof line, "n%d r%d L%zu %.3f-%.3f\n",
+                      e.nodeId, e.requestId, e.layer, e.start * 1e3,
+                      e.end * 1e3);
+        log += line;
+    }
+    return log;
+}
+
+/**
+ * Ties at layer boundaries: 1 ms layers on a node that stays busy,
+ * with arrivals and node changes scheduled at exactly its layer
+ * ends. `layerEnd(k)` repeats the node's own arithmetic (a decision
+ * at every 1-layer block boundary, then the layer), so the times tie
+ * bit for bit.
+ */
+class LayerBoundaryTies
+{
+  public:
+    explicit LayerBoundaryTies(double overhead) : overhead(overhead)
+    {
+        world.addModel("long", {1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3});
+        world.addModel("short", {1e-3, 1e-3});
+    }
+
+    double
+    layerEnd(int k) const
+    {
+        double t = 0.0;
+        for (int i = 0; i < k; ++i)
+            t = (t + overhead) + 1e-3;
+        return t;
+    }
+
+    SimResult
+    run(size_t nodes, std::vector<Request>& reqs,
+        std::vector<NodeEvent> node_events, size_t block = 1)
+    {
+        SimConfig cfg = homogeneousCluster(nodes);
+        for (NodeProfile& p : cfg.nodes) {
+            p.decisionOverheadSec = overhead;
+            p.layerBlockSize = block;
+        }
+        cfg.recordEvents = true;
+        cfg.nodeEvents = std::move(node_events);
+        LeastOutstandingDispatcher disp;
+        return runSimulation(cfg, reqs, disp,
+                             [this](const NodeProfile&, int) {
+                                 return std::make_unique<SjfScheduler>(
+                                     world.lut);
+                             });
+    }
+
+    World world;
+    double overhead;
+};
+
+} // namespace
+
+TEST(Engine, LayerBoundaryTiesArePinned)
+{
+    // Arrival sorts before LayerComplete at the same instant, so the
+    // short request arriving at a layer end preempts right there;
+    // NodeChange sorts after it, so a fail at a layer end loses the
+    // step that just started, not the one that just finished.
+    const char* const expected[2][3] = {
+        {
+            // decision overhead 0, one node, block 1
+            "events=24 decisions=16 preemptions=1\n"
+            "n0 r0 L0 0.000-1.000\nn0 r0 L1 1.000-2.000\n"
+            "n0 r1 L0 2.000-3.000\nn0 r1 L1 3.000-4.000\n"
+            "n0 r0 L2 4.000-5.000\nn0 r0 L3 5.000-6.000\n"
+            "n0 r0 L4 6.000-7.000\nn0 r0 L5 7.000-8.000\n"
+            "n0 r3 L0 8.000-9.000\nn0 r3 L1 9.000-10.000\n"
+            "n0 r2 L0 10.000-11.000\nn0 r2 L1 11.000-12.000\n"
+            "n0 r2 L2 12.000-13.000\nn0 r2 L3 13.000-14.000\n"
+            "n0 r2 L4 14.000-15.000\nn0 r2 L5 15.000-16.000\n",
+            // decision overhead 0, one node, block 2
+            "events=24 decisions=8 preemptions=1\n"
+            "n0 r0 L0 0.000-1.000\nn0 r0 L1 1.000-2.000\n"
+            "n0 r1 L0 2.000-3.000\nn0 r1 L1 3.000-4.000\n"
+            "n0 r0 L2 4.000-5.000\nn0 r0 L3 5.000-6.000\n"
+            "n0 r0 L4 6.000-7.000\nn0 r0 L5 7.000-8.000\n"
+            "n0 r3 L0 8.000-9.000\nn0 r3 L1 9.000-10.000\n"
+            "n0 r2 L0 10.000-11.000\nn0 r2 L1 11.000-12.000\n"
+            "n0 r2 L2 12.000-13.000\nn0 r2 L3 13.000-14.000\n"
+            "n0 r2 L4 14.000-15.000\nn0 r2 L5 15.000-16.000\n",
+            // decision overhead 0, two nodes
+            "events=29 decisions=19 preemptions=0\n"
+            "n0 r0 L0 0.000-1.000\nn1 r1 L0 0.000-1.000\n"
+            "n0 r0 L1 1.000-2.000\nn1 r1 L1 1.000-2.000\n"
+            "n0 r0 L2 2.000-3.000\nn0 r0 L3 3.000-4.000\n"
+            "n0 r0 L4 4.000-5.000\nn0 r0 L5 5.000-6.000\n"
+            "n1 r2 L0 5.000-6.000\nn0 r1 L0 6.000-7.000\n"
+            "n1 r2 L1 6.000-7.000\nn0 r1 L1 7.000-8.000\n"
+            "n1 r3 L0 7.000-8.000\nn0 r1 L2 8.000-9.000\n"
+            "n1 r3 L1 8.000-9.000\nn0 r1 L3 9.000-10.000\n"
+            "n0 r1 L4 10.000-11.000\nn0 r1 L5 11.000-12.000\n"},
+        {
+            // decision overhead 0.25 ms, one node, block 1
+            "events=24 decisions=16 preemptions=1\n"
+            "n0 r0 L0 0.250-1.250\nn0 r0 L1 1.500-2.500\n"
+            "n0 r1 L0 2.750-3.750\nn0 r1 L1 4.000-5.000\n"
+            "n0 r0 L2 5.250-6.250\nn0 r0 L3 6.500-7.500\n"
+            "n0 r0 L4 7.750-8.750\nn0 r0 L5 9.000-10.000\n"
+            "n0 r3 L0 10.250-11.250\nn0 r3 L1 11.500-12.500\n"
+            "n0 r2 L0 12.750-13.750\nn0 r2 L1 14.000-15.000\n"
+            "n0 r2 L2 15.250-16.250\nn0 r2 L3 16.500-17.500\n"
+            "n0 r2 L4 17.750-18.750\nn0 r2 L5 19.000-20.000\n",
+            // decision overhead 0.25 ms, one node, block 2
+            "events=24 decisions=8 preemptions=0\n"
+            "n0 r0 L0 0.250-1.250\nn0 r0 L1 1.250-2.250\n"
+            "n0 r0 L2 2.500-3.500\nn0 r0 L3 3.500-4.500\n"
+            "n0 r0 L4 4.750-5.750\nn0 r0 L5 5.750-6.750\n"
+            "n0 r1 L0 7.000-8.000\nn0 r1 L1 8.000-9.000\n"
+            "n0 r3 L0 9.250-10.250\nn0 r3 L1 10.250-11.250\n"
+            "n0 r2 L0 11.500-12.500\nn0 r2 L1 12.500-13.500\n"
+            "n0 r2 L2 13.750-14.750\nn0 r2 L3 14.750-15.750\n"
+            "n0 r2 L4 16.000-17.000\nn0 r2 L5 17.000-18.000\n",
+            // decision overhead 0.25 ms, two nodes
+            "events=29 decisions=19 preemptions=0\n"
+            "n0 r0 L0 0.250-1.250\nn1 r1 L0 0.250-1.250\n"
+            "n0 r0 L1 1.500-2.500\nn1 r1 L1 1.500-2.500\n"
+            "n0 r0 L2 2.750-3.750\nn0 r0 L3 4.000-5.000\n"
+            "n0 r0 L4 5.250-6.250\nn0 r0 L5 6.500-7.500\n"
+            "n1 r2 L0 6.500-7.500\nn0 r1 L0 7.750-8.750\n"
+            "n1 r2 L1 7.750-8.750\nn0 r1 L1 9.000-10.000\n"
+            "n1 r3 L0 9.000-10.000\nn0 r1 L2 10.250-11.250\n"
+            "n1 r3 L1 10.250-11.250\nn0 r1 L3 11.500-12.500\n"
+            "n0 r1 L4 12.750-13.750\nn0 r1 L5 14.000-15.000\n"}};
+    for (int o = 0; o < 2; ++o) {
+        LayerBoundaryTies ties(o == 0 ? 0.0 : 0.25e-3);
+        World& w = ties.world;
+        // One node: r1, r2 and r3 arrive at its second, third and
+        // sixth layer ends (with 2-layer blocks the overhead run
+        // decides only every other layer, so only overhead 0 ties).
+        for (size_t block : {1, 2}) {
+            std::vector<Request> reqs = {
+                w.request(0, "long", 0.0),
+                w.request(1, "short", ties.layerEnd(2)),
+                w.request(2, "long", ties.layerEnd(3)),
+                w.request(3, "short", ties.layerEnd(6))};
+            SimResult r = ties.run(1, reqs, {}, block);
+            EXPECT_EQ(scheduleLog(r), expected[o][block - 1])
+                << "overhead " << ties.overhead << " block " << block;
+        }
+        // Two nodes: node 1 fails at its second layer end, so the
+        // step it just started goes stale, and recovers at node 0's
+        // fourth; r2 and r3 arrive at node 0's fifth.
+        std::vector<Request> reqs = {
+            w.request(0, "long", 0.0), w.request(1, "long", 0.0),
+            w.request(2, "short", ties.layerEnd(5)),
+            w.request(3, "short", ties.layerEnd(5))};
+        SimResult r = ties.run(
+            2, reqs,
+            {{ties.layerEnd(2), 1, NodeEventKind::Fail},
+             {ties.layerEnd(4), 1, NodeEventKind::Recover}});
+        EXPECT_EQ(scheduleLog(r), expected[o][2])
+            << "overhead " << ties.overhead << " two nodes";
     }
 }
 
