@@ -86,6 +86,7 @@ SparseLatencyPredictor::observe(size_t layer, double monitored_sparsity)
     }
     lastLayer = layer;
     ++count;
+    gammaNow = computeGamma();
 }
 
 double
@@ -95,7 +96,7 @@ SparseLatencyPredictor::clampGamma(double g) const
 }
 
 double
-SparseLatencyPredictor::gamma() const
+SparseLatencyPredictor::computeGamma() const
 {
     if (count == 0)
         return 1.0;
@@ -131,15 +132,9 @@ SparseLatencyPredictor::gamma() const
 }
 
 double
-SparseLatencyPredictor::predictRemaining(size_t next_layer) const
-{
-    return cfg.alpha * gamma() * info->estRemaining(next_layer);
-}
-
-double
 SparseLatencyPredictor::predictTotal() const
 {
-    return cfg.alpha * gamma() * info->avgLatency;
+    return cfg.alpha * gammaNow * info->avgLatency;
 }
 
 void
@@ -150,6 +145,7 @@ SparseLatencyPredictor::reset()
     lastDensity = 1.0;
     densitySum = 0.0;
     ema = 1.0;
+    gammaNow = 1.0;
 }
 
 } // namespace dysta

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <string>
 
 #include "chaos/failure.hh"
@@ -23,6 +24,11 @@ namespace {
  * arrivals up front, so the materialized path keeps its historical
  * schedule bit for bit. Retired requests are recorded in `sink`
  * and then handed back to the source.
+ *
+ * A node's next step whose LayerComplete would be the very next pop
+ * never enters the calendar: the LayerComplete case runs it in place
+ * (EventQueue::popsNext / skipPush) and still counts it as an event,
+ * so pop order, seq numbers and eventsProcessed are as if pushed.
  */
 SimResult
 runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
@@ -190,13 +196,13 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                node.profile().speedFactor;
     };
 
-    auto pushLayerEnd = [&](const SimNode& node, double end) {
+    auto layerEnd = [](const SimNode& node, double end) {
         SimEvent ev;
         ev.time = end;
         ev.kind = SimEventKind::LayerComplete;
         ev.node = node.id();
         ev.epoch = node.epoch();
-        calendar.push(ev);
+        return ev;
     };
 
     // At most one pending BatchRelease per node. The hold window can
@@ -216,18 +222,26 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         calendar.push(ev);
     };
 
-    // Start a step on an idle node with queued work, unless its
-    // batcher holds for a fuller batch: the armed BatchRelease
-    // re-evaluates the hold when the fill window expires.
-    auto holdOrStart = [&](SimNode& node, double now) {
+    // Start a step on an idle node with queued work and return its
+    // end, unless its batcher holds for a fuller batch: the armed
+    // BatchRelease re-evaluates the hold when the fill window
+    // expires. The one start path of Decision, BatchRelease and
+    // LayerComplete.
+    auto startOrHold = [&](SimNode& node,
+                           double now) -> std::optional<double> {
         if (node.state() == NodeState::Down || node.busy() ||
             node.outstanding() == 0)
-            return;
+            return std::nullopt;
         double release_at = 0.0;
-        if (node.batchShouldHold(now, &release_at))
+        if (node.batchShouldHold(now, &release_at)) {
             pushBatchRelease(node, release_at);
-        else
-            pushLayerEnd(node, node.beginStep(now));
+            return std::nullopt;
+        }
+        return node.beginStep(now);
+    };
+    auto pushStart = [&](SimNode& node, double now) {
+        if (std::optional<double> end = startOrHold(node, now))
+            calendar.push(layerEnd(node, *end));
     };
 
     size_t finished = 0;
@@ -653,7 +667,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             decision_pending = false;
             applyRebalance(now);
             for (auto& node : nodes)
-                holdOrStart(*node, now);
+                pushStart(*node, now);
             break;
           }
 
@@ -665,29 +679,49 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 break;
             }
 
-            // One step ends: every member advanced its own next layer
-            // over the shared step window.
-            const Request* anchor = node.current();
-            if (cfg.recordEvents) {
-                double lat = node.batchStepLatency();
-                for (const Request* m : node.activeBatch())
-                    result.events.push_back({node.id(), m->id,
-                                             m->nextLayer, now - lat,
-                                             now});
-            }
-            const std::vector<Request*>& completed = node.completeStep();
-            // The anchor drives the sparsity feedback.
-            dispatcher.onLayerComplete(node, *anchor, now,
-                                       node.lastMonitoredSparsity());
-            for (Request* done : completed)
-                retireCompleted(node, done, now);
+            // Each pass ends one step and starts the node's next. A
+            // successor that would be the calendar's next pop runs in
+            // place on the next pass instead of being pushed: nothing
+            // can happen between that push and its pop, so the run
+            // is event for event the same.
+            for (;;) {
+                // One step ends: every member advanced its own next
+                // layer over the shared step window.
+                const Request* anchor = node.current();
+                if (cfg.recordEvents) {
+                    double lat = node.batchStepLatency();
+                    for (const Request* m : node.activeBatch())
+                        result.events.push_back({node.id(), m->id,
+                                                 m->nextLayer,
+                                                 now - lat, now});
+                }
+                const std::vector<Request*>& completed =
+                    node.completeStep();
+                // The anchor drives the sparsity feedback.
+                dispatcher.onLayerComplete(node, *anchor, now,
+                                           node.lastMonitoredSparsity());
+                for (Request* done : completed)
+                    retireCompleted(node, done, now);
 
-            // Continue the non-preemptible block, or make a fresh
-            // dispatch decision at the block boundary.
-            if (node.blockContinues())
-                pushLayerEnd(node, node.continueStep(now));
-            else
-                holdOrStart(node, now);
+                // Continue the non-preemptible block, or make a fresh
+                // dispatch decision at the block boundary.
+                std::optional<double> end =
+                    node.blockContinues()
+                        ? std::optional<double>(node.continueStep(now))
+                        : startOrHold(node, now);
+                if (!end)
+                    break;
+                SimEvent next = layerEnd(node, *end);
+                if (finished + shed_count >= total ||
+                    !calendar.popsNext(next)) {
+                    calendar.push(next);
+                    break;
+                }
+                calendar.skipPush();
+                now = *end;
+                sim_now = now;
+                ++result.eventsProcessed;
+            }
             break;
           }
 
@@ -771,7 +805,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             release_pending[static_cast<size_t>(ev.node)] = -1.0;
             // A no-op when the work started (or vanished) another
             // way; re-arms when the window moved.
-            holdOrStart(node, now);
+            pushStart(node, now);
             break;
           }
         }

@@ -34,6 +34,18 @@ EventQueue::clear()
 }
 
 void
+EventQueue::crossCheckPopsNext(const SimEvent& ev, bool next) const
+{
+    bool below_all = ev.time >= 0.0;
+    for (size_t i = vacant ? 1 : 0; i < heap.size() && below_all; ++i)
+        below_all = sortsBeforeOlder(ev, heap[i]);
+    if (below_all != next)
+        panic(std::string("EventQueue::popsNext: heap answer ") +
+              (next ? "true" : "false") +
+              " disagrees with a scan of every pending event");
+}
+
+void
 EventQueue::rejectEventTime(const SimEvent& ev)
 {
     panic("EventQueue: event time " + std::to_string(ev.time) +

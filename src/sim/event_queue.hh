@@ -38,6 +38,13 @@
  * pending at a time, so the calendar stays a few dozen events deep
  * at most; at that depth a binary heap beats a bucket calendar queue,
  * which only paid off from ~1e4 pending events.
+ *
+ * A node's next LayerComplete that would be the very next pop never
+ * enters the calendar: the run loop asks popsNext(), takes its push
+ * order with skipPush() and runs the step in place. Nothing can
+ * happen between such a push and its pop, so the pop order, the seq
+ * numbers of every other event and the event count stay as if it had
+ * been pushed.
  */
 
 #ifndef DYSTA_SIM_EVENT_QUEUE_HH
@@ -149,6 +156,21 @@ class EventQueue
     /** Remove and return the earliest event. @pre !empty() */
     SimEvent pop();
 
+    /**
+     * Whether `ev`, pushed now, would be the next pop. It would take
+     * the next push order, so it must sort before every pending
+     * event on (time, kind, node) alone. Leaves a deferred-pop
+     * vacancy unsettled; an event push() would reject is never next.
+     */
+    bool popsNext(const SimEvent& ev) const;
+
+    /**
+     * Use up the push order of an event the caller handles in place
+     * instead of pushing (after popsNext), so every later push keeps
+     * the seq it would have had.
+     */
+    void skipPush() { ++nextSeq; }
+
   private:
     std::vector<SimEvent> heap;
     /** heap[0] was handed out by pop() and awaits a refill. */
@@ -158,6 +180,8 @@ class EventQueue
     void settle();
     /** Place `ev` at the root hole and sift it down to its slot. */
     void siftDownFromRoot(const SimEvent& ev);
+    /** Debug builds: popsNext's `next` against a scan of the heap. */
+    void crossCheckPopsNext(const SimEvent& ev, bool next) const;
     [[noreturn]] static void rejectEventTime(const SimEvent& ev);
     [[noreturn]] static void emptyAccess(const char* op);
 };
@@ -173,6 +197,20 @@ operator<(const SimEvent& a, const SimEvent& b)
     if (a.node != b.node)
         return a.node < b.node;
     return a.seq < b.seq;
+}
+
+/**
+ * Whether `fresh`, pushed after `pending`, sorts before it: the push
+ * order breaks a (time, kind, node) tie in `pending`'s favour.
+ */
+inline bool
+sortsBeforeOlder(const SimEvent& fresh, const SimEvent& pending)
+{
+    if (fresh.time != pending.time)
+        return fresh.time < pending.time;
+    if (fresh.kind != pending.kind)
+        return fresh.kind < pending.kind;
+    return fresh.node < pending.node;
 }
 
 inline void
@@ -248,6 +286,23 @@ EventQueue::pop()
         emptyAccess("pop");
     vacant = true;
     return heap.front();
+}
+
+inline bool
+EventQueue::popsNext(const SimEvent& ev) const
+{
+    if (!(ev.time >= 0.0))
+        return false;
+    // A vacant root awaits a refill: the pending minimum is then one
+    // of its children.
+    const size_t first = vacant ? 1 : 0;
+    const size_t n = heap.size();
+    bool next = (first >= n || sortsBeforeOlder(ev, heap[first])) &&
+                (!vacant || n < 3 || sortsBeforeOlder(ev, heap[2]));
+#ifndef NDEBUG
+    crossCheckPopsNext(ev, next);
+#endif
+    return next;
 }
 
 } // namespace dysta

@@ -297,8 +297,13 @@ TEST(PredictorRunningState, GammaMatchesHistoryRecomputeBitForBit)
             for (int l = 0; l < 16; ++l)
                 info.avgLayerSparsity.push_back(rng.uniform(0.0, 0.999));
             info.avgNetworkSparsity = rng.uniform(0.0, 0.999);
+            info.remainingFrom.assign(17, 0.0);
+            for (int l = 15; l >= 0; --l)
+                info.remainingFrom[l] =
+                    info.remainingFrom[l + 1] + rng.uniform(1e-4, 1e-2);
             PredictorConfig cfg;
             cfg.strategy = strategy;
+            cfg.alpha = rng.uniform(0.5, 2.0);
             cfg.lastN = static_cast<int>(rng.uniformInt(1, 6));
             cfg.emaWeight = rng.uniform(0.05, 1.0);
             // A narrow clamp range, so an EMA that strays outside it
@@ -306,6 +311,16 @@ TEST(PredictorRunningState, GammaMatchesHistoryRecomputeBitForBit)
             cfg.gammaMin = rng.uniform(0.3, 0.9);
             cfg.gammaMax = rng.uniform(1.1, 3.0);
             SparseLatencyPredictor pred(info, cfg);
+            // Every remaining-latency prediction reads the same gamma
+            // as the recompute, bit for bit.
+            auto expectPredictions = [&](double gamma) {
+                for (size_t next = 0; next <= 17; ++next)
+                    ASSERT_EQ(bitsOf(pred.predictRemaining(next)),
+                              bitsOf(cfg.alpha * gamma *
+                                     info.estRemaining(next)))
+                        << toString(strategy) << " seed " << seed
+                        << " next layer " << next;
+            };
 
             // Two histories across a reset(): the second must not see
             // the first.
@@ -313,6 +328,7 @@ TEST(PredictorRunningState, GammaMatchesHistoryRecomputeBitForBit)
                 std::vector<size_t> layers;
                 std::vector<double> sparsities;
                 EXPECT_EQ(bitsOf(pred.gamma()), bitsOf(1.0));
+                expectPredictions(1.0);
                 int steps = static_cast<int>(rng.uniformInt(1, 40));
                 for (int k = 0; k < steps; ++k) {
                     auto layer = static_cast<size_t>(rng.uniformInt(
@@ -323,11 +339,12 @@ TEST(PredictorRunningState, GammaMatchesHistoryRecomputeBitForBit)
                     layers.push_back(layer);
                     sparsities.push_back(sparsity);
                     ASSERT_EQ(pred.observations(), layers.size());
-                    ASSERT_EQ(bitsOf(pred.gamma()),
-                              bitsOf(historyGamma(info, cfg, layers,
-                                                  sparsities)))
+                    double gamma =
+                        historyGamma(info, cfg, layers, sparsities);
+                    ASSERT_EQ(bitsOf(pred.gamma()), bitsOf(gamma))
                         << toString(strategy) << " seed " << seed
                         << " round " << round << " step " << k;
+                    expectPredictions(gamma);
                 }
                 pred.reset();
                 EXPECT_EQ(pred.observations(), 0u);

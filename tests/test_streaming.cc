@@ -327,9 +327,15 @@ makeEvent(double time, SimEventKind kind = SimEventKind::LayerComplete,
  * std::multiset holding every pending event under operator<. Times
  * sit on a coarse grid and kinds and nodes on small ranges, so exact
  * (time, kind, node) ties are common and only seq separates them.
+ *
+ * Before each push, popsNext must say whether the event, with the seq
+ * the push will assign, is below every pending one; half the events
+ * it calls next are then handled in place (skipPush) instead, as the
+ * run loop does. `answers` counts its answers by whether the root was
+ * vacant (after a pop) and by the answer.
  */
 void
-checkAgainstReference(uint64_t seed)
+checkAgainstReference(uint64_t seed, size_t (&answers)[2][2])
 {
     EventQueue cal;
     std::multiset<SimEvent> ref;
@@ -337,6 +343,7 @@ checkAgainstReference(uint64_t seed)
     Rng rng(seed);
     double now = 0.0;
     size_t pops = 0;
+    bool vacant = false;
     for (int op = 0; op < 8000; ++op) {
         double roll = rng.uniform();
         if (ref.empty() || roll < 0.5) {
@@ -347,9 +354,21 @@ checkAgainstReference(uint64_t seed)
             SimEvent ev = makeEvent(
                 t, static_cast<SimEventKind>(rng.uniformInt(0, 6)),
                 static_cast<int>(rng.uniformInt(-1, 2)));
+            ev.seq = seq;
+            bool next = cal.popsNext(ev);
+            ASSERT_EQ(next, ref.empty() || ev < *ref.begin())
+                << "seed " << seed << " op " << op;
+            ++answers[vacant][next];
+            ++seq;
+            if (next && rng.uniform() < 0.5) {
+                cal.skipPush();
+                now = t;
+                ++pops;
+                continue;
+            }
             cal.push(ev);
-            ev.seq = seq++;
             ref.insert(ev);
+            vacant = false;
         } else if (roll < 0.9) {
             SimEvent got = cal.pop();
             SimEvent want = *ref.begin();
@@ -364,14 +383,17 @@ checkAgainstReference(uint64_t seed)
                                          << " pop " << pops;
             now = got.time;
             ++pops;
+            vacant = true;
         } else if (roll < 0.995) {
             const SimEvent& top = cal.top();
             ASSERT_EQ(top.seq, ref.begin()->seq)
                 << "seed " << seed << " top after pop " << pops;
+            vacant = false;
         } else {
             cal.clear();
             ref.clear();
             seq = 0;
+            vacant = false;
         }
         ASSERT_EQ(cal.size(), ref.size()) << "seed " << seed;
         ASSERT_EQ(cal.empty(), ref.empty()) << "seed " << seed;
@@ -387,8 +409,15 @@ checkAgainstReference(uint64_t seed)
 
 TEST(Calendars, MatchMultisetReferenceOnRandomInterleavings)
 {
+    size_t answers[2][2] = {};
     for (uint64_t seed = 1; seed <= 6; ++seed)
-        checkAgainstReference(seed * 7919);
+        checkAgainstReference(seed * 7919, answers);
+    // popsNext answered both ways with the root settled and vacant.
+    for (int vacant = 0; vacant < 2; ++vacant) {
+        for (int next = 0; next < 2; ++next)
+            EXPECT_GT(answers[vacant][next], 100u)
+                << "vacant " << vacant << " next " << next;
+    }
 }
 
 TEST(Calendars, DeferredPopVacancyEdges)
@@ -440,6 +469,62 @@ TEST(Calendars, DeferredPopVacancyEdges)
     EXPECT_EQ(cal.size(), 2u);
     EXPECT_EQ(cal.pop().time, 2.0);
     EXPECT_EQ(cal.top().time, 3.0);
+
+    // popsNext against a vacant root with 0, 1 and 2 children. A
+    // (time, kind, node) tie goes to the pending event, pushed
+    // earlier; an event push() would reject is never next.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    cal.clear();
+    cal.push(makeEvent(1.0));
+    cal.pop();
+    EXPECT_TRUE(cal.popsNext(makeEvent(1.0)));
+    EXPECT_TRUE(cal.popsNext(makeEvent(1e9)));
+    EXPECT_FALSE(cal.popsNext(makeEvent(nan)));
+    EXPECT_FALSE(cal.popsNext(makeEvent(-1.0)));
+    cal.push(makeEvent(2.0));
+    cal.push(makeEvent(3.0));
+    cal.pop(); // vacant root, one child: 3.0
+    EXPECT_TRUE(cal.popsNext(makeEvent(2.5)));
+    EXPECT_FALSE(cal.popsNext(makeEvent(3.0)));
+    EXPECT_TRUE(cal.popsNext(makeEvent(3.0, SimEventKind::Arrival)));
+    EXPECT_FALSE(cal.popsNext(makeEvent(3.0, SimEventKind::Decision)));
+    EXPECT_TRUE(cal.popsNext(makeEvent(3.0, SimEventKind::LayerComplete,
+                                       -1)));
+    EXPECT_FALSE(cal.popsNext(makeEvent(3.0, SimEventKind::LayerComplete,
+                                        1)));
+    EXPECT_EQ(cal.size(), 1u);
+    // Vacant root, two children in either order: both are compared.
+    for (double second : {4.0, 6.0}) {
+        cal.clear();
+        cal.push(makeEvent(1.0));
+        cal.push(makeEvent(10.0 - second));
+        cal.push(makeEvent(second));
+        cal.pop();
+        EXPECT_TRUE(cal.popsNext(makeEvent(3.5)));
+        EXPECT_FALSE(cal.popsNext(makeEvent(4.0)));
+        EXPECT_FALSE(cal.popsNext(makeEvent(5.0)));
+        EXPECT_EQ(cal.size(), 2u);
+    }
+    // A settled root is compared directly.
+    EXPECT_EQ(cal.top().time, 4.0);
+    EXPECT_TRUE(cal.popsNext(makeEvent(3.5)));
+    EXPECT_FALSE(cal.popsNext(makeEvent(4.0)));
+
+    // skipPush uses up exactly one seq number and leaves the pending
+    // events as they were.
+    cal.clear();
+    cal.push(makeEvent(1.0));
+    cal.pop();
+    cal.skipPush();
+    cal.push(makeEvent(2.0));
+    cal.skipPush();
+    cal.skipPush();
+    cal.push(makeEvent(2.0));
+    EXPECT_EQ(cal.size(), 2u);
+    SimEvent first = cal.pop();
+    EXPECT_EQ(first.seq, 2u);
+    EXPECT_EQ(cal.pop().seq, 5u);
+    EXPECT_TRUE(cal.empty());
 }
 
 TEST(Calendars, RejectNaNOrNegativeEventTimes)
