@@ -180,6 +180,13 @@ class EventQueue
     void settle();
     /** Place `ev` at the root hole and sift it down to its slot. */
     void siftDownFromRoot(const SimEvent& ev);
+    /**
+     * Whether `fresh`, pushed after `pending`, sorts before it: the
+     * push order breaks a (time, kind, node) tie in `pending`'s
+     * favour.
+     */
+    static bool sortsBeforeOlder(const SimEvent& fresh,
+                                 const SimEvent& pending);
     /** Debug builds: popsNext's `next` against a scan of the heap. */
     void crossCheckPopsNext(const SimEvent& ev, bool next) const;
     [[noreturn]] static void rejectEventTime(const SimEvent& ev);
@@ -199,12 +206,8 @@ operator<(const SimEvent& a, const SimEvent& b)
     return a.seq < b.seq;
 }
 
-/**
- * Whether `fresh`, pushed after `pending`, sorts before it: the push
- * order breaks a (time, kind, node) tie in `pending`'s favour.
- */
 inline bool
-sortsBeforeOlder(const SimEvent& fresh, const SimEvent& pending)
+EventQueue::sortsBeforeOlder(const SimEvent& fresh, const SimEvent& pending)
 {
     if (fresh.time != pending.time)
         return fresh.time < pending.time;
