@@ -102,14 +102,16 @@ def resolve(binary, offsets):
 def attribute(counts, binary):
     """Per-sample (function, 'file:line') with the src/ rule above."""
     binary = os.path.realpath(binary)
-    ours = sorted({off for (obj, off) in counts
-                   if obj != "?" and os.path.realpath(obj) == binary})
+
+    def in_binary(obj):
+        return obj != "?" and os.path.realpath(obj) == binary
+
+    ours = sorted({off for (obj, off) in counts if in_binary(obj)})
     frames = resolve(binary, ours) if ours else {}
     src = os.path.join(REPO, "src") + os.sep
     hits = collections.Counter()
     for (obj, off), n in counts.items():
-        chain = frames.get(off) if obj != "?" and \
-            os.path.realpath(obj) == binary else None
+        chain = frames.get(off) if in_binary(obj) else None
         if not chain:
             hits[("(" + os.path.basename(obj) + ")", "")] += n
             continue
