@@ -86,7 +86,6 @@ SparseLatencyPredictor::observe(size_t layer, double monitored_sparsity)
     }
     lastLayer = layer;
     ++count;
-    gammaNow = computeGamma();
 }
 
 double
@@ -96,7 +95,7 @@ SparseLatencyPredictor::clampGamma(double g) const
 }
 
 double
-SparseLatencyPredictor::computeGamma() const
+SparseLatencyPredictor::gamma() const
 {
     if (count == 0)
         return 1.0;
@@ -132,9 +131,15 @@ SparseLatencyPredictor::computeGamma() const
 }
 
 double
+SparseLatencyPredictor::predictRemaining(size_t next_layer) const
+{
+    return cfg.alpha * gamma() * info->estRemaining(next_layer);
+}
+
+double
 SparseLatencyPredictor::predictTotal() const
 {
-    return cfg.alpha * gammaNow * info->avgLatency;
+    return cfg.alpha * gamma() * info->avgLatency;
 }
 
 void
@@ -145,7 +150,6 @@ SparseLatencyPredictor::reset()
     lastDensity = 1.0;
     densitySum = 0.0;
     ema = 1.0;
-    gammaNow = 1.0;
 }
 
 } // namespace dysta

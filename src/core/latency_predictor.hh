@@ -82,14 +82,10 @@ class SparseLatencyPredictor
     void observe(size_t layer, double monitored_sparsity);
 
     /** Current sparsity (density-ratio) coefficient; 1 if no data. */
-    double gamma() const { return gammaNow; }
+    double gamma() const;
 
     /** Predicted latency of the layers from `next_layer` onward. */
-    double
-    predictRemaining(size_t next_layer) const
-    {
-        return cfg.alpha * gammaNow * info->estRemaining(next_layer);
-    }
+    double predictRemaining(size_t next_layer) const;
 
     /** Predicted end-to-end latency of the whole request. */
     double predictTotal() const;
@@ -108,10 +104,10 @@ class SparseLatencyPredictor
 
     /*
      * Running state instead of an observation history: each strategy
-     * folds observations, in arrival order, into just what its gamma
+     * folds observations, in arrival order, into just what its gamma()
      * reads, so observe() never allocates. Clamping to
-     * [gammaMin, gammaMax] happens only in computeGamma(), which keeps
-     * the result bit-identical to a recompute over the whole history.
+     * [gammaMin, gammaMax] happens only in gamma(), which keeps the
+     * result bit-identical to a recompute over the whole history.
      */
     size_t count = 0;
     /** Layer of the latest observation (last-one, last-N baseline). */
@@ -124,14 +120,8 @@ class SparseLatencyPredictor
     double ema = 1.0;
     /** Ring of the last lastN densities (last-N only; sized once). */
     std::vector<double> window;
-    /**
-     * gamma of the state above, computed once per observe() and
-     * reset(): estimators read it several times per observation.
-     */
-    double gammaNow = 1.0;
 
     double clampGamma(double g) const;
-    double computeGamma() const;
 };
 
 } // namespace dysta

@@ -38,7 +38,7 @@ EventQueue::crossCheckPopsNext(const SimEvent& ev, bool next) const
 {
     bool below_all = ev.time >= 0.0;
     for (size_t i = vacant ? 1 : 0; i < heap.size() && below_all; ++i)
-        below_all = sortsBeforeOlder(ev, heap[i]);
+        below_all = ev < heap[i];
     if (below_all != next)
         panic(std::string("EventQueue::popsNext: heap answer ") +
               (next ? "true" : "false") +

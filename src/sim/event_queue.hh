@@ -157,12 +157,12 @@ class EventQueue
     SimEvent pop();
 
     /**
-     * Whether `ev`, pushed now, would be the next pop. It would take
-     * the next push order, so it must sort before every pending
-     * event on (time, kind, node) alone. Leaves a deferred-pop
-     * vacancy unsettled; an event push() would reject is never next.
+     * Whether `ev`, pushed now, would be the next pop (its `seq` is
+     * overwritten with the next push order, as push() would). Leaves
+     * a deferred-pop vacancy unsettled; an event push() would reject
+     * is never next.
      */
-    bool popsNext(const SimEvent& ev) const;
+    bool popsNext(SimEvent ev) const;
 
     /**
      * Use up the push order of an event the caller handles in place
@@ -180,13 +180,6 @@ class EventQueue
     void settle();
     /** Place `ev` at the root hole and sift it down to its slot. */
     void siftDownFromRoot(const SimEvent& ev);
-    /**
-     * Whether `fresh`, pushed after `pending`, sorts before it: the
-     * push order breaks a (time, kind, node) tie in `pending`'s
-     * favour.
-     */
-    static bool sortsBeforeOlder(const SimEvent& fresh,
-                                 const SimEvent& pending);
     /** Debug builds: popsNext's `next` against a scan of the heap. */
     void crossCheckPopsNext(const SimEvent& ev, bool next) const;
     [[noreturn]] static void rejectEventTime(const SimEvent& ev);
@@ -204,16 +197,6 @@ operator<(const SimEvent& a, const SimEvent& b)
     if (a.node != b.node)
         return a.node < b.node;
     return a.seq < b.seq;
-}
-
-inline bool
-EventQueue::sortsBeforeOlder(const SimEvent& fresh, const SimEvent& pending)
-{
-    if (fresh.time != pending.time)
-        return fresh.time < pending.time;
-    if (fresh.kind != pending.kind)
-        return fresh.kind < pending.kind;
-    return fresh.node < pending.node;
 }
 
 inline void
@@ -292,16 +275,17 @@ EventQueue::pop()
 }
 
 inline bool
-EventQueue::popsNext(const SimEvent& ev) const
+EventQueue::popsNext(SimEvent ev) const
 {
     if (!(ev.time >= 0.0))
         return false;
+    ev.seq = nextSeq;
     // A vacant root awaits a refill: the pending minimum is then one
     // of its children.
     const size_t first = vacant ? 1 : 0;
     const size_t n = heap.size();
-    bool next = (first >= n || sortsBeforeOlder(ev, heap[first])) &&
-                (!vacant || n < 3 || sortsBeforeOlder(ev, heap[2]));
+    bool next = (first >= n || ev < heap[first]) &&
+                (!vacant || n < 3 || ev < heap[2]);
 #ifndef NDEBUG
     crossCheckPopsNext(ev, next);
 #endif

@@ -148,7 +148,9 @@ def main():
               f"{platform.machine()} (the sampler reads x86-64 REG_RIP)")
         return 0
 
-    binary, sampler = build(args.build_dir)
+    # sdysta runs in a scratch directory, so a relative build tree
+    # would not resolve there (neither the binary nor LD_PRELOAD).
+    binary, sampler = build(os.path.abspath(args.build_dir))
     hits = attribute(sample(binary, sampler, args.sdysta_args), binary)
     total = sum(hits.values())
     if total == 0:
