@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace dysta {
 
@@ -13,6 +14,13 @@ DystaScheduler::DystaScheduler(const ModelInfoLut& lut,
           /*refine=*/config.dynamicLevel && config.sparsityAware)),
       cfg(config)
 {
+    // scoreFrom clamps the slack into [slackFloor, slackCapFactor x
+    // T_isol]; a floor at or below zero and a cap at or above it keep
+    // that range ordered for every positive T_isol.
+    fatalIf(!(cfg.slackFloor <= 0.0 && cfg.slackCapFactor >= 0.0),
+            "Dysta: need slack_floor <= 0 <= slack_cap, got slack_floor " +
+                shortestDouble(cfg.slackFloor) + ", slack_cap " +
+                shortestDouble(cfg.slackCapFactor));
 }
 
 std::string

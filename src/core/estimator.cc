@@ -1,6 +1,7 @@
 #include "core/estimator.hh"
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace dysta {
 
@@ -11,6 +12,11 @@ DystaEstimator::DystaEstimator(const ModelInfoLut& table,
                                bool refine)
     : lut(&table), pcfg(predictor_cfg), refineEnabled(refine)
 {
+    // gamma() clamps into [gammaMin, gammaMax].
+    fatalIf(!(pcfg.gammaMin <= pcfg.gammaMax),
+            "DystaEstimator: need gamma_min <= gamma_max, got gamma_min " +
+                shortestDouble(pcfg.gammaMin) + ", gamma_max " +
+                shortestDouble(pcfg.gammaMax));
 }
 
 void

@@ -73,7 +73,11 @@ struct Request
     /**
      * Bumped whenever the in-flight attempt is invalidated (retry,
      * completion, shed): pending Timeout/Hedge calendar events carry
-     * the epoch they were armed under and go stale on mismatch.
+     * the epoch they were armed under and go stale on mismatch. It
+     * restarts at 0 for every request (makeRequest, and the run's
+     * reset at the arrival pump), so it tells the attempts of one
+     * request apart but not two tenants of a recycled arena slot:
+     * that is SimEvent::rid's job.
      */
     uint64_t cancelEpoch = 0;
     /**

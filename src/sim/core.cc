@@ -118,10 +118,29 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     };
 
     // Prime the lazy arrival pump: the first arrival enters the
-    // calendar now, each later one when its predecessor pops.
+    // calendar now, each later one when its predecessor pops. Every
+    // request starts its run here from pristine run state, whatever
+    // the source did with it before (a re-run vector, a recycled
+    // arena slot).
+    const size_t n_tiers = cfg.tierWeights.size();
     auto pushArrival = [&](Request* req) {
         panicIf(req->trace == nullptr || req->trace->layers.empty(),
                 "runSimulation: request without a trace");
+        req->nextLayer = 0;
+        req->executedTime = 0.0;
+        req->lastRunEnd = req->arrival;
+        req->finishTime = -1.0;
+        req->shed = false;
+        req->tier = n_tiers == 0 ? 0
+                                 : tierOfRequest(req->id, cfg.tierWeights,
+                                                 cfg.chaosSeed);
+        req->attempts = 0;
+        req->timeoutAt = -1.0;
+        req->cancelEpoch = 0;
+        req->hedgePeer = nullptr;
+        req->isHedgeClone = false;
+        req->lastNode = -1;
+        req->nodeEnqueueTime = 0.0;
         if (free_slots.empty()) {
             req->slot = slots_made++;
         } else {
@@ -137,19 +156,24 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     if (Request* first = source.next())
         pushArrival(first);
 
-    for (const NodeEvent& nev : cfg.nodeEvents) {
+    auto pushNodeChange = [&](const NodeEvent& nev, bool chaos) {
         if (nev.node < 0 || static_cast<size_t>(nev.node) >= nodes.size())
-            fatal("runSimulation: node event for unknown node " +
+            fatal(std::string("runSimulation: ") +
+                  (chaos ? "chaos" : "node") + " event for unknown node " +
                   std::to_string(nev.node) + " (fleet has " +
                   std::to_string(nodes.size()) + " nodes)");
-        fatalIf(nev.time < 0.0,
-                "runSimulation: node event before time zero");
         SimEvent ev;
         ev.time = nev.time;
         ev.kind = SimEventKind::NodeChange;
         ev.node = nev.node;
         ev.nodeEvent = nev.kind;
+        ev.chaos = chaos;
         calendar.push(ev);
+    };
+    for (const NodeEvent& nev : cfg.nodeEvents) {
+        fatalIf(nev.time < 0.0,
+                "runSimulation: node event before time zero");
+        pushNodeChange(nev, false);
     }
 
     // The stochastic fault pump: exactly one chaos NodeChange lives
@@ -166,20 +190,11 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             chaos_dry = true;
             return;
         }
-        fatalIf(nev.node < 0 ||
-                    static_cast<size_t>(nev.node) >= nodes.size(),
-                "runSimulation: chaos event for an unknown node");
         fatalIf(nev.time < chaos_last,
                 "runSimulation: chaos events must be emitted in "
                 "non-decreasing time order");
         chaos_last = nev.time;
-        SimEvent ev;
-        ev.time = nev.time;
-        ev.kind = SimEventKind::NodeChange;
-        ev.node = nev.node;
-        ev.nodeEvent = nev.kind;
-        ev.chaos = true;
-        calendar.push(ev);
+        pushNodeChange(nev, true);
     };
     if (cfg.chaos != nullptr) {
         cfg.chaos->reset(cfg.nodes, cfg.chaosSeed);
@@ -267,22 +282,14 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     };
 
     // --- chaos-engine run state --------------------------------------
-    // Availability bookkeeping (cheap; reported only when a
-    // resilience mechanism is on).
+    // Counted straight into the stats that report them (cheap;
+    // reported only when a resilience mechanism is on).
+    ResilienceStats rs;
+    rs.tiers.resize(n_tiers);
     std::vector<double> down_since(nodes.size(), -1.0);
     double down_sec = 0.0;
     double repair_sec = 0.0;
     size_t repair_count = 0;
-    size_t fail_count = 0;
-    size_t timeout_count = 0;
-    size_t retries_total = 0;
-    size_t hedge_count = 0;
-    size_t hedge_wins = 0;
-    size_t brownout_sheds = 0;
-    const size_t n_tiers = cfg.tierWeights.size();
-    std::vector<double> tier_completed(n_tiers, 0.0);
-    std::vector<double> tier_violations(n_tiers, 0.0);
-    std::vector<double> tier_shed(n_tiers, 0.0);
 
     // Online tail-latency quantile seeding the hedge delay.
     P2Quantile hedge_lat(cfg.hedge.enabled ? cfg.hedge.quantile : 0.5);
@@ -302,6 +309,8 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         return &clone_pool.back();
     };
     auto dropClone = [&](Request* clone) {
+        if (clone->hedgePeer != nullptr)
+            clone->hedgePeer->hedgePeer = nullptr;
         clone->hedgePeer = nullptr;
         free_clones.push_back(clone);
     };
@@ -318,26 +327,30 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             pushDecision(now);
     };
 
+    // Pull back the losing copy of a hedge. `node` is where it lost,
+    // for telemetry: a failed node has already dropped it.
+    auto pullBackLoser = [&](Request* loser, int node, double now) {
+        if (tele)
+            tele->hedgeCancel(*loser, node, now);
+        cancelCopy(loser, now);
+    };
+
     // Dissolve a primary's live hedge: its clone is pulled back
     // wherever it sits and recycled.
     auto dissolveHedge = [&](Request* primary, double now) {
-        Request* clone = primary->hedgePeer;
-        if (clone == nullptr)
-            return;
-        if (tele)
-            tele->hedgeCancel(*clone, clone->lastNode, now);
-        cancelCopy(clone, now);
-        dropClone(clone);
-        primary->hedgePeer = nullptr;
+        if (Request* clone = primary->hedgePeer) {
+            pullBackLoser(clone, clone->lastNode, now);
+            dropClone(clone);
+        }
     };
 
     auto accountCompleted = [&](const Request& req) {
         if (cfg.hedge.enabled)
             hedge_lat.add(req.finishTime - req.arrival);
         if (req.tier >= 0 && static_cast<size_t>(req.tier) < n_tiers) {
-            tier_completed[req.tier] += 1.0;
+            rs.tiers[req.tier].completed += 1.0;
             if (req.violated())
-                tier_violations[req.tier] += 1.0;
+                rs.tiers[req.tier].violations += 1.0;
         }
     };
 
@@ -349,13 +362,38 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         req->shed = true;
         ++shed_count;
         if (req->tier >= 0 && static_cast<size_t>(req->tier) < n_tiers)
-            tier_shed[req->tier] += 1.0;
+            rs.tiers[req->tier].shed += 1.0;
         dispatcher.onShed(*req, now);
         if (tele)
             tele->shed(*req, now);
         sink.recordShed(*req);
         releaseSlot(req);
         source.retire(req, now);
+    };
+
+    // Timeout and Hedge events carry the request's id and
+    // cancelEpoch at push time: a mismatch at pop marks them stale.
+    auto pushRequestEvent = [&](SimEventKind kind, Request* req,
+                                double at) {
+        SimEvent ev;
+        ev.time = at;
+        ev.kind = kind;
+        ev.req = req;
+        ev.rid = req->id;
+        ev.epoch = req->cancelEpoch;
+        calendar.push(ev);
+    };
+
+    // Per-attempt deadline allowance: each retry re-arms with the
+    // allowance scaled by backoff^attempts (exactly 1 on arrival).
+    auto armTimeout = [&](Request* req, double now) {
+        double window = req->deadline - req->arrival;
+        if (!cfg.retry.enabled || !(window > 0.0))
+            return;
+        req->timeoutAt = now + cfg.retry.timeoutFactor * window *
+                                   std::pow(cfg.retry.backoff,
+                                            req->attempts);
+        pushRequestEvent(SimEventKind::Timeout, req, req->timeoutAt);
     };
 
     // Place one request (fresh arrival, failure re-dispatch or
@@ -404,7 +442,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 }
                 if (now + margin * best_delay > req->deadline) {
                     if (cfg.brownout.enabled) {
-                        ++brownout_sheds;
+                        ++rs.brownoutSheds;
                         if (tele)
                             tele->brownout(*req, now);
                     }
@@ -421,37 +459,17 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                            nodes[pick]->outstanding(), now);
         // Arm hedged dispatch once the latency quantile is seeded:
         // if the request is still unfinished after the tail delay, a
-        // duplicate goes to a second node. Stale events are filtered
-        // by (rid, cancelEpoch).
+        // duplicate goes to a second node.
         if (cfg.hedge.enabled && req->hedgePeer == nullptr &&
             hedge_lat.count() >=
-                static_cast<size_t>(cfg.hedge.minSamples)) {
-            SimEvent hev;
-            hev.time = now + cfg.hedge.factor * hedge_lat.value();
-            hev.kind = SimEventKind::Hedge;
-            hev.req = req;
-            hev.rid = req->id;
-            hev.epoch = req->cancelEpoch;
-            calendar.push(hev);
-        }
+                static_cast<size_t>(cfg.hedge.minSamples))
+            pushRequestEvent(SimEventKind::Hedge, req,
+                             now + cfg.hedge.factor * hedge_lat.value());
         // Dispatch after every arrival of this instant has been
         // placed (admit-then-select): the Decision kind sorts
         // after all same-time arrivals and completions.
         pushDecision(now);
         return true;
-    };
-
-    // Per-attempt deadline allowance: retries re-arm with the
-    // allowance scaled by backoff^attempts.
-    auto pushTimeout = [&](Request* req, double at) {
-        req->timeoutAt = at;
-        SimEvent ev;
-        ev.time = at;
-        ev.kind = SimEventKind::Timeout;
-        ev.req = req;
-        ev.rid = req->id;
-        ev.epoch = req->cancelEpoch;
-        calendar.push(ev);
     };
 
     // Validate and apply the moves of a rebalancing dispatcher. The
@@ -495,10 +513,8 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             Request* prim = done->hedgePeer;
             panicIf(prim == nullptr,
                     "runSimulation: orphan hedge clone completed");
-            ++hedge_wins;
-            if (tele)
-                tele->hedgeCancel(*prim, prim->lastNode, now);
-            cancelCopy(prim, now);
+            ++rs.hedgeWins;
+            pullBackLoser(prim, prim->lastNode, now);
             // Both copies share one id and run slot, so completing
             // the clone retires the primary's estimator state too.
             dispatcher.onComplete(node, *done, now);
@@ -506,7 +522,6 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             prim->executedTime = done->executedTime;
             prim->nextLayer = prim->layerCount();
             ++prim->cancelEpoch;
-            prim->hedgePeer = nullptr;
             dropClone(done);
             logical = prim;
         } else {
@@ -549,31 +564,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             if (Request* next = source.next())
                 pushArrival(next);
             Request* req = ev.req;
-            if (resilience_on) {
-                // Chaos state must be pristine whatever the source's
-                // recycling did (cancelEpoch stays monotonic per
-                // slot: any stale event from a prior tenant also
-                // fails the rid check).
-                req->tier = n_tiers == 0
-                                ? 0
-                                : tierOfRequest(req->id,
-                                                cfg.tierWeights,
-                                                cfg.chaosSeed);
-                req->attempts = 0;
-                req->timeoutAt = -1.0;
-                req->hedgePeer = nullptr;
-                req->isHedgeClone = false;
-            }
             if (tele)
                 tele->arrival(*req, now);
-            bool placed = placeRequest(req, now);
-            if (placed && cfg.retry.enabled) {
-                double window = req->deadline - req->arrival;
-                if (window > 0.0)
-                    pushTimeout(req,
-                                req->arrival +
-                                    cfg.retry.timeoutFactor * window);
-            }
+            if (placeRequest(req, now))
+                armTimeout(req, now);
             break;
           }
 
@@ -601,7 +595,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 const Request* inflight = node.current();
                 std::vector<Request*> displaced = node.fail(now);
                 if (!was_down) {
-                    ++fail_count;
+                    ++rs.failures;
                     down_since[ev.node] = now;
                 }
                 // Hedge clones dissolve in place: the primary (on
@@ -610,10 +604,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 for (Request* req : displaced) {
                     if (!req->isHedgeClone)
                         continue;
-                    if (req->hedgePeer != nullptr)
-                        req->hedgePeer->hedgePeer = nullptr;
-                    if (tele)
-                        tele->hedgeCancel(*req, ev.node, now);
+                    pullBackLoser(req, ev.node, now);
                     dropClone(req);
                 }
                 for (Request* req : displaced) {
@@ -732,7 +723,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             // was recycled entirely (rid mismatch).
             if (ev.rid != req->id || ev.epoch != req->cancelEpoch)
                 break;
-            ++timeout_count;
+            ++rs.timeouts;
             if (tele)
                 tele->timeout(*req, req->lastNode, req->attempts,
                               now);
@@ -745,20 +736,14 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             dispatcher.onCancel(*req, now);
             ++req->cancelEpoch;
             bool budget_ok =
-                static_cast<double>(retries_total) <
-                cfg.retry.budget * static_cast<double>(total);
+                rs.retries < cfg.retry.budget * static_cast<double>(total);
             if (req->attempts < cfg.retry.maxRetries && budget_ok) {
                 ++req->attempts;
-                ++retries_total;
+                ++rs.retries;
                 if (tele)
                     tele->retry(*req, req->attempts, now);
-                if (placeRequest(req, now)) {
-                    double window = req->deadline - req->arrival;
-                    double allowance =
-                        cfg.retry.timeoutFactor * window *
-                        std::pow(cfg.retry.backoff, req->attempts);
-                    pushTimeout(req, now + allowance);
-                }
+                if (placeRequest(req, now))
+                    armTimeout(req, now);
             } else {
                 shedRequest(req, now);
             }
@@ -792,7 +777,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             clone->hedgePeer = req;
             clone->lastNode = -1;
             req->hedgePeer = clone;
-            ++hedge_count;
+            ++rs.hedges;
             nodes[best]->enqueue(clone, now);
             if (tele)
                 tele->hedge(*req, static_cast<int>(best), now);
@@ -819,36 +804,26 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     }
 
     if (batch_on) {
+        // Integer counts sum exactly in doubles.
         BatchStats& bs = result.metrics.batching;
         bs.active = true;
-        size_t formed = 0, joins = 0, steps = 0, member_steps = 0;
-        size_t fill_count = 0;
-        double fill_wait = 0.0;
+        double member_steps = 0.0, fill_wait = 0.0, fill_count = 0.0;
         for (const auto& n : nodes) {
             const SimNode::BatchCounters& c = n->batchCounters();
-            formed += c.formed;
-            joins += c.joins;
-            steps += c.steps;
-            member_steps += c.memberSteps;
+            bs.formed += static_cast<double>(c.formed);
+            bs.joins += static_cast<double>(c.joins);
+            bs.steps += static_cast<double>(c.steps);
+            member_steps += static_cast<double>(c.memberSteps);
             fill_wait += c.fillWaitSec;
-            fill_count += c.fillWaitCount;
+            fill_count += static_cast<double>(c.fillWaitCount);
             bs.stragglerTaxSec += c.stragglerTaxSec;
         }
-        bs.formed = static_cast<double>(formed);
-        bs.joins = static_cast<double>(joins);
-        bs.steps = static_cast<double>(steps);
-        bs.meanOccupancy =
-            steps > 0 ? static_cast<double>(member_steps) /
-                            static_cast<double>(steps)
-                      : 0.0;
+        bs.meanOccupancy = bs.steps > 0.0 ? member_steps / bs.steps : 0.0;
         bs.meanFillWaitSec =
-            fill_count > 0
-                ? fill_wait / static_cast<double>(fill_count)
-                : 0.0;
+            fill_count > 0.0 ? fill_wait / fill_count : 0.0;
     }
 
     if (resilience_on) {
-        ResilienceStats& rs = result.metrics.resilience;
         rs.active = true;
         // Down spells still open when the last request retired count
         // against availability but not as closed repairs.
@@ -863,29 +838,14 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         rs.mttr = repair_count > 0
                       ? repair_sec / static_cast<double>(repair_count)
                       : 0.0;
-        rs.failures = static_cast<double>(fail_count);
-        rs.timeouts = static_cast<double>(timeout_count);
-        rs.retries = static_cast<double>(retries_total);
         rs.retryAmplification =
-            total > 0 ? (static_cast<double>(total) +
-                         static_cast<double>(retries_total)) /
+            total > 0 ? (static_cast<double>(total) + rs.retries) /
                             static_cast<double>(total)
                       : 1.0;
-        rs.hedges = static_cast<double>(hedge_count);
-        rs.hedgeWins = static_cast<double>(hedge_wins);
-        rs.hedgeWinRate =
-            hedge_count > 0 ? static_cast<double>(hedge_wins) /
-                                  static_cast<double>(hedge_count)
-                            : 0.0;
-        rs.brownoutSheds = static_cast<double>(brownout_sheds);
-        rs.tiers.resize(n_tiers);
-        for (size_t t = 0; t < n_tiers; ++t) {
-            rs.tiers[t].completed = tier_completed[t];
-            rs.tiers[t].violations = tier_violations[t];
-            rs.tiers[t].shed = tier_shed[t];
-            // goodput needs the makespan: finalizeMetrics fills it
-            // in after the overload's metrics aggregation.
-        }
+        rs.hedgeWinRate = rs.hedges > 0.0 ? rs.hedgeWins / rs.hedges : 0.0;
+        // Per-tier goodput needs the makespan: runSimulation fills it
+        // in after the metrics aggregation.
+        result.metrics.resilience = std::move(rs);
     }
 
     if (tele)
@@ -909,24 +869,6 @@ SimResult
 runSimulation(const SimConfig& cfg, std::vector<Request>& requests,
               Dispatcher& dispatcher, const PolicyFactory& make_policy)
 {
-    for (auto& req : requests) {
-        panicIf(req.trace == nullptr || req.trace->layers.empty(),
-                "runSimulation: request without a trace");
-        req.nextLayer = 0;
-        req.executedTime = 0.0;
-        req.lastRunEnd = req.arrival;
-        req.finishTime = -1.0;
-        req.shed = false;
-        req.tier = 0;
-        req.attempts = 0;
-        req.timeoutAt = -1.0;
-        req.cancelEpoch = 0;
-        req.hedgePeer = nullptr;
-        req.isHedgeClone = false;
-        req.lastNode = -1;
-        req.nodeEnqueueTime = 0.0;
-    }
-
     MaterializedSource source(requests);
     return runSimulation(cfg, source, dispatcher, make_policy);
 }

@@ -285,7 +285,10 @@ class ForwardingScheduler : public Scheduler
  * `dispatcher`, with per-node policies from `make_policy`.
  * Requests are mutated in place (progress, finish times, shed
  * flags). Runs the streaming overload over a MaterializedSource, so
- * the two overloads agree bit for bit under either metrics kind.
+ * the two overloads agree bit for bit under either metrics kind;
+ * the run state of each request is reset when the arrival pump
+ * takes it from the source, as for every source, so a vector can
+ * be run again.
  * @pre every request has a trace with at least one layer
  */
 SimResult runSimulation(const SimConfig& cfg,

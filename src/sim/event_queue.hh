@@ -103,9 +103,11 @@ struct SimEvent
      */
     uint64_t epoch = 0;
     /**
-     * Request id at push time (Timeout/Hedge only): together with
-     * `epoch` it detects a recycled request-arena slot, so a stale
-     * chaos event can never act on the slot's new tenant.
+     * Request id at push time (Timeout/Hedge only). Ids are unique
+     * within a run, so a mismatch alone detects a recycled
+     * request-arena slot (whose new tenant restarts its cancel-epoch
+     * at 0 and may reach the stamped `epoch` again): a stale chaos
+     * event can never act on the slot's new tenant.
      */
     int rid = -1;
     /**

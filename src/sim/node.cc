@@ -168,12 +168,8 @@ SimNode::removeQueued(Request* req, double now)
             "SimNode::removeQueued: request is in a running batch");
     panicIf(req->nextLayer != 0,
             "SimNode::removeQueued: request already started");
-    auto it = std::find(ready.begin(), ready.end(), req);
-    panicIf(it == ready.end(),
+    panicIf(cancel(req, now) == CancelOutcome::NotHere,
             "SimNode::removeQueued: request not queued here");
-    ready.erase(it);
-    sched->onDequeue(*req, now);
-    req->lastNode = -1;
 }
 
 SimNode::CancelOutcome

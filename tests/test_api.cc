@@ -97,6 +97,26 @@ TEST(PolicyRegistry, UnknownSchedulerErrorListsValidNames)
                 ".*FCFS.*Dysta");
 }
 
+TEST(PolicyRegistry, DystaRejectsInvertedClampRanges)
+{
+    // Each would reach std::clamp with hi < lo, which is undefined.
+    const PolicyRegistry& reg = PolicyRegistry::global();
+    EXPECT_EXIT(reg.makeScheduler("dysta:slack_cap=-1", smallCtx()),
+                ::testing::ExitedWithCode(1),
+                "slack_floor <= 0 <= slack_cap, got slack_floor 0, "
+                "slack_cap -1");
+    EXPECT_EXIT(reg.makeScheduler("dysta:slack_floor=0.5", smallCtx()),
+                ::testing::ExitedWithCode(1),
+                "got slack_floor 0.5, slack_cap 10");
+    EXPECT_EXIT(reg.makeScheduler("dysta:gamma_min=2,gamma_max=0.5",
+                                  smallCtx()),
+                ::testing::ExitedWithCode(1),
+                "gamma_min <= gamma_max, got gamma_min 2, gamma_max 0.5");
+    EXPECT_EXIT(reg.makeEstimator("dysta:gamma_max=0.1", smallCtx()),
+                ::testing::ExitedWithCode(1),
+                "got gamma_min 0.25, gamma_max 0.1");
+}
+
 TEST(PolicyRegistry, UnknownDispatcherErrorListsValidNames)
 {
     EXPECT_EXIT(

@@ -406,6 +406,81 @@ TEST(HedgePolicy, CloneOnFasterNodeWinsAndCancelsPrimary)
     EXPECT_EQ(r.perNodeCompleted[1], 1u);
 }
 
+TEST(HedgePolicy, PrimaryFinishingFirstPullsTheCloneBack)
+{
+    // Two reference nodes. r0 seeds the latency quantile (2.0s); r1
+    // lands on node 0 at 2.1 and is hedged at 2.6 onto node 1, where
+    // the clone would finish at 4.6. The primary finishes first, at
+    // 4.1, so the running clone is pulled back and never completes.
+    SimConfig cfg = homogeneousCluster(2);
+    cfg.hedge.enabled = true;
+    cfg.hedge.factor = 0.25;
+    cfg.hedge.minSamples = 1;
+    Telemetry telemetry;
+    cfg.telemetry = &telemetry;
+    std::vector<Request> reqs = requestsAt({0.0, 2.1});
+    LeastOutstandingDispatcher disp;
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
+
+    EXPECT_EQ(r.metrics.completed, 2u);
+    EXPECT_DOUBLE_EQ(reqs[1].finishTime, 4.1);
+    const ResilienceStats& rs = r.metrics.resilience;
+    ASSERT_TRUE(rs.active);
+    EXPECT_DOUBLE_EQ(rs.hedges, 1.0);
+    EXPECT_DOUBLE_EQ(rs.hedgeWins, 0.0);
+    EXPECT_DOUBLE_EQ(rs.hedgeWinRate, 0.0);
+    EXPECT_EQ(r.perNodeCompleted[0], 2u);
+    EXPECT_EQ(r.perNodeCompleted[1], 0u);
+    size_t cancels = 0;
+    for (const TelemetryEvent& e : telemetry.events()) {
+        if (e.kind != TeleKind::HedgeCancel)
+            continue;
+        ++cancels;
+        EXPECT_EQ(e.node, 1);
+        EXPECT_EQ(e.request, 1);
+        EXPECT_DOUBLE_EQ(e.time, 4.1);
+    }
+    EXPECT_EQ(cancels, 1u);
+}
+
+TEST(HedgePolicy, FailedCloneNodeDissolvesTheCloneInPlace)
+{
+    // The hedge of the previous test, but node 1 fails at 3.0 under
+    // the running clone. The clone dissolves where it died, and the
+    // primary on node 0 completes at 4.1 without a restart.
+    SimConfig cfg = homogeneousCluster(2);
+    cfg.hedge.enabled = true;
+    cfg.hedge.factor = 0.25;
+    cfg.hedge.minSamples = 1;
+    cfg.nodeEvents = {{3.0, 1, NodeEventKind::Fail}};
+    Telemetry telemetry;
+    cfg.telemetry = &telemetry;
+    std::vector<Request> reqs = requestsAt({0.0, 2.1});
+    LeastOutstandingDispatcher disp;
+    SimResult r = runSimulation(cfg, reqs, disp, fcfsNodes());
+
+    EXPECT_EQ(r.metrics.completed, 2u);
+    EXPECT_EQ(r.metrics.shed, 0u);
+    EXPECT_DOUBLE_EQ(reqs[1].finishTime, 4.1);
+    const ResilienceStats& rs = r.metrics.resilience;
+    ASSERT_TRUE(rs.active);
+    EXPECT_DOUBLE_EQ(rs.failures, 1.0);
+    EXPECT_DOUBLE_EQ(rs.hedges, 1.0);
+    EXPECT_DOUBLE_EQ(rs.hedgeWins, 0.0);
+    EXPECT_EQ(telemetry.restarts(), 0u);
+    size_t cancels = 0;
+    for (const TelemetryEvent& e : telemetry.events()) {
+        EXPECT_NE(e.kind, TeleKind::Restart);
+        if (e.kind != TeleKind::HedgeCancel)
+            continue;
+        ++cancels;
+        EXPECT_EQ(e.node, 1);
+        EXPECT_EQ(e.request, 1);
+        EXPECT_DOUBLE_EQ(e.time, 3.0);
+    }
+    EXPECT_EQ(cancels, 1u);
+}
+
 TEST(HedgePolicy, SingleNodeFleetNeverHedges)
 {
     // No second node to duplicate onto: the hedge event fires and

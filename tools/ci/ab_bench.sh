@@ -29,16 +29,28 @@
 # when it is larger than the floor measured by the same protocol.
 #
 # Usage:
-#   tools/ci/ab_bench.sh <base-ref> <workload> <pairs>
-#   tools/ci/ab_bench.sh --aa <workload> <pairs>
+#   tools/ci/ab_bench.sh [--seed N] <base-ref> <workload> <pairs>
+#   tools/ci/ab_bench.sh [--seed N] --aa <workload> <pairs>
 #
 # <workload> is any value perfbench/run.py accepts for --workload,
 # including "all". The benchmark's own run length (--seconds default)
-# applies to both sides.
+# applies to both sides. --seed N is forwarded to every run as
+# `perfbench/run.py --seed N` (the workload seed; default: each
+# scenario's own), for held-out-seed pairs.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/../.." && pwd)"
-usage="usage: ab_bench.sh <base-ref>|--aa <workload> <pairs>"
+usage="usage: ab_bench.sh [--seed N] <base-ref>|--aa <workload> <pairs>"
+seed_args=()
+if [ "${1:-}" = "--seed" ]; then
+    case "${2:-}" in
+        '' | *[!0-9]*) echo "ab_bench: --seed expects a non-negative" \
+                            "integer" >&2
+                       exit 2 ;;
+    esac
+    seed_args=(--seed "$2")
+    shift 2
+fi
 base_ref="${1:?$usage}"
 workload="${2:?$usage}"
 pairs="${3:?$usage}"
@@ -74,6 +86,9 @@ else
          "$pairs pairs"
 fi
 snapshot "$work/head"
+if ((${#seed_args[@]})); then
+    echo "ab_bench: every run with ${seed_args[*]}"
+fi
 echo "ab_bench: base tree $work/base, head tree $work/head"
 
 # Split the usable CPUs into two halves for the concurrent protocol.
@@ -119,7 +134,7 @@ run_side() {
     if [ -n "$cpus" ]; then pin=(taskset -c "$cpus"); fi
     out="$(cd "$tree" && CARGO_TARGET_DIR="$work/target-$side" \
         "${pin[@]}" python3 perfbench/run.py --workload "$workload" \
-        2>"$work/stderr-$pair-$side.log")" || {
+        "${seed_args[@]}" 2>"$work/stderr-$pair-$side.log")" || {
         tail -n 20 "$work/stderr-$pair-$side.log" >&2
         echo "ab_bench: pair $pair: $side run failed" >&2
         return 1

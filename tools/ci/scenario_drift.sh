@@ -4,9 +4,12 @@
 # Builds `sdysta` at <base-ref> (in a temporary git worktree) and at the
 # working tree, runs every scenarios/*.scn of the working tree on both
 # binaries at the CI smoke size, plus tab05 at the benchmark's queue
-# depth, and compares each pair of reports with
+# depth and chaos at 2000 requests (materialized and streaming), and
+# compares each pair of reports with
 # `sdysta --diff` (which ignores the wall-clock 'meta' section) and each
-# pair of their CSV twins byte for byte. It also
+# pair of their CSV twins byte for byte. The traced outputs (chrome
+# trace, series CSV, --gantt stdout) of every chaos cell and both
+# hetero-failover cells must match byte for byte too. It also
 # compares, byte for byte, `sdysta <name> --print-spec` for every built-in
 # name and `sdysta --list-scenarios` stdout. Any difference fails the
 # gate: a change that means to move a result must say so and update this
@@ -86,6 +89,47 @@ done
 # long Dysta-HW scans or its FIFO's host-side overflow.
 check_drift tab05-deep scenarios/tab05.scn \
     --requests 1000 --seeds 20 --samples 60 --jobs 2
+# chaos again deep enough to reach the resilience paths (at the smoke
+# size no cell fires a failure, timeout, retry, hedge win or brown-out
+# shed), once materialized and once streaming.
+deep_chaos=(--requests 2000 --seeds 2 --samples 60 --jobs 2)
+check_drift chaos-deep scenarios/chaos.scn "${deep_chaos[@]}"
+check_drift chaos-deep-streaming scenarios/chaos.scn "${deep_chaos[@]}" \
+    --streaming on
+
+# Re-run one cell with full telemetry on both binaries and compare its
+# chrome trace, series CSV and --gantt stdout (the "Wrote <path>" lines
+# masked) byte for byte.
+check_traced() {
+    local label="$1" scn="$2" cell="$3"
+    local out="$work/reports/$label"
+    shift 3
+    for side in base head; do
+        bin="${side}_bin"
+        "${!bin}" "$scn" "$@" --cell "$cell" --gantt \
+            --chrome-trace "${out}_$side.trace.json" \
+            --series-csv "${out}_$side.series.csv" \
+            --out "${out}_$side.json" |
+            sed 's/^Wrote .*/Wrote <path>/' >"${out}_$side.gantt.txt"
+    done
+    for part in trace.json series.csv gantt.txt; do
+        if cmp -s "${out}_base.$part" "${out}_head.$part"; then
+            echo "scenario_drift: $label: same $part"
+        else
+            drifted+=("$label.$part")
+        fi
+    done
+}
+# Chaos cell 1 traces hedge, hedge_cancel, timeout, retry, brownout
+# and fail/recover/restart events; hetero-failover cell 1 migrations.
+for cell in 0 1 2; do
+    check_traced "chaos-cell$cell" scenarios/chaos.scn "$cell" \
+        --requests 2000 --seeds 1 --samples 60 --jobs 2
+done
+for cell in 0 1; do
+    check_traced "hetero-failover-cell$cell" scenarios/hetero-failover.scn \
+        "$cell" --samples 60 --jobs 2
+done
 
 # The built-in names must resolve to the same specs and list the same.
 for name in $("$base_bin" --list-scenarios |
