@@ -12,7 +12,7 @@ DystaEstimator::DystaEstimator(const ModelInfoLut& table,
                                bool refine)
     : lut(&table), pcfg(predictor_cfg), refineEnabled(refine)
 {
-    // gamma() clamps into [gammaMin, gammaMax].
+    // Each SparseLatencyPredictor clamps its gamma into [gammaMin, gammaMax].
     fatalIf(!(pcfg.gammaMin <= pcfg.gammaMax),
             "DystaEstimator: need gamma_min <= gamma_max, got gamma_min " +
                 shortestDouble(pcfg.gammaMin) + ", gamma_max " +
