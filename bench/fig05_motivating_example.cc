@@ -104,8 +104,7 @@ main()
 
     auto run = [&](Scheduler& policy) {
         std::vector<Request> reqs = build();
-        SchedulerEngine engine;
-        engine.run(reqs, policy);
+        runSingleNode(singleNodeSimConfig(), reqs, policy);
         Outcome o;
         o.resnet_finish = reqs[0].finishTime;
         o.mobilenet_finish = reqs[1].finishTime;

@@ -88,10 +88,11 @@ main(int argc, char** argv)
                                          WorkloadKind::MultiCNN);
         std::vector<Request> reqs =
             buildWorkload(ctx->registry, requests, 11);
-        EngineConfig ecfg;
-        ecfg.recordEvents = true;
-        SchedulerEngine engine(ecfg);
-        SimResult result = engine.run(reqs, *sched);
+        // The sink records every executed layer slice for the chart.
+        Telemetry sink;
+        SimConfig sim = singleNodeSimConfig();
+        sim.telemetry = &sink;
+        SimResult result = runSingleNode(sim, reqs, *sched);
 
         int hand_viol = 0;
         int hand_n = 0;
@@ -117,8 +118,8 @@ main(int argc, char** argv)
             gcfg.windowStart = 0.0;
             gcfg.windowEnd = 2.0;
             gcfg.maxRows = 10;
-            std::printf("%s", renderGantt(result.events, reqs,
-                                          ctx->lut, gcfg).c_str());
+            std::printf("%s", renderGantt(sink, reqs, ctx->lut,
+                                          gcfg).c_str());
         }
     }
     t.print();

@@ -59,8 +59,8 @@ main(int argc, char** argv)
             policy, *ctx, wl.kind);
         std::vector<Request> reqs =
             generateWorkload(wl, ctx->registry);
-        SchedulerEngine engine;
-        SimResult result = engine.run(reqs, *sched);
+        SimResult result =
+            runSingleNode(singleNodeSimConfig(), reqs, *sched);
 
         // Per-application responsiveness.
         std::map<std::string, std::vector<double>> turnaround;

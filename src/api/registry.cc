@@ -193,6 +193,19 @@ PolicyParams::consumed() const
     return known;
 }
 
+void
+PolicyParams::rejectUnconsumed(const std::string& grammar) const
+{
+    std::vector<std::string> left = unconsumed();
+    if (left.empty())
+        return;
+    std::string valid;
+    for (const std::string& key : known)
+        valid += (valid.empty() ? "" : ", ") + key;
+    fatal(grammar + ": unknown parameter '" + left.front() +
+          "' (valid: " + (valid.empty() ? "none" : valid) + ")");
+}
+
 namespace {
 
 /** Reject any parameter the factory did not read. */

@@ -84,6 +84,13 @@ class PolicyParams
     std::vector<std::string> consumed() const;
 
     /**
+     * fatal() naming the first unconsumed key and the consumed ones,
+     * prefixed by `grammar` — the check of the sub-spec parsers
+     * (batcher, retry, hedge, brown-out).
+     */
+    void rejectUnconsumed(const std::string& grammar) const;
+
+    /**
      * The raw key/value list in spec order — for factories that
      * defer construction and must rebuild a PolicyParams later
      * (registerArrivalProcess).

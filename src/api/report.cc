@@ -530,36 +530,36 @@ printTelemetrySummary(const Telemetry& telemetry,
     if (makespan <= 0.0)
         makespan = telemetry.runEnd();
 
+    auto n = [&telemetry](TeleKind kind) {
+        return telemetry.count(kind);
+    };
+    using K = TeleKind;
     // detlint-allow(stdout-print): telemetry summary is user-facing
     // CLI output requested via --gantt/--cell
     std::printf("telemetry: %zu arrivals, %zu dispatches, %zu shed, "
                 "%zu completed; %zu migrations, %zu restarts, "
                 "%zu preemptions\n",
-                telemetry.arrivals(), telemetry.dispatches(),
-                telemetry.sheds(), telemetry.completions(),
-                telemetry.migrations(), telemetry.restarts(),
-                telemetry.preemptionEvents());
+                n(K::Arrival), n(K::Dispatch), n(K::Shed),
+                n(K::Complete), n(K::Migrate), n(K::Restart),
+                n(K::Preempt));
     // detlint-allow(stdout-print): telemetry summary, see above
     std::printf("layers: %zu started = %zu completed + %zu abandoned "
                 "(failures)\n",
-                telemetry.execStarts(), telemetry.layerCompletions(),
+                n(K::ExecStart), n(K::LayerComplete),
                 telemetry.abandonedLayers());
-    if (telemetry.timeouts() + telemetry.retries() +
-            telemetry.hedges() + telemetry.brownouts() >
+    if (n(K::Timeout) + n(K::Retry) + n(K::Hedge) + n(K::Brownout) >
         0) {
         // detlint-allow(stdout-print): telemetry summary, see above
         std::printf("chaos: %zu timeouts, %zu retries, %zu hedges "
                     "(%zu cancels), %zu brownout sheds\n",
-                    telemetry.timeouts(), telemetry.retries(),
-                    telemetry.hedges(), telemetry.hedgeCancels(),
-                    telemetry.brownouts());
+                    n(K::Timeout), n(K::Retry), n(K::Hedge),
+                    n(K::HedgeCancel), n(K::Brownout));
     }
-    if (telemetry.batchesFormed() + telemetry.batchJoins() > 0) {
+    if (n(K::BatchForm) + n(K::BatchJoin) > 0) {
         // detlint-allow(stdout-print): telemetry summary, see above
         std::printf("batching: %zu batches formed, %zu continuous "
                     "joins\n",
-                    telemetry.batchesFormed(),
-                    telemetry.batchJoins());
+                    n(K::BatchForm), n(K::BatchJoin));
     }
 
     const std::vector<NodeTelemetry>& nodes = telemetry.nodes();

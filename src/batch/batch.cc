@@ -38,29 +38,6 @@ parseDelay(const std::string& token, const std::string& what)
     return value * unit;
 }
 
-/** Reject unconsumed spec keys with the registry's error style. */
-void
-rejectUnconsumed(PolicyParams& params, const std::string& grammar)
-{
-    std::vector<std::string> left = params.unconsumed();
-    if (left.empty())
-        return;
-    std::string known;
-    for (const std::string& key : params.consumed())
-        known += (known.empty() ? "" : ", ") + key;
-    fatal(grammar + ": unknown parameter '" + left.front() +
-          "' (valid: " + (known.empty() ? "none" : known) + ")");
-}
-
-/** Canonical short decimal for spec round-tripping ("0.002"). */
-std::string
-trimmedNumber(double v)
-{
-    char buf[64];
-    snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
-
 } // namespace
 
 std::string
@@ -91,17 +68,6 @@ batchComposeFromName(const std::string& name)
     return BatchCompose::Fifo;
 }
 
-std::string
-BatchConfig::str() const
-{
-    if (!enabled)
-        return "";
-    return "batcher:size=" + std::to_string(maxSize) +
-           ",delay=" + trimmedNumber(maxDelaySec) +
-           "s,compose=" + toString(compose) +
-           ",overhead=" + trimmedNumber(overhead);
-}
-
 BatchConfig
 batchConfigFromSpec(const std::string& spec)
 {
@@ -120,7 +86,7 @@ batchConfigFromSpec(const std::string& spec)
     cfg.compose = batchComposeFromName(
         params.getString("compose", toString(cfg.compose)));
     cfg.overhead = params.getDouble("overhead", cfg.overhead);
-    rejectUnconsumed(params, "batcher spec '" + spec + "'");
+    params.rejectUnconsumed("batcher spec '" + spec + "'");
     fatalIf(cfg.maxSize < 1,
             "batcher spec '" + spec + "': size must be >= 1");
     fatalIf(cfg.overhead < 0.0,

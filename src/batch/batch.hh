@@ -78,9 +78,6 @@ struct BatchConfig
      * step costs max-member-latency * (1 + overhead * (k - 1)).
      */
     double overhead = 0.05;
-
-    /** Canonical spec form ("" when disabled). */
-    std::string str() const;
 };
 
 /**

@@ -31,23 +31,6 @@ parseSeconds(const std::string& token, const std::string& what)
     return value;
 }
 
-/**
- * Reject unconsumed spec keys with the registry's error style: the
- * typo'd key and the list of keys the grammar understands.
- */
-void
-rejectUnconsumed(PolicyParams& params, const std::string& grammar)
-{
-    std::vector<std::string> left = params.unconsumed();
-    if (left.empty())
-        return;
-    std::string known;
-    for (const std::string& key : params.consumed())
-        known += (known.empty() ? "" : ", ") + key;
-    fatal(grammar + ": unknown parameter '" + left.front() +
-          "' (valid: " + (known.empty() ? "none" : known) + ")");
-}
-
 } // namespace
 
 double
@@ -132,7 +115,7 @@ retryConfigFromSpec(const std::string& spec)
     cfg.backoff = params.getDouble("backoff", cfg.backoff);
     cfg.timeoutFactor = params.getDouble("timeout", cfg.timeoutFactor);
     cfg.budget = params.getDouble("budget", cfg.budget);
-    rejectUnconsumed(params, "retry spec '" + spec + "'");
+    params.rejectUnconsumed("retry spec '" + spec + "'");
     fatalIf(cfg.maxRetries < 0,
             "retry spec '" + spec + "': max must be >= 0");
     fatalIf(cfg.backoff < 1.0,
@@ -158,7 +141,7 @@ hedgeConfigFromSpec(const std::string& spec)
     cfg.quantile = params.getDouble("quantile", cfg.quantile);
     cfg.factor = params.getDouble("factor", cfg.factor);
     cfg.minSamples = params.getInt("min_samples", cfg.minSamples);
-    rejectUnconsumed(params, "hedge spec '" + spec + "'");
+    params.rejectUnconsumed("hedge spec '" + spec + "'");
     fatalIf(!(cfg.quantile > 0.0) || !(cfg.quantile < 1.0),
             "hedge spec '" + spec + "': quantile must be in (0, 1)");
     fatalIf(!(cfg.factor > 0.0),
@@ -181,7 +164,7 @@ brownoutConfigFromSpec(const std::string& spec)
     PolicyParams params(parsed);
     cfg.enabled = true;
     cfg.step = params.getDouble("step", cfg.step);
-    rejectUnconsumed(params, "brownout spec '" + spec + "'");
+    params.rejectUnconsumed("brownout spec '" + spec + "'");
     fatalIf(cfg.step < 0.0,
             "brownout spec '" + spec + "': step must be >= 0");
     return cfg;

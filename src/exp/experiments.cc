@@ -98,8 +98,7 @@ runOne(const BenchContext& ctx, const WorkloadConfig& workload,
 {
     std::vector<Request> requests =
         generateWorkload(workload, ctx.registry);
-    SchedulerEngine engine;
-    return engine.run(requests, policy);
+    return runSingleNode(singleNodeSimConfig(), requests, policy);
 }
 
 Metrics

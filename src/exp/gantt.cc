@@ -9,12 +9,58 @@
 
 namespace dysta {
 
+namespace {
+
+/** Request-identifying lane character: id mod 36 -> '0'-'9a-z'. */
+char
+requestChar(int id)
+{
+    int slot = id % 36;
+    if (slot < 0)
+        slot += 36;
+    return slot < 10 ? static_cast<char>('0' + slot)
+                     : static_cast<char>('a' + slot - 10);
+}
+
+/** Column range [c0, c1] covered by [lo, hi) within the window. */
+bool
+columnSpan(double lo, double hi, double t0, double col_width,
+           size_t columns, size_t& c0, size_t& c1)
+{
+    if (hi <= lo)
+        return false;
+    c0 = static_cast<size_t>((lo - t0) / col_width);
+    // A slice ending exactly on a column boundary does not own that
+    // column.
+    double hi_cols = (hi - t0) / col_width;
+    c1 = static_cast<size_t>(std::max(std::ceil(hi_cols) - 1.0, 0.0));
+    c0 = std::min(c0, columns - 1);
+    c1 = std::min(std::max(c1, c0), columns - 1);
+    return true;
+}
+
+/** fatal() unless `telemetry` kept its event log. */
+void
+requireEventLog(const Telemetry& telemetry, const char* renderer)
+{
+    fatalIf(!telemetry.config().recordEvents,
+            std::string(renderer) +
+                ": telemetry ran without event recording");
+}
+
+} // namespace
+
 std::string
-renderGantt(const std::vector<ClusterEvent>& events,
+renderGantt(const Telemetry& telemetry,
             const std::vector<Request>& requests,
             const ModelInfoLut& lut, GanttConfig config)
 {
-    if (events.empty())
+    requireEventLog(telemetry, "renderGantt");
+    std::vector<TelemetryEvent> slices;
+    for (const TelemetryEvent& ev : telemetry.orderedEvents())
+        if (ev.kind == TeleKind::LayerComplete)
+            slices.push_back(ev);
+    if (slices.empty())
         return "(no schedule events recorded)\n";
     panicIf(config.columns == 0, "renderGantt: zero columns");
 
@@ -22,8 +68,8 @@ renderGantt(const std::vector<ClusterEvent>& events,
     double t1 = config.windowEnd;
     if (t1 <= t0) {
         t1 = 0.0;
-        for (const auto& ev : events)
-            t1 = std::max(t1, ev.end);
+        for (const TelemetryEvent& ev : slices)
+            t1 = std::max(t1, ev.time);
     }
     double span = t1 - t0;
     if (span <= 0.0)
@@ -31,11 +77,11 @@ renderGantt(const std::vector<ClusterEvent>& events,
 
     // Busy time per request inside the window, for row selection.
     std::map<int, double> busy;
-    for (const auto& ev : events) {
+    for (const TelemetryEvent& ev : slices) {
         double lo = std::max(ev.start, t0);
-        double hi = std::min(ev.end, t1);
+        double hi = std::min(ev.time, t1);
         if (hi > lo)
-            busy[ev.requestId] += hi - lo;
+            busy[ev.request] += hi - lo;
     }
     std::vector<std::pair<int, double>> rows(busy.begin(), busy.end());
     std::stable_sort(rows.begin(), rows.end(),
@@ -60,23 +106,15 @@ renderGantt(const std::vector<ClusterEvent>& events,
     for (const auto& [id, busy_time] : rows) {
         (void)busy_time;
         std::string lane(config.columns, '.');
-        for (const auto& ev : events) {
-            if (ev.requestId != id)
-                continue;
-            double lo = std::max(ev.start, t0);
-            double hi = std::min(ev.end, t1);
-            if (hi <= lo)
-                continue;
-            auto c0 = static_cast<size_t>((lo - t0) / col_width);
-            // An event ending exactly on a column boundary does not
-            // own that column.
-            double hi_cols = (hi - t0) / col_width;
-            auto c1 = static_cast<size_t>(
-                std::max(std::ceil(hi_cols) - 1.0, 0.0));
-            c0 = std::min(c0, config.columns - 1);
-            c1 = std::min(std::max(c1, c0), config.columns - 1);
-            for (size_t c = c0; c <= c1; ++c)
-                lane[c] = '#';
+        for (const TelemetryEvent& ev : slices) {
+            size_t c0 = 0;
+            size_t c1 = 0;
+            if (ev.request == id &&
+                columnSpan(std::max(ev.start, t0), std::min(ev.time, t1),
+                           t0, col_width, config.columns, c0, c1)) {
+                for (size_t c = c0; c <= c1; ++c)
+                    lane[c] = '#';
+            }
         }
         const Request* req = by_id.count(id) ? by_id.at(id) : nullptr;
         char label[64];
@@ -87,46 +125,12 @@ renderGantt(const std::vector<ClusterEvent>& events,
     return out;
 }
 
-namespace {
-
-/** Request-identifying lane character: id mod 36 -> '0'-'9a-z'. */
-char
-requestChar(int id)
-{
-    int slot = id % 36;
-    if (slot < 0)
-        slot += 36;
-    return slot < 10 ? static_cast<char>('0' + slot)
-                     : static_cast<char>('a' + slot - 10);
-}
-
-/** Column range [c0, c1] covered by [lo, hi) within the window. */
-bool
-columnSpan(double lo, double hi, double t0, double col_width,
-           size_t columns, size_t& c0, size_t& c1)
-{
-    if (hi <= lo)
-        return false;
-    c0 = static_cast<size_t>((lo - t0) / col_width);
-    // A slice ending exactly on a column boundary does not own that
-    // column (same convention as the per-request renderer).
-    double hi_cols = (hi - t0) / col_width;
-    c1 = static_cast<size_t>(std::max(std::ceil(hi_cols) - 1.0, 0.0));
-    c0 = std::min(c0, columns - 1);
-    c1 = std::min(std::max(c1, c0), columns - 1);
-    return true;
-}
-
-} // namespace
-
 std::string
 renderTelemetryGantt(const Telemetry& telemetry,
                      const std::vector<std::string>& node_names,
                      GanttConfig config)
 {
-    fatalIf(!telemetry.config().recordEvents,
-            "renderTelemetryGantt: telemetry ran without event "
-            "recording");
+    requireEventLog(telemetry, "renderTelemetryGantt");
     panicIf(config.columns == 0, "renderTelemetryGantt: zero columns");
 
     // Chronological view: undoes the ring rotation when a retention

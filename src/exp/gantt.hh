@@ -2,19 +2,19 @@
  * @file
  * ASCII Gantt renderers.
  *
- * Two views share one bucketing scheme (fixed-width columns over a
- * time window):
+ * Two views of one recorded telemetry event stream (a run with
+ * `SimConfig::telemetry` set and `TelemetryConfig::recordEvents`)
+ * share one bucketing scheme (fixed-width columns over a time
+ * window). Both draw the `LayerComplete` execution slices, the same
+ * events the Chrome-trace exporter consumes:
  *
- *  - `renderGantt`: the per-request view over a run's recorded
- *    `ClusterEvent`s (`SimConfig::recordEvents`) — one row per
- *    request, '#' where it holds an accelerator. Makes preemption
- *    behaviour visible in examples.
- *  - `renderTelemetryGantt`: the cluster view over a recorded
- *    telemetry event stream — one lane per *node*, each execution
- *    slice drawn with a character identifying the request
- *    (id mod 36 -> '0'-'9a-z'), '.' idle and 'x' while the node is
- *    down. Works for any fleet because it consumes the same events
- *    the Chrome-trace exporter does (`sdysta --gantt`).
+ *  - `renderGantt`: the per-request view — one row per request, '#'
+ *    where it holds an accelerator. Makes preemption behaviour
+ *    visible in examples.
+ *  - `renderTelemetryGantt`: the cluster view — one lane per *node*,
+ *    each execution slice drawn with a character identifying the
+ *    request (id mod 36 -> '0'-'9a-z'), '.' idle and 'x' while the
+ *    node is down (`sdysta --gantt`).
  */
 
 #ifndef DYSTA_EXP_GANTT_HH
@@ -25,7 +25,6 @@
 
 #include "core/model_info.hh"
 #include "obs/telemetry.hh"
-#include "sim/core.hh"
 
 namespace dysta {
 
@@ -43,12 +42,13 @@ struct GanttConfig
 };
 
 /**
- * Render schedule events as an ASCII Gantt chart.
- * @param events   recorded execution slots (SimResult::events)
- * @param requests the requests the events refer to (for labels)
- * @param lut      the table the requests' ModelKeys index (names)
+ * Render a recorded telemetry run as a per-request ASCII Gantt
+ * chart. Requires `TelemetryConfig::recordEvents`; fatal() otherwise.
+ * @param telemetry the run's sink
+ * @param requests  the requests the events refer to (for labels)
+ * @param lut       the table the requests' ModelKeys index (names)
  */
-std::string renderGantt(const std::vector<ClusterEvent>& events,
+std::string renderGantt(const Telemetry& telemetry,
                         const std::vector<Request>& requests,
                         const ModelInfoLut& lut,
                         GanttConfig config = {});
@@ -56,7 +56,7 @@ std::string renderGantt(const std::vector<ClusterEvent>& events,
 /**
  * Render a recorded telemetry run as a per-node ASCII Gantt chart
  * (`maxRows` caps the node lanes, not requests). Requires
- * `recordEvents`; fatal() otherwise.
+ * `TelemetryConfig::recordEvents`; fatal() otherwise.
  * @param node_names one display name per node ("node<i>" fallback)
  */
 std::string

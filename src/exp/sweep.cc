@@ -143,26 +143,26 @@ runSweepCell(const BenchContext& ctx, const SweepCell& cell)
                                   cell.workload.kind);
         panicIf(single_policy == nullptr,
                 "runSweepCell: cell policy factory returned null");
-        single_policy->reset();
         EngineConfig ecfg;
         ecfg.layerBlockSize = cell.layerBlockSize;
         sim = singleNodeSimConfig(ecfg);
-        dispatcher = std::make_unique<SingleNodeDispatcher>();
-        Scheduler& policy = *single_policy;
-        factory = [&policy](const NodeProfile&, int) {
-            return std::make_unique<ForwardingScheduler>(policy);
-        };
     }
     sim.telemetry = sink;
     sim.metricsKind = cell.metricsKind;
 
+    // `input` is a request vector or an arrival source.
+    auto run = [&](auto& input) {
+        return single_policy
+                   ? runSingleNode(sim, input, *single_policy)
+                   : runSimulation(sim, input, *dispatcher, factory);
+    };
     if (cell.streaming) {
         WorkloadArrivalSource source(cell.workload, ctx.registry);
-        return runSimulation(sim, source, *dispatcher, factory);
+        return run(source);
     }
     std::vector<Request> requests =
         generateWorkload(cell.workload, ctx.registry);
-    return runSimulation(sim, requests, *dispatcher, factory);
+    return run(requests);
 }
 
 std::vector<SweepCell>

@@ -53,29 +53,14 @@ Telemetry::addProbe(const std::string& name,
     probes.push_back(std::move(probe));
 }
 
-std::vector<std::string>
-Telemetry::probeNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(probes.size());
-    for (const Probe& probe : probes)
-        names.push_back(probe.name);
-    return names;
-}
-
 void
 Telemetry::beginRun(size_t num_nodes)
 {
     log.clear();
     perNode.assign(num_nodes, NodeTelemetry{});
     endTime = 0.0;
-    numArrivals = numDispatches = numSheds = 0;
-    numMigrations = numRestarts = numCompletions = 0;
-    numPreemptions = numExecStarts = numLayerCompletions = 0;
+    counts.fill(0);
     numAbandoned = 0;
-    numTimeouts = numRetries = numHedges = 0;
-    numHedgeCancels = numBrownouts = 0;
-    numBatchesFormed = numBatchJoins = 0;
     ringHead = 0;
     numDroppedEvents = 0;
     for (Probe& probe : probes) {
@@ -104,6 +89,7 @@ Telemetry::nodeRef(int node)
 void
 Telemetry::record(const TelemetryEvent& ev)
 {
+    ++counts[static_cast<size_t>(ev.kind)];
     if (!cfg.recordEvents)
         return;
     if (cfg.maxEvents == 0 || log.size() < cfg.maxEvents) {
@@ -163,7 +149,6 @@ Telemetry::orderedSamples(size_t node) const
 void
 Telemetry::arrival(const Request& req, double now)
 {
-    ++numArrivals;
     record({now, TeleKind::Arrival, -1, req.id, -1, 0.0, 0.0, -1});
 }
 
@@ -171,7 +156,6 @@ void
 Telemetry::dispatch(const Request& req, int node, size_t depth,
                     double now)
 {
-    ++numDispatches;
     NodeTelemetry& nt = nodeRef(node);
     ++nt.dispatched;
     nt.depth = static_cast<int>(depth);
@@ -192,7 +176,6 @@ Telemetry::dispatch(const Request& req, int node, size_t depth,
 void
 Telemetry::shed(const Request& req, double now)
 {
-    ++numSheds;
     record({now, TeleKind::Shed, -1, req.id, -1, 0.0, 0.0, -1});
     for (Probe& probe : probes)
         probe.est->release(req);
@@ -202,7 +185,6 @@ void
 Telemetry::execStart(const Request& req, int node, size_t layer,
                      double now)
 {
-    ++numExecStarts;
     NodeTelemetry& nt = nodeRef(node);
     ++nt.layersStarted;
     nt.running = true;
@@ -215,7 +197,6 @@ void
 Telemetry::layerComplete(const Request& req, int node, size_t layer,
                          double start, double end, double sparsity)
 {
-    ++numLayerCompletions;
     NodeTelemetry& nt = nodeRef(node);
     ++nt.layersCompleted;
     nt.running = false;
@@ -245,7 +226,6 @@ Telemetry::layerComplete(const Request& req, int node, size_t layer,
 void
 Telemetry::preempt(const Request& req, int node, double now)
 {
-    ++numPreemptions;
     NodeTelemetry& nt = nodeRef(node);
     ++nt.preemptions;
     record({now, TeleKind::Preempt, node, req.id, -1, 0.0, 0.0, -1});
@@ -255,7 +235,6 @@ void
 Telemetry::migrate(const Request& req, int from, int to,
                    size_t from_depth, size_t to_depth, double now)
 {
-    ++numMigrations;
     NodeTelemetry& src = nodeRef(from);
     ++src.migratedOut;
     src.depth = static_cast<int>(from_depth);
@@ -273,7 +252,6 @@ Telemetry::migrate(const Request& req, int from, int to,
 void
 Telemetry::restartFromFailure(const Request& req, int node, double now)
 {
-    ++numRestarts;
     record({now, TeleKind::Restart, node, req.id, -1, 0.0, 0.0, -1});
     // The restarted request re-enters through the dispatcher; drop
     // probe state so its re-admission starts a fresh prediction.
@@ -285,7 +263,6 @@ void
 Telemetry::timeout(const Request& req, int node, int attempt,
                    double now)
 {
-    ++numTimeouts;
     record({now, TeleKind::Timeout, node, req.id, -1, 0.0,
             static_cast<double>(attempt), -1});
     // The attempt is void; a retry re-admits through dispatch(), so
@@ -297,7 +274,6 @@ Telemetry::timeout(const Request& req, int node, int attempt,
 void
 Telemetry::retry(const Request& req, int attempt, double now)
 {
-    ++numRetries;
     record({now, TeleKind::Retry, -1, req.id, -1, 0.0,
             static_cast<double>(attempt), -1});
 }
@@ -305,14 +281,12 @@ Telemetry::retry(const Request& req, int attempt, double now)
 void
 Telemetry::hedge(const Request& req, int node, double now)
 {
-    ++numHedges;
     record({now, TeleKind::Hedge, node, req.id, -1, 0.0, 0.0, -1});
 }
 
 void
 Telemetry::hedgeCancel(const Request& req, int node, double now)
 {
-    ++numHedgeCancels;
     // No probe release: the copies share an id and run slot, and the
     // winning copy's complete()/the primary's lifecycle owns that
     // state.
@@ -323,7 +297,6 @@ Telemetry::hedgeCancel(const Request& req, int node, double now)
 void
 Telemetry::brownout(const Request& req, double now)
 {
-    ++numBrownouts;
     record({now, TeleKind::Brownout, -1, req.id, -1, 0.0,
             static_cast<double>(req.tier), -1});
 }
@@ -332,7 +305,6 @@ void
 Telemetry::batchForm(const Request& req, int node, size_t occupancy,
                      double now)
 {
-    ++numBatchesFormed;
     record({now, TeleKind::BatchForm, node, req.id, -1, 0.0,
             static_cast<double>(occupancy), -1});
 }
@@ -341,7 +313,6 @@ void
 Telemetry::batchJoin(const Request& req, int node, size_t layer,
                      double now)
 {
-    ++numBatchJoins;
     record({now, TeleKind::BatchJoin, node, req.id,
             static_cast<int>(layer), 0.0, 0.0, -1});
 }
@@ -378,7 +349,6 @@ void
 Telemetry::complete(const Request& req, int node, size_t depth,
                     double now)
 {
-    ++numCompletions;
     NodeTelemetry& nt = nodeRef(node);
     ++nt.completed;
     nt.depth = static_cast<int>(depth);

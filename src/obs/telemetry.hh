@@ -36,6 +36,7 @@
 #ifndef DYSTA_OBS_TELEMETRY_HH
 #define DYSTA_OBS_TELEMETRY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -71,6 +72,10 @@ enum class TeleKind : uint8_t
     BatchForm = 17,    ///< a batch formed around its anchor request
     BatchJoin = 18,    ///< request joined a running batch mid-block
 };
+
+/** Number of TeleKind values (the run-total array's size). */
+constexpr size_t kNumTeleKinds =
+    static_cast<size_t>(TeleKind::BatchJoin) + 1;
 
 std::string toString(TeleKind kind);
 
@@ -179,9 +184,6 @@ class Telemetry
     void addProbe(const std::string& name,
                   std::unique_ptr<LatencyEstimator> estimator);
 
-    /** Probe specs registered, in order. */
-    std::vector<std::string> probeNames() const;
-
     // --- sink interface (called by the simulation core) --------------
     /** Reset all state for a run over `num_nodes` nodes. */
     void beginRun(size_t num_nodes);
@@ -259,23 +261,16 @@ class Telemetry
     double runEnd() const { return endTime; }
 
     // --- run totals ---------------------------------------------------
-    size_t arrivals() const { return numArrivals; }
-    size_t dispatches() const { return numDispatches; }
-    size_t sheds() const { return numSheds; }
-    size_t migrations() const { return numMigrations; }
-    size_t restarts() const { return numRestarts; }
-    size_t completions() const { return numCompletions; }
-    size_t preemptionEvents() const { return numPreemptions; }
-    size_t execStarts() const { return numExecStarts; }
-    size_t layerCompletions() const { return numLayerCompletions; }
+    /**
+     * Events of `kind` emitted this run, counted whether or not the
+     * event log is kept.
+     */
+    size_t count(TeleKind kind) const
+    {
+        return counts[static_cast<size_t>(kind)];
+    }
+    /** Layers in flight when their node failed (never completed). */
     size_t abandonedLayers() const { return numAbandoned; }
-    size_t timeouts() const { return numTimeouts; }
-    size_t retries() const { return numRetries; }
-    size_t hedges() const { return numHedges; }
-    size_t hedgeCancels() const { return numHedgeCancels; }
-    size_t brownouts() const { return numBrownouts; }
-    size_t batchesFormed() const { return numBatchesFormed; }
-    size_t batchJoins() const { return numBatchJoins; }
 
   private:
     struct Probe
@@ -298,23 +293,8 @@ class Telemetry
     std::vector<Probe> probes;
     double endTime = 0.0;
 
-    size_t numArrivals = 0;
-    size_t numDispatches = 0;
-    size_t numSheds = 0;
-    size_t numMigrations = 0;
-    size_t numRestarts = 0;
-    size_t numCompletions = 0;
-    size_t numPreemptions = 0;
-    size_t numExecStarts = 0;
-    size_t numLayerCompletions = 0;
+    std::array<size_t, kNumTeleKinds> counts{};
     size_t numAbandoned = 0;
-    size_t numTimeouts = 0;
-    size_t numRetries = 0;
-    size_t numHedges = 0;
-    size_t numHedgeCancels = 0;
-    size_t numBrownouts = 0;
-    size_t numBatchesFormed = 0;
-    size_t numBatchJoins = 0;
     /** Ring rotation point of `log` when the cap is active. */
     size_t ringHead = 0;
     size_t numDroppedEvents = 0;

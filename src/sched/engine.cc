@@ -1,5 +1,7 @@
 #include "sched/engine.hh"
 
+#include "util/logging.hh"
+
 namespace dysta {
 
 SimConfig
@@ -10,43 +12,40 @@ singleNodeSimConfig(const EngineConfig& cfg)
     profile.decisionOverheadSec = cfg.decisionOverheadSec;
     profile.layerBlockSize = cfg.layerBlockSize;
     sim.nodes.push_back(profile);
-    sim.recordEvents = cfg.recordEvents;
     return sim;
 }
 
 namespace {
 
-/** Both run overloads: `input` is a request vector or a source. */
+/** Both overloads: `input` is a request vector or a source. */
 template <typename Input>
 SimResult
-runOnOneNode(const EngineConfig& cfg, Input& input, Scheduler& policy)
+runOnOneNode(const SimConfig& cfg, Input& input, Scheduler& policy)
 {
+    if (cfg.nodes.size() != 1)
+        fatal("runSingleNode: need a one-node config, got " +
+              std::to_string(cfg.nodes.size()) + " nodes");
     policy.reset();
 
     SingleNodeDispatcher dispatcher;
     PolicyFactory factory = [&policy](const NodeProfile&, int) {
         return std::make_unique<ForwardingScheduler>(policy);
     };
-    return runSimulation(singleNodeSimConfig(cfg), input, dispatcher,
-                         factory);
+    return runSimulation(cfg, input, dispatcher, factory);
 }
 
 } // namespace
 
-SchedulerEngine::SchedulerEngine(EngineConfig config)
-    : cfg(config)
-{
-}
-
 SimResult
-SchedulerEngine::run(std::vector<Request>& requests,
-                     Scheduler& policy) const
+runSingleNode(const SimConfig& cfg, std::vector<Request>& requests,
+              Scheduler& policy)
 {
     return runOnOneNode(cfg, requests, policy);
 }
 
 SimResult
-SchedulerEngine::run(ArrivalSource& source, Scheduler& policy) const
+runSingleNode(const SimConfig& cfg, ArrivalSource& source,
+              Scheduler& policy)
 {
     return runOnOneNode(cfg, source, policy);
 }

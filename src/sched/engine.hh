@@ -1,6 +1,6 @@
 /**
  * @file
- * Single-accelerator scheduling helper (Phase 2, Fig. 7 right half).
+ * Single-accelerator runs (Phase 2, Fig. 7 right half).
  *
  * Replays a set of requests (each bound to a Phase-1 trace) against a
  * scheduling policy on a single time-shared accelerator. Execution is
@@ -11,7 +11,9 @@
  * The run is `runSimulation` (src/sim/core.hh) with one node and a
  * `SingleNodeDispatcher`, configured through `singleNodeSimConfig` —
  * the same function `runSweepCell` uses for its single-accelerator
- * cells — so this helper and the scenario cells cannot drift apart.
+ * cells — so these runs and the scenario cells cannot drift apart.
+ * A caller that wants the per-layer schedule (a Gantt chart) sets
+ * `SimConfig::telemetry` on the config before the run.
  */
 
 #ifndef DYSTA_SCHED_ENGINE_HH
@@ -34,8 +36,12 @@ struct EngineConfig
      * scheduler).
      */
     double decisionOverheadSec = 0.0;
-    /** Record per-layer schedule events (memory-heavy; off for sweeps). */
-    bool recordEvents = false;
+    /**
+     * Unread, like SimConfig::recordEvents: kept only because the
+     * benchmark harness (perfbench/src/tracing.cc) still copies it
+     * there; deleted with it in the next benchmark-touching change.
+     */
+    EventRecording recordEvents{};
     /**
      * Layers executed per non-preemptible block (Sec. 4.2.2 allows
      * "per-layer or per-layer-block" granularity). The monitor still
@@ -46,33 +52,26 @@ struct EngineConfig
 };
 
 /** The one-node SimConfig an EngineConfig describes. */
-SimConfig singleNodeSimConfig(const EngineConfig& cfg);
+SimConfig singleNodeSimConfig(const EngineConfig& cfg = {});
 
-/** Single-accelerator, layer-granular scheduling simulator. */
-class SchedulerEngine
-{
-  public:
-    explicit SchedulerEngine(EngineConfig config = {});
+/**
+ * Execute all requests to completion under `policy` on the one node
+ * of `cfg` (a `singleNodeSimConfig`). Resets `policy` first.
+ * Requests are mutated in place (progress, finish times).
+ * @pre every request has a trace with at least one layer.
+ */
+SimResult runSingleNode(const SimConfig& cfg,
+                        std::vector<Request>& requests,
+                        Scheduler& policy);
 
-    /**
-     * Execute all requests to completion under `policy`.
-     * Requests are mutated in place (progress, finish times).
-     * @pre every request has a trace with at least one layer.
-     */
-    SimResult run(std::vector<Request>& requests,
-                  Scheduler& policy) const;
-
-    /**
-     * Streaming overload: requests are pulled lazily from `source`
-     * and retired back to it on completion, keeping memory bounded
-     * by the in-flight set. Bit-identical schedule to the vector
-     * overload for the same workload seed.
-     */
-    SimResult run(ArrivalSource& source, Scheduler& policy) const;
-
-  private:
-    EngineConfig cfg;
-};
+/**
+ * Streaming overload: requests are pulled lazily from `source` and
+ * retired back to it on completion, keeping memory bounded by the
+ * in-flight set. Bit-identical schedule to the vector overload for
+ * the same workload seed.
+ */
+SimResult runSingleNode(const SimConfig& cfg, ArrivalSource& source,
+                        Scheduler& policy);
 
 } // namespace dysta
 

@@ -679,13 +679,6 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 // One step ends: every member advanced its own next
                 // layer over the shared step window.
                 const Request* anchor = node.current();
-                if (cfg.recordEvents) {
-                    double lat = node.batchStepLatency();
-                    for (const Request* m : node.activeBatch())
-                        result.events.push_back({node.id(), m->id,
-                                                 m->nextLayer,
-                                                 now - lat, now});
-                }
                 const std::vector<Request*>& completed =
                     node.completeStep();
                 // The anchor drives the sparsity feedback.

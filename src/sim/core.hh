@@ -12,10 +12,11 @@
  *
  * `SimConfig` is the only runtime configuration. Scenario cells
  * resolve their spec strings into one in `runSweepCell`
- * (src/exp/sweep.cc); `SchedulerEngine` (src/sched/engine.hh) is
- * the one-accelerator helper that runs this function with one node
- * and a `SingleNodeDispatcher`. Preemption and decision counting
- * are therefore defined once, in `SimNode`, whatever the fleet.
+ * (src/exp/sweep.cc); `runSingleNode` (src/sched/engine.hh) runs
+ * this function with one node and a `SingleNodeDispatcher`.
+ * Preemption and decision counting are therefore defined once, in
+ * `SimNode`, whatever the fleet. Executed layer slices are recorded
+ * once, as Telemetry `LayerComplete` events (`SimConfig::telemetry`).
  */
 
 #ifndef DYSTA_SIM_CORE_HH
@@ -47,6 +48,16 @@ class FailureProcess;
 enum class CalendarKind : uint8_t
 {
     Heap = 0,
+};
+
+/**
+ * The one way a run records its layer slices: as Telemetry
+ * `LayerComplete` events (a one-value remnant; see
+ * SimConfig::recordEvents).
+ */
+enum class EventRecording : uint8_t
+{
+    Telemetry = 0,
 };
 
 /** One scheduled availability change of one node. */
@@ -89,23 +100,18 @@ struct AdmissionConfig
     double margin = 1.0;
 };
 
-/** One scheduled execution slot on one node (optional Gantt record). */
-struct ClusterEvent
-{
-    int nodeId = -1;
-    int requestId = -1;
-    size_t layer = 0;
-    double start = 0.0;
-    double end = 0.0;
-};
-
 /** Simulation topology and knobs. */
 struct SimConfig
 {
     /** One profile per node (size = fleet size). */
     std::vector<NodeProfile> nodes;
-    /** Record per-layer schedule events (memory-heavy; off for sweeps). */
-    bool recordEvents = false;
+    /**
+     * Unread: layer slices are recorded only by `telemetry`. Kept
+     * only because the benchmark harness (perfbench/src/tracing.cc)
+     * still copies EngineConfig::recordEvents into it; deleted with
+     * `calendar` below in the next benchmark-touching change.
+     */
+    EventRecording recordEvents{};
     /** Front-door load shedding. */
     AdmissionConfig admission;
     /**
@@ -211,7 +217,6 @@ struct SimResult
     size_t decisions = 0;
     /** Completed-request count per node (load balance view). */
     std::vector<size_t> perNodeCompleted;
-    std::vector<ClusterEvent> events;
     /** Calendar events processed (events/sec denominators). */
     size_t eventsProcessed = 0;
 };
@@ -226,9 +231,8 @@ using PolicyFactory = std::function<std::unique_ptr<Scheduler>(
 /**
  * Non-owning adapter presenting a caller-owned policy as a
  * `unique_ptr`-owned one, so a one-node run over a `Scheduler&`
- * (SchedulerEngine, runSweepCell's single-accelerator cells) can
- * feed it to a `PolicyFactory`. Forwards every callback, including
- * the heap-backed `pickNext` fast path.
+ * (`runSingleNode`) can feed it to a `PolicyFactory`. Forwards every
+ * callback, including the heap-backed `pickNext` fast path.
  */
 class ForwardingScheduler : public Scheduler
 {

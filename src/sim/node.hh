@@ -7,8 +7,8 @@
  * with layer-granular, non-preemptible-block semantics — the
  * paper's Fig. 7 loop, implemented exactly once in the repository.
  * `runSimulation` (src/sim/core.hh) drives N of them off one event
- * calendar; the single-accelerator `SchedulerEngine` is the 1-node
- * instance of that run.
+ * calendar; a single-accelerator run (`runSingleNode`) is the
+ * 1-node instance of that run.
  *
  * Heterogeneity is first-class: every node carries a `NodeHw`
  * accelerator configuration (hardware class, PE count, clock) from

@@ -108,12 +108,11 @@ expectBatchOfOneEquivalence(const std::vector<NodeProfile>& nodes,
     }
     const SimResult& off = runs[0];
     const SimResult& one = runs[1];
-    EXPECT_EQ(sinks[0].execStarts(), sinks[1].execStarts()) << policy;
-    EXPECT_EQ(sinks[0].layerCompletions(), sinks[1].layerCompletions())
-        << policy;
-    EXPECT_EQ(sinks[0].restarts(), sinks[1].restarts()) << policy;
-    EXPECT_EQ(sinks[0].batchesFormed(), 0u) << policy;
-    EXPECT_EQ(sinks[1].batchesFormed(), one.decisions) << policy;
+    for (TeleKind kind : {TeleKind::ExecStart, TeleKind::LayerComplete,
+                          TeleKind::Restart})
+        EXPECT_EQ(sinks[0].count(kind), sinks[1].count(kind)) << policy;
+    EXPECT_EQ(sinks[0].count(TeleKind::BatchForm), 0u) << policy;
+    EXPECT_EQ(sinks[1].count(TeleKind::BatchForm), one.decisions) << policy;
     EXPECT_FALSE(off.metrics.batching.active) << policy;
     EXPECT_TRUE(one.metrics.batching.active) << policy;
     EXPECT_EQ(one.metrics.batching.meanOccupancy, 1.0) << policy;
@@ -132,7 +131,7 @@ expectBatchOfOneEquivalence(const std::vector<NodeProfile>& nodes,
     for (size_t i = 0; i < reqs[0].size(); ++i)
         EXPECT_EQ(reqs[0][i].finishTime, reqs[1][i].finishTime)
             << policy << " request " << i;
-    return {off.preemptions, sinks[0].restarts()};
+    return {off.preemptions, sinks[0].count(TeleKind::Restart)};
 }
 
 /** A batching cell over the profiled AttNN workload. */
@@ -155,11 +154,10 @@ batchCell(const std::string& batcher)
 
 // --- spec grammar -----------------------------------------------------------
 
-TEST(BatchSpecs, EmptySpecDisablesAndFullSpecRoundTrips)
+TEST(BatchSpecs, EmptySpecDisablesAndFullSpecParses)
 {
     BatchConfig off = batchConfigFromSpec("");
     EXPECT_FALSE(off.enabled);
-    EXPECT_EQ(off.str(), "");
 
     BatchConfig cfg = batchConfigFromSpec(
         "batcher:size=8,delay=2ms,compose=sparsity,overhead=0.1");
@@ -168,11 +166,6 @@ TEST(BatchSpecs, EmptySpecDisablesAndFullSpecRoundTrips)
     EXPECT_DOUBLE_EQ(cfg.maxDelaySec, 0.002);
     EXPECT_EQ(cfg.compose, BatchCompose::Sparsity);
     EXPECT_DOUBLE_EQ(cfg.overhead, 0.1);
-    // str() round-trips through the parser.
-    BatchConfig again = batchConfigFromSpec(cfg.str());
-    EXPECT_EQ(again.str(), cfg.str());
-    EXPECT_EQ(again.maxSize, cfg.maxSize);
-    EXPECT_DOUBLE_EQ(again.maxDelaySec, cfg.maxDelaySec);
 
     // Delay accepts seconds with or without a unit suffix.
     EXPECT_DOUBLE_EQ(
@@ -697,9 +690,9 @@ TEST(BatchDeterminism, BatchingOffKeepsReportsInert)
     EXPECT_EQ(r.metrics.batching.steps, 0.0);
     EXPECT_EQ(r.metrics.batching.meanOccupancy, 0.0);
     // Its batches of one emit no batch telemetry either.
-    EXPECT_GT(sink.layerCompletions(), 0u);
-    EXPECT_EQ(sink.batchesFormed(), 0u);
-    EXPECT_EQ(sink.batchJoins(), 0u);
+    EXPECT_GT(sink.count(TeleKind::LayerComplete), 0u);
+    EXPECT_EQ(sink.count(TeleKind::BatchForm), 0u);
+    EXPECT_EQ(sink.count(TeleKind::BatchJoin), 0u);
 }
 
 TEST(BatchDeterminism, BatchOfOneMatchesTheUnbatchedRun)

@@ -467,7 +467,7 @@ TEST(HedgePolicy, FailedCloneNodeDissolvesTheCloneInPlace)
     EXPECT_DOUBLE_EQ(rs.failures, 1.0);
     EXPECT_DOUBLE_EQ(rs.hedges, 1.0);
     EXPECT_DOUBLE_EQ(rs.hedgeWins, 0.0);
-    EXPECT_EQ(telemetry.restarts(), 0u);
+    EXPECT_EQ(telemetry.count(TeleKind::Restart), 0u);
     size_t cancels = 0;
     for (const TelemetryEvent& e : telemetry.events()) {
         EXPECT_NE(e.kind, TeleKind::Restart);
@@ -604,7 +604,7 @@ TEST(TelemetryRing, CapKeepsMostRecentEventsInOrder)
         EXPECT_DOUBLE_EQ(ordered[i].time,
                          static_cast<double>(6 + i));
     // Counters are unaffected by the cap.
-    EXPECT_EQ(telemetry.arrivals(), 10u);
+    EXPECT_EQ(telemetry.count(TeleKind::Arrival), 10u);
 }
 
 TEST(TelemetryRing, UnboundedLogIsUntouched)

@@ -350,11 +350,11 @@ TEST(Dysta, BeatsFcfsOnAntt)
         reqs.push_back(
             w.request(i, i % 2 ? "big" : "small", t, 10.0));
     }
-    SchedulerEngine engine;
     DystaScheduler dysta(w.lut);
     FcfsScheduler fcfs;
     auto reqs_copy = reqs;
-    double dysta_antt = engine.run(reqs, dysta).metrics.antt;
-    double fcfs_antt = engine.run(reqs_copy, fcfs).metrics.antt;
+    SimConfig one = singleNodeSimConfig();
+    double dysta_antt = runSingleNode(one, reqs, dysta).metrics.antt;
+    double fcfs_antt = runSingleNode(one, reqs_copy, fcfs).metrics.antt;
     EXPECT_LT(dysta_antt, fcfs_antt);
 }

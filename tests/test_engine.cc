@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the event-driven scheduling engine and the metrics:
  * completion semantics, idle handling, layer-granular preemption,
- * decision overhead, event recording, and metric formulas.
+ * decision overhead, layer-slice recording, and metric formulas.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +33,16 @@ twoModelWorld()
     return w;
 }
 
+/** One-node run of `reqs` whose layer slices `sink` records. */
+SimResult
+runRecorded(std::vector<Request>& reqs, Scheduler& policy,
+            Telemetry& sink)
+{
+    SimConfig sim = singleNodeSimConfig();
+    sim.telemetry = &sink;
+    return runSingleNode(sim, reqs, policy);
+}
+
 } // namespace
 
 TEST(Engine, SingleRequestFinishesAtArrivalPlusIsolated)
@@ -40,8 +50,7 @@ TEST(Engine, SingleRequestFinishesAtArrivalPlusIsolated)
     World w = twoModelWorld();
     std::vector<Request> reqs = {w.request(0, "long", 0.5)};
     FcfsScheduler fcfs;
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, fcfs);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, fcfs);
 
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 4.5);
     EXPECT_TRUE(reqs[0].done());
@@ -56,8 +65,7 @@ TEST(Engine, IdleGapJumpsToNextArrival)
     std::vector<Request> reqs = {w.request(0, "short", 0.0),
                                  w.request(1, "short", 10.0)};
     FcfsScheduler fcfs;
-    SchedulerEngine engine;
-    engine.run(reqs, fcfs);
+    runSingleNode(singleNodeSimConfig(), reqs, fcfs);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.2);
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 10.2);
 }
@@ -69,8 +77,7 @@ TEST(Engine, FcfsDoesNotPreempt)
     std::vector<Request> reqs = {w.request(0, "long", 0.0),
                                  w.request(1, "short", 0.5)};
     FcfsScheduler fcfs;
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, fcfs);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, fcfs);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 4.0);
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 4.2);
     EXPECT_EQ(r.preemptions, 0u);
@@ -82,8 +89,7 @@ TEST(Engine, SjfPreemptsAtLayerBoundary)
     std::vector<Request> reqs = {w.request(0, "long", 0.0),
                                  w.request(1, "short", 0.5)};
     SjfScheduler sjf(w.lut);
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, sjf);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, sjf);
     // The short job preempts after the long job's first layer ends
     // at t=1, runs 1.0..1.2; the long job resumes and ends at 4.2.
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 1.2);
@@ -100,8 +106,7 @@ TEST(Engine, ExecutionNeverPreemptsWithinLayer)
     std::vector<Request> reqs = {w.request(0, "chunky", 0.0),
                                  w.request(1, "tiny", 0.5)};
     SjfScheduler sjf(w.lut);
-    SchedulerEngine engine;
-    engine.run(reqs, sjf);
+    runSingleNode(singleNodeSimConfig(), reqs, sjf);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 2.0);
     EXPECT_DOUBLE_EQ(reqs[1].finishTime, 2.01);
 }
@@ -113,8 +118,7 @@ TEST(Engine, DecisionOverheadAddsTime)
     FcfsScheduler fcfs;
     EngineConfig cfg;
     cfg.decisionOverheadSec = 0.05;
-    SchedulerEngine engine(cfg);
-    engine.run(reqs, fcfs);
+    runSingleNode(singleNodeSimConfig(cfg), reqs, fcfs);
     // Two layers, one decision before each.
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.2 + 2 * 0.05);
 }
@@ -124,16 +128,15 @@ TEST(Engine, RecordsExecutionSlots)
     World w = twoModelWorld();
     std::vector<Request> reqs = {w.request(0, "short", 0.0)};
     FcfsScheduler fcfs;
-    EngineConfig cfg;
-    cfg.recordEvents = true;
-    SchedulerEngine engine(cfg);
-    SimResult r = engine.run(reqs, fcfs);
-    ASSERT_EQ(r.events.size(), 2u);
-    EXPECT_EQ(r.events[0].requestId, 0);
-    EXPECT_EQ(r.events[0].layer, 0u);
-    EXPECT_DOUBLE_EQ(r.events[0].start, 0.0);
-    EXPECT_DOUBLE_EQ(r.events[0].end, 0.1);
-    EXPECT_DOUBLE_EQ(r.events[1].start, 0.1);
+    Telemetry sink;
+    runRecorded(reqs, fcfs, sink);
+    std::vector<TelemetryEvent> slices = test::layerSlices(sink);
+    ASSERT_EQ(slices.size(), 2u);
+    EXPECT_EQ(slices[0].request, 0);
+    EXPECT_EQ(slices[0].layer, 0);
+    EXPECT_DOUBLE_EQ(slices[0].start, 0.0);
+    EXPECT_DOUBLE_EQ(slices[0].time, 0.1);
+    EXPECT_DOUBLE_EQ(slices[1].start, 0.1);
 }
 
 TEST(Engine, DecisionCountMatchesLayerTotal)
@@ -142,8 +145,7 @@ TEST(Engine, DecisionCountMatchesLayerTotal)
     std::vector<Request> reqs = {w.request(0, "long", 0.0),
                                  w.request(1, "short", 0.0)};
     FcfsScheduler fcfs;
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, fcfs);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, fcfs);
     // One decision per executed layer.
     EXPECT_EQ(r.decisions, 6u);
 }
@@ -154,9 +156,8 @@ TEST(Engine, RerunAfterResetIsIdentical)
     std::vector<Request> reqs = {w.request(0, "long", 0.0),
                                  w.request(1, "short", 0.3)};
     SjfScheduler sjf(w.lut);
-    SchedulerEngine engine;
-    SimResult r1 = engine.run(reqs, sjf);
-    SimResult r2 = engine.run(reqs, sjf);
+    SimResult r1 = runSingleNode(singleNodeSimConfig(), reqs, sjf);
+    SimResult r2 = runSingleNode(singleNodeSimConfig(), reqs, sjf);
     EXPECT_DOUBLE_EQ(r1.metrics.antt, r2.metrics.antt);
     EXPECT_EQ(r1.preemptions, r2.preemptions);
 }
@@ -166,8 +167,7 @@ TEST(Engine, LastRunEndTracksExecution)
     World w = twoModelWorld();
     std::vector<Request> reqs = {w.request(0, "long", 0.0)};
     FcfsScheduler fcfs;
-    SchedulerEngine engine;
-    engine.run(reqs, fcfs);
+    runSingleNode(singleNodeSimConfig(), reqs, fcfs);
     EXPECT_DOUBLE_EQ(reqs[0].lastRunEnd, 4.0);
 }
 
@@ -179,8 +179,7 @@ TEST(Engine, BlockGranularityDefersPreemption)
     SjfScheduler sjf(w.lut);
     EngineConfig cfg;
     cfg.layerBlockSize = 4; // whole model in one block
-    SchedulerEngine engine(cfg);
-    SimResult r = engine.run(reqs, sjf);
+    SimResult r = runSingleNode(singleNodeSimConfig(cfg), reqs, sjf);
     // The long job runs all four layers non-preemptibly; the short
     // one cannot jump in at t=1 as it does with per-layer blocks.
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 4.0);
@@ -196,8 +195,7 @@ TEST(Engine, BlockGranularityReducesDecisions)
     FcfsScheduler fcfs;
     EngineConfig cfg;
     cfg.layerBlockSize = 2;
-    SchedulerEngine engine(cfg);
-    SimResult r = engine.run(reqs, fcfs);
+    SimResult r = runSingleNode(singleNodeSimConfig(cfg), reqs, fcfs);
     // 8 layers in blocks of 2 -> 4 decisions.
     EXPECT_EQ(r.decisions, 4u);
     EXPECT_EQ(r.metrics.completed, 2u);
@@ -210,8 +208,7 @@ TEST(Engine, BlockLargerThanModelIsHarmless)
     FcfsScheduler fcfs;
     EngineConfig cfg;
     cfg.layerBlockSize = 100;
-    SchedulerEngine engine(cfg);
-    SimResult r = engine.run(reqs, fcfs);
+    SimResult r = runSingleNode(singleNodeSimConfig(cfg), reqs, fcfs);
     EXPECT_DOUBLE_EQ(reqs[0].finishTime, 0.2);
     EXPECT_EQ(r.decisions, 1u);
 }
@@ -227,14 +224,13 @@ TEST(Engine, EventsAreGaplessWhileWorkIsQueued)
     for (int i = 0; i < 10; ++i)
         reqs.push_back(w.request(i, i % 2 ? "long" : "short", 0.0));
     SjfScheduler sjf(w.lut);
-    EngineConfig cfg;
-    cfg.recordEvents = true;
-    SchedulerEngine engine(cfg);
-    SimResult r = engine.run(reqs, sjf);
-    ASSERT_FALSE(r.events.empty());
-    EXPECT_DOUBLE_EQ(r.events.front().start, 0.0);
-    for (size_t e = 1; e < r.events.size(); ++e) {
-        EXPECT_NEAR(r.events[e].start, r.events[e - 1].end, 1e-12);
+    Telemetry sink;
+    runRecorded(reqs, sjf, sink);
+    std::vector<TelemetryEvent> slices = test::layerSlices(sink);
+    ASSERT_FALSE(slices.empty());
+    EXPECT_DOUBLE_EQ(slices.front().start, 0.0);
+    for (size_t e = 1; e < slices.size(); ++e) {
+        EXPECT_NEAR(slices[e].start, slices[e - 1].time, 1e-12);
     }
 }
 
@@ -244,19 +240,18 @@ TEST(Engine, EventsCoverEveryLayerExactlyOnce)
     std::vector<Request> reqs = {w.request(0, "long", 0.0),
                                  w.request(1, "short", 0.1)};
     SjfScheduler sjf(w.lut);
-    EngineConfig cfg;
-    cfg.recordEvents = true;
-    SchedulerEngine engine(cfg);
-    SimResult r = engine.run(reqs, sjf);
-    std::map<int, std::vector<size_t>> layers_seen;
-    for (const auto& ev : r.events)
-        layers_seen[ev.requestId].push_back(ev.layer);
+    Telemetry sink;
+    runRecorded(reqs, sjf, sink);
+    std::map<int, std::vector<int>> layers_seen;
+    for (const TelemetryEvent& ev : test::layerSlices(sink))
+        layers_seen[ev.request].push_back(ev.layer);
     ASSERT_EQ(layers_seen[0].size(), 4u);
     ASSERT_EQ(layers_seen[1].size(), 2u);
     // Per request, layers execute in order with no repeats.
     for (auto& [id, layers] : layers_seen) {
         for (size_t k = 0; k < layers.size(); ++k)
-            EXPECT_EQ(layers[k], k) << "request " << id;
+            EXPECT_EQ(layers[k], static_cast<int>(k))
+                << "request " << id;
     }
 }
 
@@ -264,20 +259,21 @@ namespace {
 
 /**
  * Counters and the full schedule of one run, one line per executed
- * layer: "n<node> r<request> L<layer> <start>-<end>" in ms.
+ * layer slice `sink` recorded: "n<node> r<request> L<layer>
+ * <start>-<end>" in ms.
  */
 std::string
-scheduleLog(const SimResult& r)
+scheduleLog(const SimResult& r, const Telemetry& sink)
 {
     std::string log = "events=" + std::to_string(r.eventsProcessed) +
                       " decisions=" + std::to_string(r.decisions) +
                       " preemptions=" +
                       std::to_string(r.preemptions) + "\n";
     char line[96];
-    for (const ClusterEvent& e : r.events) {
-        std::snprintf(line, sizeof line, "n%d r%d L%zu %.3f-%.3f\n",
-                      e.nodeId, e.requestId, e.layer, e.start * 1e3,
-                      e.end * 1e3);
+    for (const TelemetryEvent& e : test::layerSlices(sink)) {
+        std::snprintf(line, sizeof line, "n%d r%d L%d %.3f-%.3f\n",
+                      e.node, e.request, e.layer, e.start * 1e3,
+                      e.time * 1e3);
         log += line;
     }
     return log;
@@ -317,7 +313,7 @@ class LayerBoundaryTies
             p.decisionOverheadSec = overhead;
             p.layerBlockSize = block;
         }
-        cfg.recordEvents = true;
+        cfg.telemetry = &sink;
         cfg.nodeEvents = std::move(node_events);
         LeastOutstandingDispatcher disp;
         return runSimulation(cfg, reqs, disp,
@@ -329,6 +325,8 @@ class LayerBoundaryTies
 
     World world;
     double overhead;
+    /** Records the slices of the latest run. */
+    Telemetry sink;
 };
 
 } // namespace
@@ -417,7 +415,7 @@ TEST(Engine, LayerBoundaryTiesArePinned)
                 w.request(2, "long", ties.layerEnd(3)),
                 w.request(3, "short", ties.layerEnd(6))};
             SimResult r = ties.run(1, reqs, {}, block);
-            EXPECT_EQ(scheduleLog(r), expected[o][block - 1])
+            EXPECT_EQ(scheduleLog(r, ties.sink), expected[o][block - 1])
                 << "overhead " << ties.overhead << " block " << block;
         }
         // Two nodes: node 1 fails at its second layer end, so the
@@ -431,7 +429,7 @@ TEST(Engine, LayerBoundaryTiesArePinned)
             2, reqs,
             {{ties.layerEnd(2), 1, NodeEventKind::Fail},
              {ties.layerEnd(4), 1, NodeEventKind::Recover}});
-        EXPECT_EQ(scheduleLog(r), expected[o][2])
+        EXPECT_EQ(scheduleLog(r, ties.sink), expected[o][2])
             << "overhead " << ties.overhead << " two nodes";
     }
 }
@@ -441,8 +439,18 @@ TEST(Engine, RequestWithoutTracePanics)
     std::vector<Request> reqs(1);
     reqs[0].id = 0;
     FcfsScheduler fcfs;
-    SchedulerEngine engine;
-    EXPECT_DEATH(engine.run(reqs, fcfs), "without a trace");
+    EXPECT_DEATH(runSingleNode(singleNodeSimConfig(), reqs, fcfs),
+                 "without a trace");
+}
+
+TEST(Engine, RunSingleNodeRejectsAFleet)
+{
+    World w = twoModelWorld();
+    std::vector<Request> reqs = {w.request(0, "short", 0.0)};
+    FcfsScheduler fcfs;
+    EXPECT_EXIT(runSingleNode(homogeneousCluster(2), reqs, fcfs),
+                ::testing::ExitedWithCode(1),
+                "runSingleNode: need a one-node config, got 2 nodes");
 }
 
 // --- Request accessors ---

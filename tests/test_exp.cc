@@ -134,8 +134,7 @@ TEST(Harness, DecisionOverheadDegradesMetricsMonotonically)
             generateWorkload(wl, smallCtx().registry);
         EngineConfig cfg;
         cfg.decisionOverheadSec = overhead;
-        SchedulerEngine engine(cfg);
-        return engine.run(reqs, *policy).metrics;
+        return runSingleNode(singleNodeSimConfig(cfg), reqs, *policy).metrics;
     };
 
     Metrics free = run_with_overhead(0.0);

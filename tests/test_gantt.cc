@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the ASCII Gantt renderer.
+ * Unit tests for the per-request ASCII Gantt renderer over a
+ * recorded telemetry run.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,7 @@ struct GanttFixture
 {
     World world;
     std::vector<Request> reqs;
-    SimResult result;
+    Telemetry sink;
 
     GanttFixture()
     {
@@ -29,10 +30,9 @@ struct GanttFixture
         reqs = {world.request(0, "long", 0.0),
                 world.request(1, "short", 0.5)};
         SjfScheduler sjf(world.lut);
-        EngineConfig cfg;
-        cfg.recordEvents = true;
-        SchedulerEngine engine(cfg);
-        result = engine.run(reqs, sjf);
+        SimConfig sim = singleNodeSimConfig();
+        sim.telemetry = &sink;
+        runSingleNode(sim, reqs, sjf);
     }
 };
 
@@ -41,7 +41,7 @@ struct GanttFixture
 TEST(Gantt, RendersOneLanePerRequest)
 {
     GanttFixture f;
-    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut);
+    std::string out = renderGantt(f.sink, f.reqs, f.world.lut);
     EXPECT_NE(out.find("long"), std::string::npos);
     EXPECT_NE(out.find("short"), std::string::npos);
     EXPECT_NE(out.find('#'), std::string::npos);
@@ -54,7 +54,7 @@ TEST(Gantt, PreemptionShowsAsGapInLongLane)
     GanttFixture f;
     GanttConfig cfg;
     cfg.columns = 42; // 4.2 s span -> 0.1 s per column
-    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut, cfg);
+    std::string out = renderGantt(f.sink, f.reqs, f.world.lut, cfg);
     // The long request's lane must contain an interior gap where the
     // short one ran (1.0 .. 1.2 s).
     size_t lane_pos = out.find("long");
@@ -70,7 +70,7 @@ TEST(Gantt, WindowClipsEvents)
     GanttConfig cfg;
     cfg.windowStart = 0.0;
     cfg.windowEnd = 0.9; // before the short request ever runs
-    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut, cfg);
+    std::string out = renderGantt(f.sink, f.reqs, f.world.lut, cfg);
     EXPECT_NE(out.find("long"), std::string::npos);
     EXPECT_EQ(out.find("short"), std::string::npos);
 }
@@ -80,7 +80,7 @@ TEST(Gantt, MaxRowsKeepsBusiestRequests)
     GanttFixture f;
     GanttConfig cfg;
     cfg.maxRows = 1;
-    std::string out = renderGantt(f.result.events, f.reqs, f.world.lut, cfg);
+    std::string out = renderGantt(f.sink, f.reqs, f.world.lut, cfg);
     // The long request dominates busy time and must be the survivor.
     EXPECT_NE(out.find("long"), std::string::npos);
     EXPECT_EQ(out.find("short"), std::string::npos);
@@ -88,9 +88,23 @@ TEST(Gantt, MaxRowsKeepsBusiestRequests)
 
 TEST(Gantt, EmptyEventsHandled)
 {
-    std::vector<ClusterEvent> none;
+    Telemetry none;
     std::vector<Request> reqs;
     EXPECT_NE(renderGantt(none, reqs, ModelInfoLut{})
                   .find("no schedule events"),
               std::string::npos);
+}
+
+TEST(Gantt, SinkWithoutEventLogIsFatal)
+{
+    GanttFixture f;
+    Telemetry counters_only(TelemetryConfig{/*recordEvents=*/false,
+                                            /*recordSeries=*/false});
+    SimConfig sim = singleNodeSimConfig();
+    sim.telemetry = &counters_only;
+    FcfsScheduler fcfs;
+    runSingleNode(sim, f.reqs, fcfs);
+    EXPECT_EXIT(renderGantt(counters_only, f.reqs, f.world.lut),
+                ::testing::ExitedWithCode(1),
+                "renderGantt: telemetry ran without event recording");
 }

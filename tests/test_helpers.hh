@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for scheduler/engine tests: hand-built traces with
- * exact layer latencies, and LUTs derived from them.
+ * exact layer latencies, LUTs derived from them, and the layer
+ * slices of a recorded run.
  */
 
 #ifndef DYSTA_TESTS_TEST_HELPERS_HH
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/model_info.hh"
+#include "obs/telemetry.hh"
 #include "sched/request.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
@@ -105,6 +107,20 @@ class World
                            "first request (a new key renumbers keys)");
     }
 };
+
+/**
+ * The executed layer slices of a recorded run: its telemetry
+ * `LayerComplete` events, in emission order.
+ */
+inline std::vector<TelemetryEvent>
+layerSlices(const Telemetry& telemetry)
+{
+    std::vector<TelemetryEvent> slices;
+    for (const TelemetryEvent& ev : telemetry.events())
+        if (ev.kind == TeleKind::LayerComplete)
+            slices.push_back(ev);
+    return slices;
+}
 
 } // namespace dysta::test
 

@@ -113,10 +113,10 @@ TEST(TelemetryProbes, ResidualsMatchHandComputedValues)
     EXPECT_DOUBLE_EQ(acc[0].isolatedBias, 2.0);
     EXPECT_DOUBLE_EQ(acc[0].isolatedRmse, 2.0);
 
-    EXPECT_EQ(telemetry.arrivals(), 1u);
-    EXPECT_EQ(telemetry.completions(), 1u);
-    EXPECT_EQ(telemetry.execStarts(), 2u);
-    EXPECT_EQ(telemetry.layerCompletions(), 2u);
+    EXPECT_EQ(telemetry.count(TeleKind::Arrival), 1u);
+    EXPECT_EQ(telemetry.count(TeleKind::Complete), 1u);
+    EXPECT_EQ(telemetry.count(TeleKind::ExecStart), 2u);
+    EXPECT_EQ(telemetry.count(TeleKind::LayerComplete), 2u);
     EXPECT_EQ(telemetry.abandonedLayers(), 0u);
     ASSERT_EQ(telemetry.nodes().size(), 1u);
     EXPECT_DOUBLE_EQ(telemetry.nodes()[0].busySec, 3.0);
@@ -168,16 +168,18 @@ TEST(TelemetryConservation, ClusterRunWithFailuresBalances)
     SimResult result = runSweepCell(ctx, cell);
 
     // Every layer started either completed or was lost to a failure.
-    EXPECT_EQ(telemetry.execStarts(),
-              telemetry.layerCompletions() +
+    EXPECT_EQ(telemetry.count(TeleKind::ExecStart),
+              telemetry.count(TeleKind::LayerComplete) +
                   telemetry.abandonedLayers());
     // Every request resolved exactly one way.
-    EXPECT_EQ(telemetry.arrivals(),
-              telemetry.completions() + telemetry.sheds());
+    EXPECT_EQ(telemetry.count(TeleKind::Arrival),
+              telemetry.count(TeleKind::Complete) +
+                  telemetry.count(TeleKind::Shed));
     // The sink and the engine agree on the headline counts.
-    EXPECT_EQ(telemetry.completions(), result.metrics.completed);
-    EXPECT_EQ(telemetry.sheds(), result.metrics.shed);
-    EXPECT_EQ(telemetry.preemptionEvents(), result.preemptions);
+    EXPECT_EQ(telemetry.count(TeleKind::Complete),
+              result.metrics.completed);
+    EXPECT_EQ(telemetry.count(TeleKind::Shed), result.metrics.shed);
+    EXPECT_EQ(telemetry.count(TeleKind::Preempt), result.preemptions);
 
     // Per-node counters sum to the run totals.
     size_t dispatched = 0;
@@ -190,18 +192,19 @@ TEST(TelemetryConservation, ClusterRunWithFailuresBalances)
         fails += node.fails;
         recovers += node.recovers;
     }
-    EXPECT_EQ(dispatched, telemetry.dispatches());
-    EXPECT_EQ(completed, telemetry.completions());
+    EXPECT_EQ(dispatched, telemetry.count(TeleKind::Dispatch));
+    EXPECT_EQ(completed, telemetry.count(TeleKind::Complete));
     EXPECT_EQ(fails, 1u);
     EXPECT_EQ(recovers, 1u);
     // The failure displaced work: every restarted request
     // re-dispatches (queued never-started requests displaced by the
     // failure re-dispatch too, without a Restart event, so this is a
     // lower bound).
-    EXPECT_GT(telemetry.restarts(), 0u);
-    EXPECT_GE(telemetry.dispatches(),
-              telemetry.arrivals() - telemetry.sheds() +
-                  telemetry.restarts());
+    EXPECT_GT(telemetry.count(TeleKind::Restart), 0u);
+    EXPECT_GE(telemetry.count(TeleKind::Dispatch),
+              telemetry.count(TeleKind::Arrival) -
+                  telemetry.count(TeleKind::Shed) +
+                  telemetry.count(TeleKind::Restart));
 
     // Both probes saw every observed layer of unfinished requests.
     std::vector<EstimatorAccuracy> acc = telemetry.accuracy();

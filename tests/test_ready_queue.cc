@@ -271,8 +271,7 @@ TEST(PickNextProperty, MatchesLinearScanOnRandomSingleNodeRuns)
         for (const char* name : kAllPolicies) {
             std::vector<Request> reqs = base;
             CheckedScheduler checked(makePolicy(name, w));
-            SchedulerEngine engine;
-            SimResult r = engine.run(reqs, checked);
+            SimResult r = runSingleNode(singleNodeSimConfig(), reqs, checked);
             EXPECT_EQ(r.metrics.completed, reqs.size())
                 << name << " seed " << seed;
         }
@@ -291,8 +290,7 @@ TEST(PickNextProperty, MatchesLinearScanUnderBlocksAndOverhead)
     for (const char* name : kAllPolicies) {
         std::vector<Request> reqs = base;
         CheckedScheduler checked(makePolicy(name, w));
-        SchedulerEngine engine(cfg);
-        engine.run(reqs, checked);
+        runSingleNode(singleNodeSimConfig(cfg), reqs, checked);
     }
 }
 
@@ -331,8 +329,7 @@ TEST(PickNextProperty, SjfWithDystaEstimatorRekeysOnSparsity)
         std::vector<Request> reqs = randomRequests(w, rng, 40);
         CheckedScheduler checked(std::make_unique<SjfScheduler>(
             std::make_unique<DystaEstimator>(w.lut)));
-        SchedulerEngine engine;
-        SimResult r = engine.run(reqs, checked);
+        SimResult r = runSingleNode(singleNodeSimConfig(), reqs, checked);
         EXPECT_EQ(r.metrics.completed, reqs.size()) << seed;
     }
 }

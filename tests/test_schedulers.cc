@@ -270,8 +270,7 @@ TEST_P(SchedulerInvariants, AllRequestsComplete)
 {
     auto policy = make();
     auto reqs = randomWorkload(60, 1);
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, *policy);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, *policy);
     EXPECT_EQ(r.metrics.completed, reqs.size());
     for (const auto& req : reqs) {
         EXPECT_TRUE(req.done());
@@ -283,8 +282,7 @@ TEST_P(SchedulerInvariants, AnttAtLeastOne)
 {
     auto policy = make();
     auto reqs = randomWorkload(60, 2);
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, *policy);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, *policy);
     EXPECT_GE(r.metrics.antt, 1.0);
 }
 
@@ -292,8 +290,7 @@ TEST_P(SchedulerInvariants, ViolationRateInUnitInterval)
 {
     auto policy = make();
     auto reqs = randomWorkload(60, 3);
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, *policy);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, *policy);
     EXPECT_GE(r.metrics.violationRate, 0.0);
     EXPECT_LE(r.metrics.violationRate, 1.0);
 }
@@ -302,9 +299,9 @@ TEST_P(SchedulerInvariants, DeterministicAcrossRuns)
 {
     auto policy = make();
     auto reqs = randomWorkload(60, 4);
-    SchedulerEngine engine;
-    double antt1 = engine.run(reqs, *policy).metrics.antt;
-    double antt2 = engine.run(reqs, *policy).metrics.antt;
+    SimConfig one = singleNodeSimConfig();
+    double antt1 = runSingleNode(one, reqs, *policy).metrics.antt;
+    double antt2 = runSingleNode(one, reqs, *policy).metrics.antt;
     EXPECT_DOUBLE_EQ(antt1, antt2);
 }
 
@@ -327,8 +324,7 @@ TEST_P(SchedulerInvariants, BusyWorkConservation)
         req.lastRunEnd = 0.0;
         isolated_sum += req.isolated();
     }
-    SchedulerEngine engine;
-    SimResult r = engine.run(reqs, *policy);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, *policy);
     EXPECT_NEAR(r.metrics.makespan, isolated_sum, 1e-9);
 }
 

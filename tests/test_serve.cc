@@ -58,7 +58,7 @@ serve(const WorkloadConfig& wl, const ClusterRunConfig& cluster)
 
 // --- node/engine semantics -------------------------------------------------
 
-TEST(ServingNode, SingleNodeClusterMatchesSchedulerEngine)
+TEST(ServingNode, OneNodeRoundRobinClusterMatchesRunSingleNode)
 {
     test::World world;
     world.addModel("a", {0.2, 0.3}, {0.5, 0.5});
@@ -72,7 +72,8 @@ TEST(ServingNode, SingleNodeClusterMatchesSchedulerEngine)
     std::vector<Request> cluster_reqs = engine_reqs;
 
     FcfsScheduler fcfs;
-    SimResult er = SchedulerEngine().run(engine_reqs, fcfs);
+    SimResult er =
+        runSingleNode(singleNodeSimConfig(), engine_reqs, fcfs);
 
     RoundRobinDispatcher rr;
     SimResult cr = runSimulation(homogeneousCluster(1), cluster_reqs, rr,
@@ -88,11 +89,11 @@ TEST(ServingNode, SingleNodeClusterMatchesSchedulerEngine)
     EXPECT_EQ(er.preemptions, cr.preemptions);
 }
 
-TEST(ServingNode, SimultaneousArrivalsMatchSchedulerEngine)
+TEST(ServingNode, SimultaneousArrivalsMatchRunSingleNode)
 {
     // All requests arrive at t=0: the node's policy must see the
     // whole cohort before its first dispatch decision, exactly like
-    // SchedulerEngine's admit-then-select loop. SJF makes the order
+    // runSingleNode's admit-then-select loop. SJF makes the order
     // observable (shortest job first, not arrival order).
     test::World world;
     world.addModel("long", {1.0, 1.0}, {0.5, 0.5});
@@ -106,7 +107,8 @@ TEST(ServingNode, SimultaneousArrivalsMatchSchedulerEngine)
     std::vector<Request> cluster_reqs = engine_reqs;
 
     SjfScheduler sjf(world.lut);
-    SimResult er = SchedulerEngine().run(engine_reqs, sjf);
+    SimResult er =
+        runSingleNode(singleNodeSimConfig(), engine_reqs, sjf);
 
     RoundRobinDispatcher rr;
     SimResult cr = runSimulation(homogeneousCluster(1), cluster_reqs, rr,
@@ -148,15 +150,17 @@ TEST(ServingNode, EventsCoverAllLayersOnAllNodes)
         reqs.push_back(world.request(i, "a", 0.0));
 
     SimConfig cfg = homogeneousCluster(2);
-    cfg.recordEvents = true;
+    Telemetry sink;
+    cfg.telemetry = &sink;
     RoundRobinDispatcher rr;
     SimResult r = runSimulation(cfg, reqs, rr, fcfsNodes());
 
-    EXPECT_EQ(r.events.size(), 8u); // 4 requests x 2 layers
-    for (const auto& ev : r.events) {
-        EXPECT_GE(ev.nodeId, 0);
-        EXPECT_LT(ev.nodeId, 2);
-        EXPECT_NEAR(ev.end - ev.start, 0.1, 1e-12);
+    std::vector<TelemetryEvent> slices = test::layerSlices(sink);
+    EXPECT_EQ(slices.size(), 8u); // 4 requests x 2 layers
+    for (const TelemetryEvent& ev : slices) {
+        EXPECT_GE(ev.node, 0);
+        EXPECT_LT(ev.node, 2);
+        EXPECT_NEAR(ev.time - ev.start, 0.1, 1e-12);
     }
     EXPECT_EQ(r.perNodeCompleted.size(), 2u);
     EXPECT_EQ(r.perNodeCompleted[0] + r.perNodeCompleted[1], 4u);

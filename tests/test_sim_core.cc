@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the unified simulation core: event-calendar ordering,
- * the regression that SchedulerEngine and a direct 1-node
+ * the regression that runSingleNode and a direct 1-node
  * runSimulation report identical schedules AND identical
  * preemption/decision counts for every policy (the counting rules
  * are defined once, in SimNode), and the Metrics percentile fields.
@@ -119,7 +119,7 @@ TEST(UnifiedCounting, EngineAndOneNodeClusterReportIdentically)
 {
     // Regression for the historical divergence risk: with two loop
     // implementations, preemption/decision counting rules could (and
-    // did threaten to) drift. SchedulerEngine (a forwarded caller-
+    // did threaten to) drift. runSingleNode (a forwarded caller-
     // owned policy) and a direct one-node runSimulation (a factory-
     // built policy behind a real dispatcher) must report identical
     // counts for every policy on random workloads.
@@ -143,7 +143,7 @@ TEST(UnifiedCounting, EngineAndOneNodeClusterReportIdentically)
 
             auto policy = policyByName(name, w);
             SimResult er =
-                SchedulerEngine().run(engine_reqs, *policy);
+                runSingleNode(singleNodeSimConfig(), engine_reqs, *policy);
 
             RoundRobinDispatcher rr;
             SimResult cr = runSimulation(
@@ -182,7 +182,7 @@ TEST(UnifiedCounting, BlockGranularityAndOverheadAgreeAcrossEngines)
     ecfg.layerBlockSize = 2;
     ecfg.decisionOverheadSec = 1e-3;
     SjfScheduler sjf(w.lut);
-    SimResult er = SchedulerEngine(ecfg).run(engine_reqs, sjf);
+    SimResult er = runSingleNode(singleNodeSimConfig(ecfg), engine_reqs, sjf);
 
     SimConfig ccfg;
     NodeProfile profile = referenceNodeProfile("n0");
@@ -270,7 +270,7 @@ TEST(MetricsPercentiles, OrderedAndWithinRangeOnSimulation)
         reqs.push_back(w.request(i, model, t, 8.0));
     }
     DystaScheduler dysta(w.lut);
-    SimResult r = SchedulerEngine().run(reqs, dysta);
+    SimResult r = runSingleNode(singleNodeSimConfig(), reqs, dysta);
 
     const Metrics& m = r.metrics;
     EXPECT_GT(m.p50Latency, 0.0);

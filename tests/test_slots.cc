@@ -132,8 +132,7 @@ TEST(RunSlots, LiveRequestsHoldDistinctSlotsFromASmallRange)
     std::vector<Request> reqs = generateWorkload(wl, ctx().registry);
 
     SlotAuditScheduler audit;
-    SchedulerEngine engine;
-    SimResult result = engine.run(reqs, audit);
+    SimResult result = runSingleNode(singleNodeSimConfig(), reqs, audit);
     EXPECT_EQ(result.metrics.completed, 300u);
     EXPECT_EQ(audit.live, 0u);
     // Slots are recycled: at most the peak number of live requests

@@ -146,13 +146,14 @@ TEST(Streaming, SingleNodeBitIdenticalToMaterialized)
 
     std::vector<Request> reqs = generateWorkload(wl, ctx().registry);
     auto policy_a = makeSchedulerByName("Dysta", ctx());
-    SchedulerEngine engine;
-    SimResult materialized = engine.run(reqs, *policy_a);
+    SimResult materialized =
+        runSingleNode(singleNodeSimConfig(), reqs, *policy_a);
 
     WorkloadArrivalSource source(wl, ctx().registry);
     EXPECT_EQ(source.total(), reqs.size());
     auto policy_b = makeSchedulerByName("Dysta", ctx());
-    SimResult streaming = engine.run(source, *policy_b);
+    SimResult streaming =
+        runSingleNode(singleNodeSimConfig(), source, *policy_b);
 
     EXPECT_EQ(metricsDifferences(streaming.metrics, materialized.metrics),
               std::vector<std::string>{}) << "single-node streaming";

@@ -4,14 +4,16 @@
 # Builds `sdysta` at <base-ref> (in a temporary git worktree) and at the
 # working tree, runs every scenarios/*.scn of the working tree on both
 # binaries at the CI smoke size, plus tab05 at the benchmark's queue
-# depth and chaos at 2000 requests (materialized and streaming), and
+# depth, chaos at 2000 requests (materialized and streaming) and a
+# temporary child of chaos with a tighter retry timeout, and
 # compares each pair of reports with
 # `sdysta --diff` (which ignores the wall-clock 'meta' section) and each
 # pair of their CSV twins byte for byte. The traced outputs (chrome
 # trace, series CSV, --gantt stdout) of every chaos cell and both
 # hetero-failover cells must match byte for byte too. It also
 # compares, byte for byte, `sdysta <name> --print-spec` for every built-in
-# name and `sdysta --list-scenarios` stdout. Any difference fails the
+# name, `sdysta --list-scenarios` stdout and the stdout of every
+# examples/ program. Any difference fails the
 # gate: a change that means to move a result must say so and update this
 # expectation explicitly.
 #
@@ -19,7 +21,8 @@
 #   tools/ci/scenario_drift.sh <base-ref> [<build-dir>]
 #
 # <build-dir> (default: build) holds the working tree's build; it is
-# configured if needed and `sdysta` is (re)built there. The base
+# configured if needed and `sdysta` and the examples are (re)built
+# there. The base
 # worktree, its build and the reports go to a temporary directory that
 # is removed on exit.
 set -euo pipefail
@@ -41,18 +44,23 @@ cleanup() {
 }
 trap cleanup EXIT
 
-build_sdysta() {
+examples=()
+for src in examples/*.cpp; do
+    examples+=("$(basename "$src" .cpp)")
+done
+
+build_targets() {
     local src="$1" dir="$2"
     if [ ! -f "$dir/CMakeCache.txt" ]; then
         cmake -S "$src" -B "$dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
     fi
-    cmake --build "$dir" -j 2 --target sdysta >/dev/null
+    cmake --build "$dir" -j 2 --target sdysta "${examples[@]}" >/dev/null
 }
 
 echo "scenario_drift: base $base_sha"
 git worktree add --detach --force "$base_tree" "$base_sha" >/dev/null
-build_sdysta "$base_tree" "$work/base-build"
-build_sdysta "$repo_root" "$head_build"
+build_targets "$base_tree" "$work/base-build"
+build_targets "$repo_root" "$head_build"
 base_bin="$work/base-build/sdysta"
 head_bin="$head_build/sdysta"
 
@@ -96,6 +104,11 @@ deep_chaos=(--requests 2000 --seeds 2 --samples 60 --jobs 2)
 check_drift chaos-deep scenarios/chaos.scn "${deep_chaos[@]}"
 check_drift chaos-deep-streaming scenarios/chaos.scn "${deep_chaos[@]}" \
     --streaming on
+# chaos with a tighter retry allowance, so retried attempts time out
+# again (attempt >= 1) and the retry back-off decides when.
+printf 'include = %s\nretry = retry:max=2,backoff=2,timeout=0.3,budget=0.5\n' \
+    "$repo_root/scenarios/chaos.scn" >"$work/chaos-retry.scn"
+check_drift chaos-retry "$work/chaos-retry.scn" "${deep_chaos[@]}"
 
 # Re-run one cell with full telemetry on both binaries and compare its
 # chrome trace, series CSV and --gantt stdout (the "Wrote <path>" lines
@@ -152,6 +165,19 @@ if cmp -s "$work/reports/list_base.txt" "$work/reports/list_head.txt"; then
 else
     drifted+=("--list-scenarios")
 fi
+
+# The examples/ programs print fixed-seed tables (and arvr_wearable a
+# per-request Gantt chart) and write no files.
+for ex in "${examples[@]}"; do
+    out="$work/reports/example-$ex"
+    "$work/base-build/$ex" >"$out.base.txt"
+    "$head_build/$ex" >"$out.head.txt"
+    if cmp -s "$out.base.txt" "$out.head.txt"; then
+        echo "scenario_drift: example $ex: same stdout"
+    else
+        drifted+=("example:$ex")
+    fi
+done
 
 if [ "${#drifted[@]}" -ne 0 ]; then
     echo "scenario_drift: FAIL — drift against $base_ref in:" \
